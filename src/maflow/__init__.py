@@ -17,7 +17,7 @@ from .symmetry import (GroupElement, SymmetrizedPotential, SymmetryGroup, apply,
                        build_potential, compose, d4_group, group_by_name, identity,
                        inverse, ising_group, symmetrized_eval, trivial_group, z2_group)
 from .targets import (CRITICAL_COUPLING, GaussianFlowSolution, IsingEnergy, IsingSpec,
-                      LossResult, QuadraticPotential, base_log_density, exact_neg_log_z,
+                      LossResult, QuadraticPotential, exact_neg_log_z,
                       gaussian_flow_oracle, ising_energy, ising_energy_grad,
                       ising_oracle_report, ising_spec, nll_loss, spin_sampler,
                       variational_loss)

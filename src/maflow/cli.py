@@ -29,11 +29,6 @@ from .trainer import TrainConfig, load_checkpoint, train
 # ---------------------------------------------------------------------------
 # run configuration file
 
-_TRAIN_DEFAULTS = {
-    "density": dict(epsilon=0.1, steps=100, hidden=1024, batch_size=100),
-    "ising": dict(epsilon=0.1, steps=50, hidden=512, batch_size=64),
-}
-
 _SCHEMA = {
     "task": ("density", "ising"),
     "objective": ("nll", "variational"),
@@ -65,6 +60,7 @@ def _key_line(text, key):
 
 
 def _check_keys(node, schema, text, prefix=""):
+    """Reject unknown keys and wrongly typed values; an int given for a float becomes a float."""
     for key, val in node.items():
         if key not in schema:
             raise ConfigError(f"unknown config key '{prefix}{key}' (line {_key_line(text, key)})")
@@ -77,6 +73,14 @@ def _check_keys(node, schema, text, prefix=""):
         elif isinstance(rule, tuple) and all(isinstance(r, str) for r in rule):
             if val not in rule:
                 raise ConfigError(f"config key '{prefix}{key}' must be one of {rule}, "
+                                  f"got {val!r} (line {_key_line(text, key)})")
+        else:
+            types = rule if isinstance(rule, tuple) else (rule,)
+            if float in types and type(val) is int:
+                node[key] = float(val)  # 1 and 1.0 configure (and hash as) the same run
+            elif isinstance(val, bool) or not isinstance(val, types):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(f"config key '{prefix}{key}' must be {names}, "
                                   f"got {val!r} (line {_key_line(text, key)})")
 
 
@@ -101,22 +105,23 @@ def load_run_config(path):
     if task == "ising" and objective != "variational":
         raise ConfigError("the ising task trains with the 'variational' objective")
 
-    tr = dict(_TRAIN_DEFAULTS[task])
-    tr.update(dict(epochs=10, steps_per_epoch=10, learning_rate=1e-3, grad_clip=10.0,
-                   checkpoint_every=0, max_steps=0))
-    tr.update(raw.get("train", {}))
-    sym = dict(group="none", mode="sampled", resample="step")
-    sym.update(raw.get("symmetry", {}))
+    overrides = dict(raw.get("train", {}))
+    sym = raw.get("symmetry", {})
+    overrides["symmetry"] = sym.get("group", "none")  # unlike for_ising, off unless named
+    for key, name in (("mode", "symmetry_mode"), ("resample", "resample")):
+        if key in sym:
+            overrides[name] = sym[key]
+    if "seed" in raw:
+        overrides["seed"] = raw["seed"]
     ds = dict(name="mixture-of-8", path=None, labels_path=None, size=10000)
-    ds["lambda"] = 1e-6
     ds.update(raw.get("dataset", {}))
+    if "lambda" in ds:
+        overrides["logit_lambda"] = ds.pop("lambda")
     ising = dict(L=4, beta=CRITICAL_COUPLING)
     ising.update(raw.get("ising", {}))
 
-    config = TrainConfig(objective=objective, seed=raw.get("seed", 0),
-                         symmetry=sym["group"], symmetry_mode=sym["mode"],
-                         resample=sym["resample"], logit_lambda=ds["lambda"],
-                         **tr)
+    make = TrainConfig.for_density if task == "density" else TrainConfig.for_ising
+    config = make(**overrides)
     return {"task": task, "config": config, "dataset": ds, "ising": ising,
             "out_dir": raw.get("out_dir", "runs")}
 

@@ -58,8 +58,6 @@ class Trajectory:
     steps: list = field(default_factory=list)
     fingerprint: bytes = b""
     t0: float = 0.0
-    final_x: np.ndarray | None = None
-    final_l: np.ndarray | None = None
 
     def __len__(self):
         return len(self.steps)
@@ -94,8 +92,7 @@ def backprop(traj, potential, d_x_final, d_l_final):
     Accumulation order is fixed: steps in reverse, stages 4..1 inside each
     step, so results are reproducible bit for bit.
     """
-    from .potential import PotentialParams  # local import to avoid a cycle at module load
-    from .flow import as_potential
+    from .flow import as_potential  # local import to avoid a cycle at module load
 
     pot = as_potential(potential)
     if traj.fingerprint != pot.fingerprint():
@@ -109,7 +106,7 @@ def backprop(traj, potential, d_x_final, d_l_final):
     if d_x.shape != (B, n) or d_l.shape != (B,):
         raise ValueError("cotangent shapes do not match the recorded batch")
 
-    flat_grad = np.zeros(getattr(pot, "grad_size", 0)) if pot.trainable else None
+    flat_grad = np.zeros(pot.grad_size) if pot.trainable else None
 
     for rec in reversed(traj.steps):
         eta = rec.eta
@@ -132,10 +129,5 @@ def backprop(traj, potential, d_x_final, d_l_final):
         d_x = d_x_new
         # log-density cotangent passes through unchanged: nothing depends on l0
 
-    if flat_grad is None:
-        param_grad = None
-    elif hasattr(pot, "grad_to_params"):
-        param_grad = pot.grad_to_params(flat_grad)
-    else:
-        param_grad = flat_grad
+    param_grad = None if flat_grad is None else pot.grad_to_params(flat_grad)
     return BackpropResult(param_grad, d_x, d_l.copy())

@@ -17,6 +17,7 @@ being clamped, because clamping would silently corrupt log-densities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -114,13 +115,16 @@ def _first_bad_row(*arrays):
     return None
 
 
-def rk4_step(potential, state, epsilon, direction=FORWARD, rng=None, record=False,
+def rk4_step(potential, state, epsilon, direction=FORWARD, ctx=None, record=False,
              step_index=None):
     """Advance the joint system by one RK4 step of size epsilon.
 
     ``direction='backward'`` integrates the same field with a negated time
-    increment.  With ``record=True`` additionally returns a StepRecord for
-    the reverse-mode pass, else None.
+    increment.  ``ctx`` holds the evaluator context of each of the four
+    stages, as drawn by ``integrate`` from ``potential.begin_trajectory``;
+    None evaluates every stage with context None (for a symmetrized
+    potential, the whole group).  With ``record=True`` additionally returns
+    a StepRecord for the reverse-mode pass, else None.
     """
     pot = as_potential(potential)
     if epsilon <= 0.0:
@@ -128,27 +132,27 @@ def rk4_step(potential, state, epsilon, direction=FORWARD, rng=None, record=Fals
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
     eta = epsilon if direction == FORWARD else -epsilon
+    ctx = (None,) * 4 if ctx is None else tuple(ctx)
 
-    pot.begin_step(rng)
     x0, l0 = state.X, state.L
 
-    ctx, aux, grads, laps = [], [], [], []
+    aux, grads, laps = [], [], []
     stage_x = [x0]
-    for i in range(4):
-        c = pot.stage_context(i)
-        g, lap, a = pot.grad_lap(stage_x[i], c)
-        ctx.append(c)
-        aux.append(a)
-        grads.append(g)
-        laps.append(lap)
-        if i == 0:
-            stage_x.append(x0 + (0.5 * eta) * g)
-        elif i == 1:
-            stage_x.append(x0 + (0.5 * eta) * g)
-        elif i == 2:
-            stage_x.append(x0 + eta * g)
+    # overflow surfaces as a non-finite value, reported below with its row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(4):
+            g, lap, a = pot.grad_lap(stage_x[i], ctx[i])
+            aux.append(a)
+            grads.append(g)
+            laps.append(lap)
+            if i == 0:
+                stage_x.append(x0 + (0.5 * eta) * g)
+            elif i == 1:
+                stage_x.append(x0 + (0.5 * eta) * g)
+            elif i == 2:
+                stage_x.append(x0 + eta * g)
 
-    x1, l1 = combine_stages(x0, l0, eta, grads, laps)
+        x1, l1 = combine_stages(x0, l0, eta, grads, laps)
 
     bad = _first_bad_row(x1, l1, *grads)
     if bad is not None:
@@ -159,31 +163,35 @@ def rk4_step(potential, state, epsilon, direction=FORWARD, rng=None, record=Fals
     rec = None
     if record:
         rec = StepRecord(x0, l0, eta, tuple(stage_x[:4]), tuple(grads), tuple(laps),
-                         tuple(ctx), tuple(aux))
+                         ctx, tuple(aux))
     return new_state, rec
 
 
 def integrate(potential, state, config, rng=None, record=False, callback=None):
     """Run ``config.steps`` RK4 steps; returns (final state, Trajectory or None).
 
-    ``callback(step_index, state)`` fires after every step (used for frame
-    dumps).  With ``record=True`` the returned Trajectory holds every step's
-    entry state and all four stage evaluations.
+    Calls ``potential.begin_trajectory(rng)`` once: it returns an iterator
+    over the context of every stage of the trajectory (for a sampled
+    symmetrized potential, the group element indices, drawn lazily from
+    ``rng``), or None when every stage has context None.  Each step takes
+    the next four contexts.  ``callback(step_index, state)`` fires after
+    every step (used for frame dumps).  With ``record=True`` the returned
+    Trajectory holds every step's entry state and all four stage
+    evaluations with their contexts.
     """
     pot = as_potential(potential)
     if state.n_dim != pot.n_dim:
         raise ValueError(f"state dimension {state.n_dim} does not match potential {pot.n_dim}")
-    pot.begin_trajectory(rng)
+    contexts = pot.begin_trajectory(rng)
     traj = Trajectory(fingerprint=pot.fingerprint(), t0=state.t) if record else None
     for k in range(config.steps):
+        ctx = None if contexts is None else tuple(itertools.islice(contexts, 4))
         state, rec = rk4_step(pot, state, config.epsilon, config.direction,
-                              rng=rng, record=record, step_index=k)
+                              ctx=ctx, record=record, step_index=k)
         if record:
             traj.steps.append(rec)
         if callback is not None:
             callback(k + 1, state)
-    if record:
-        traj.final_x, traj.final_l = state.X, state.L
     return state, traj
 
 

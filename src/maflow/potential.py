@@ -227,20 +227,9 @@ class MLPPotential:
     def grad_size(self):
         return self.params.size
 
-    # the integrator drives these hooks; a plain potential has no per-step state
     def begin_trajectory(self, rng):
-        pass
-
-    def begin_step(self, rng):
-        pass
-
-    def stage_context(self, stage):
+        """Stage contexts of one trajectory: none, every stage evaluates the same field."""
         return None
-
-    def value(self, X, ctx=None):
-        p = self.params
-        Z = X @ p.W.T + p.b
-        return softplus(Z) @ p.a + p.c
 
     def grad_lap(self, X, ctx=None):
         """Gradient field and Laplacian for every row of X.
@@ -254,15 +243,6 @@ class MLPPotential:
         G = (p.a * S) @ p.W
         lap = (p.a * (S * (1.0 - S))) @ self._rowsq
         return G, lap, S
-
-    def value_grad_lap(self, X, ctx=None):
-        p = self.params
-        Z = X @ p.W.T + p.b
-        S = expit(Z)
-        v = softplus(Z) @ p.a + p.c
-        G = (p.a * S) @ p.W
-        lap = (p.a * (S * (1.0 - S))) @ self._rowsq
-        return v, G, lap
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """Batch-accumulated derivatives of sum_i [w_grad_i . grad_i + w_lap_i * lap_i].

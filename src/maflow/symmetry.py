@@ -7,12 +7,16 @@ gradient, and the Laplacian is invariant.
 
 ``SymmetrizedPotential`` averages a base potential over a group, either
 exactly (every element) or stochastically (one element drawn per
-integration step, the default, or per stage / per trajectory).
+integration step, the default, or per stage / per trajectory).  Like every
+evaluator, it is a pure function of the points and a stage context; the
+sampled element indices come from ``begin_trajectory(rng)``, which the
+integrator calls once per trajectory and records on the tape.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,10 +214,16 @@ class SymmetrizedPotential:
     """Group-averaged wrapper around a base evaluator.
 
     mode='average' evaluates every element (exactly invariant, |G| times the
-    cost).  mode='sampled' uses one element per integration step (resample=
-    'step', the default), per stage, or per trajectory; the element in use is
-    reported through the stage context so recorded tapes differentiate the
-    computation that actually ran.
+    cost).  mode='sampled' evaluates one element per stage, chosen by the
+    stage context: ``begin_trajectory(rng)`` returns the schedule of element
+    indices for one trajectory, drawn lazily from ``rng`` -- one draw per
+    integration step (resample='step', the default), per stage, or per
+    trajectory.  The integrator records each stage's index on the tape, so
+    the reverse pass differentiates the computation that actually ran.
+
+    The evaluator holds no per-call state: ``grad_lap`` and ``vjp`` are pure
+    functions of their arguments and the context, so one evaluator can serve
+    nested or interleaved integrations.
     """
 
     def __init__(self, base, group, mode="average", resample="step"):
@@ -229,8 +239,6 @@ class SymmetrizedPotential:
         self.group = group
         self.mode = mode
         self.resample = resample
-        self._rng = None
-        self._element = None
 
     @property
     def trainable(self):
@@ -244,51 +252,34 @@ class SymmetrizedPotential:
     def grad_size(self):
         return self.base.grad_size
 
-    def _draw(self):
-        if self._rng is None:
-            raise ConfigError("sampled symmetrization needs an rng passed to the integrator")
-        return int(self._rng.integers(len(self.group)))
-
     def begin_trajectory(self, rng):
-        self.base.begin_trajectory(rng)
-        if self.mode != "sampled":
-            return
-        if rng is not None:
-            self._rng = rng
-        if self.resample == "trajectory":
-            self._element = self._draw()
+        """Stage contexts of one trajectory: an endless iterator of element indices.
 
-    def begin_step(self, rng):
-        self.base.begin_step(rng)
-        if self.mode != "sampled":
-            return
-        if rng is not None:
-            self._rng = rng
-        if self.resample == "step":
-            self._element = self._draw()
-
-    def stage_context(self, stage):
+        Returns None in average mode, where every stage evaluates the whole
+        group.  Indices are drawn from ``rng`` only as the integrator asks
+        for them, four stages at a time.
+        """
         if self.mode != "sampled":
             return None
-        if self.resample == "stage":
-            return self._draw()
-        if self._element is None:
-            self._element = self._draw()
-        return self._element
+        if rng is None:
+            raise ConfigError("sampled symmetrization needs an rng passed to the integrator")
+        return self._schedule(rng)
+
+    def _schedule(self, rng):
+        k = len(self.group)
+        if self.resample == "trajectory":
+            yield from itertools.repeat(int(rng.integers(k)))
+        while True:
+            if self.resample == "stage":
+                yield int(rng.integers(k))
+            else:
+                yield from itertools.repeat(int(rng.integers(k)), 4)
 
     def _transform(self, m, X):
         return self.group.signs[m] * X[..., self.group.perms[m]]
 
     def _untransform(self, m, V):
         return self.group.signs[m] * V[..., self.group.inv_perms[m]]
-
-    def value(self, X, ctx=None):
-        if ctx is not None:
-            return self.base.value(self._transform(ctx, X))
-        acc = 0.0
-        for m in range(len(self.group)):
-            acc = acc + self.base.value(self._transform(m, X))
-        return acc / len(self.group)
 
     def grad_lap(self, X, ctx=None):
         if ctx is not None:
@@ -302,11 +293,6 @@ class SymmetrizedPotential:
             laps += lap
         k = float(len(self.group))
         return Gs / k, laps / k, None
-
-    def value_grad_lap(self, X, ctx=None):
-        v = self.value(X, ctx)
-        G, lap, _ = self.grad_lap(X, ctx)
-        return v, G, lap
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         if ctx is not None:

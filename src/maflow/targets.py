@@ -18,21 +18,11 @@ from scipy.special import expit, logsumexp
 
 from .difftape import backprop
 from .errors import ConfigError
-from .flow import (FORWARD, FlowState, as_potential, gaussian_base,
+from .flow import (FORWARD, LOG_2PI, FlowState, as_potential, gaussian_base,
                    gaussian_log_density, integrate)
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 # standard square-lattice critical coupling, log(1 + sqrt(2)) / 2
 CRITICAL_COUPLING = 0.5 * math.log(1.0 + math.sqrt(2.0))
-
-
-def base_log_density(x):
-    """log N(x) of the standard Gaussian base, for a single point (n,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single point, got shape {x.shape}")
-    return float(-0.5 * (x.shape[0] * LOG_2PI + x @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -53,23 +43,10 @@ class QuadraticPotential:
         self.n_dim = int(n_dim)
 
     def begin_trajectory(self, rng):
-        pass
-
-    def begin_step(self, rng):
-        pass
-
-    def stage_context(self, stage):
         return None
-
-    def value(self, X, ctx=None):
-        return 0.5 * self.rate * np.einsum("bj,bj->b", X, X)
 
     def grad_lap(self, X, ctx=None):
         return self.rate * X, np.full(X.shape[0], self.rate * self.n_dim), None
-
-    def value_grad_lap(self, X, ctx=None):
-        G, lap, _ = self.grad_lap(X)
-        return self.value(X), G, lap
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         return None, self.rate * w_grad

@@ -8,8 +8,10 @@ resuming.  A run aborts on non-finite losses with the last good state saved.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -127,30 +129,48 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt):
-    """Binary container: magic, version, config JSON, counters, then blobs."""
+    """Binary container: magic, version, config JSON, counters, then blobs.
+
+    The bytes go to a temporary file next to ``path``, which is flushed,
+    fsynced and then renamed over ``path``: a write that fails part-way
+    leaves the previous checkpoint in place.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            _write_checkpoint(f, ckpt)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(f, ckpt):
     cfg_json = ckpt.config.canonical_json().encode()
     rng_json = json.dumps(ckpt.rng_state, sort_keys=True, separators=(",", ":")).encode()
     p = ckpt.params
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(cfg_json)))
-        f.write(cfg_json)
-        f.write(struct.pack("<QQ", ckpt.epoch, ckpt.step))
-        f.write(struct.pack("<III", PARAMS_SECTION_VERSION, p.n_dim, p.n_hidden))
-        f.write(p.W.astype("<f8").tobytes())
-        f.write(p.b.astype("<f8").tobytes())
-        f.write(p.a.astype("<f8").tobytes())
-        f.write(np.float64(p.c).astype("<f8").tobytes())
-        if ckpt.adam is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", ckpt.adam.count))
-            f.write(ckpt.adam.m.astype("<f8").tobytes())
-            f.write(ckpt.adam.v.astype("<f8").tobytes())
-        f.write(struct.pack("<I", len(rng_json)))
-        f.write(rng_json)
+    f.write(CHECKPOINT_MAGIC)
+    f.write(struct.pack("<I", CHECKPOINT_VERSION))
+    f.write(struct.pack("<I", len(cfg_json)))
+    f.write(cfg_json)
+    f.write(struct.pack("<QQ", ckpt.epoch, ckpt.step))
+    f.write(struct.pack("<III", PARAMS_SECTION_VERSION, p.n_dim, p.n_hidden))
+    f.write(p.W.astype("<f8").tobytes())
+    f.write(p.b.astype("<f8").tobytes())
+    f.write(p.a.astype("<f8").tobytes())
+    f.write(np.float64(p.c).astype("<f8").tobytes())
+    if ckpt.adam is None:
+        f.write(struct.pack("<B", 0))
+    else:
+        f.write(struct.pack("<B", 1))
+        f.write(struct.pack("<Q", ckpt.adam.count))
+        f.write(ckpt.adam.m.astype("<f8").tobytes())
+        f.write(ckpt.adam.v.astype("<f8").tobytes())
+    f.write(struct.pack("<I", len(rng_json)))
+    f.write(rng_json)
 
 
 def _read(f, n, path, what):
@@ -257,7 +277,6 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     metrics_path = ckpt_path = None
     metrics_file = None
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, f"metrics_{run_hash}.csv")
         ckpt_path = os.path.join(out_dir, f"checkpoint_{run_hash}.bin")

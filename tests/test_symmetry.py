@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from maflow import (ConfigError, GroupElement, MLPPotential, PotentialParams,
-                    SymmetrizedPotential, apply, compose, d4_group, eval_potential,
-                    identity, init_params, inverse, ising_energy, ising_group,
-                    ising_spec, symmetrized_eval, trivial_group, z2_group)
+from maflow import (ConfigError, GroupElement, IntegratorConfig, IsingEnergy, MLPPotential,
+                    PotentialParams, SymmetrizedPotential, apply, build_potential, compose,
+                    d4_group, eval_potential, gaussian_base, identity, init_params,
+                    integrate, inverse, ising_energy, ising_group, ising_spec, log_prob,
+                    replay, sample, symmetrized_eval, trivial_group, variational_loss,
+                    z2_group)
+from maflow.gradcheck import REL_TOL, compare_gradient
 
 
 def random_params(n, h, seed=0):
@@ -190,3 +193,79 @@ def test_z2_group():
     x = np.array([1.0, 2.0, -3.0])
     ys = sorted(tuple(apply(e, x)) for e in g)
     assert ys == sorted([tuple(x), tuple(-x)])
+
+
+# ---------------------------------------------------------------------------
+# sampled symmetry through the integrator and the tape
+
+TAPE_CASES = [("average", "step"), ("sampled", "step"), ("sampled", "stage"),
+              ("sampled", "trajectory")]
+
+
+def _expected_stage_ctx(mode, resample, rng, steps, k):
+    """Each mode's schedule, drawn from the stream after the base noise."""
+    if mode == "average":
+        return [(None,) * 4] * steps
+    draw = lambda: int(rng.integers(k))
+    if resample == "trajectory":
+        return [(draw(),) * 4] * steps
+    if resample == "step":
+        return [(draw(),) * 4 for _ in range(steps)]
+    return [tuple(draw() for _ in range(4)) for _ in range(steps)]
+
+
+@pytest.mark.parametrize("mode,resample", TAPE_CASES)
+def test_symmetrized_tape_replay_and_stage_contexts(mode, resample):
+    group = ising_group(2)
+    pot = build_potential(random_params(4, 8, seed=9), group, mode, resample)
+    cfg = IntegratorConfig(0.1, 6)
+    state = gaussian_base(4, 5, np.random.default_rng(10))
+    final, traj = integrate(pot, state, cfg, rng=np.random.default_rng(11), record=True)
+    X, L = replay(traj)
+    assert np.array_equal(X, final.X) and np.array_equal(L, final.L)
+
+    recorded = [rec.stage_ctx for rec in traj.steps]
+    assert recorded == _expected_stage_ctx(mode, resample, np.random.default_rng(11),
+                                           cfg.steps, len(group))
+    if resample == "stage":
+        assert any(len(set(c)) > 1 for c in recorded)
+    if (mode, resample) == ("sampled", "step"):
+        assert len({c[0] for c in recorded}) > 1
+
+
+@pytest.mark.parametrize("mode,resample", TAPE_CASES)
+def test_symmetrized_variational_gradient_matches_fd(mode, resample):
+    group = ising_group(2)
+    energy = IsingEnergy(ising_spec(2))
+    cfg = IntegratorConfig(0.1, 8)
+
+    def loss(p, want_grad):
+        return variational_loss(build_potential(p, group, mode, resample), energy, 6, cfg,
+                                np.random.default_rng(12), want_grad=want_grad)
+
+    worst, _ = compare_gradient(loss, random_params(4, 8, seed=13), 15,
+                                np.random.default_rng(14))
+    assert worst < REL_TOL
+
+
+def test_sampled_evaluator_keeps_no_generator():
+    # a sampled evaluator that already ran with a generator still needs one
+    pot = build_potential(random_params(4, 8, seed=15), ising_group(2), "sampled")
+    cfg = IntegratorConfig(0.1, 3)
+    state = sample(pot, 4, cfg, np.random.default_rng(16))
+    with pytest.raises(ConfigError):
+        log_prob(pot, state.X, cfg, rng=None)
+
+
+def test_nested_reuse_keeps_trajectory_element():
+    pot = build_potential(random_params(4, 8, seed=17), ising_group(2), "sampled",
+                          "trajectory")
+    cfg = IntegratorConfig(0.1, 6)
+    state = gaussian_base(4, 3, np.random.default_rng(18))
+
+    def evaluate(k, st):
+        log_prob(pot, st.X, cfg, rng=np.random.default_rng(100 + k))
+
+    _, traj = integrate(pot, state, cfg, rng=np.random.default_rng(19), record=True,
+                        callback=evaluate)
+    assert len({c for rec in traj.steps for c in rec.stage_ctx}) == 1

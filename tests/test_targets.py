@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from maflow import (ConfigError, IntegratorConfig, IsingEnergy, PotentialParams,
-                    QuadraticPotential, base_log_density, exact_neg_log_z,
-                    gaussian_flow_oracle, init_params, ising_energy, ising_energy_grad,
+                    QuadraticPotential, exact_neg_log_z, gaussian_flow_oracle,
+                    gaussian_log_density, init_params, ising_energy, ising_energy_grad,
                     ising_group, ising_oracle_report, ising_spec, nll_loss, spin_sampler,
                     variational_loss)
 from maflow.targets import (CRITICAL_COUPLING, enumerate_log_z_offset,
@@ -15,10 +15,10 @@ from maflow.targets import (CRITICAL_COUPLING, enumerate_log_z_offset,
 
 
 def test_base_log_density_values():
-    assert base_log_density(np.zeros(1)) == pytest.approx(-0.9189385332, abs=1e-9)
-    assert base_log_density(np.zeros(2)) == pytest.approx(-1.8378770664, abs=1e-9)
-    x = np.array([0.3, -1.4, 0.9])
-    assert base_log_density(x) == base_log_density(-x)
+    assert gaussian_log_density(np.zeros((1, 1)))[0] == pytest.approx(-0.9189385332, abs=1e-9)
+    assert gaussian_log_density(np.zeros(2)) == pytest.approx(-1.8378770664, abs=1e-9)
+    x = np.array([[0.3, -1.4, 0.9]])
+    assert np.array_equal(gaussian_log_density(x), gaussian_log_density(-x))
 
 
 # ---------------------------------------------------------------------------
