@@ -263,6 +263,9 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
         params = resume.params.copy()
         if params.n_dim != n_dim:
             raise ConfigError(f"checkpoint dimension {params.n_dim} does not match target {n_dim}")
+        if params.n_hidden != config.hidden:
+            raise ConfigError(f"checkpoint has hidden={params.n_hidden} but the config has "
+                              f"hidden={config.hidden}")
         adam = resume.adam if resume.adam is not None else AdamState.zeros(params.size)
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
@@ -275,14 +278,10 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
 
     run_hash = config.run_hash()
     metrics_path = ckpt_path = None
-    metrics_file = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, f"metrics_{run_hash}.csv")
         ckpt_path = os.path.join(out_dir, f"checkpoint_{run_hash}.bin")
-        metrics_file = open(metrics_path, "a")
-        if metrics_file.tell() == 0:
-            metrics_file.write(",".join(METRIC_COLUMNS) + "\n")
 
     def checkpoint_now(epoch_done):
         ck = Checkpoint(config, params.copy(), AdamState(adam.m.copy(), adam.v.copy(), adam.count),
@@ -291,14 +290,18 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
             save_checkpoint(ckpt_path, ck)
         return ck
 
-    metrics = []
-    t_start = time.perf_counter()
-    # always have a good state on disk in case the very first epoch aborts
-    checkpoint_now(start_epoch)
-    epoch_done = start_epoch
-    stopped = False
+    # closed on every exit, so the rows written so far reach the disk
+    with (open(metrics_path, "a") if metrics_path is not None
+          else contextlib.nullcontext()) as metrics_file:
+        if metrics_file is not None and metrics_file.tell() == 0:
+            metrics_file.write(",".join(METRIC_COLUMNS) + "\n")
+        metrics = []
+        t_start = time.perf_counter()
+        # always have a good state on disk in case the very first epoch aborts
+        checkpoint_now(start_epoch)
+        epoch_done = start_epoch
+        stopped = False
 
-    try:
         for epoch in range(start_epoch, config.epochs):
             X_epoch, batches = _epoch_batches(target, config, rng)
             for batch in batches:
@@ -335,12 +338,7 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
             epoch_done = epoch + 1
             if config.checkpoint_every and epoch_done % config.checkpoint_every == 0:
                 checkpoint_now(epoch_done)
-    except NumericError:
-        # keep whatever was last checkpointed; do not overwrite with the bad state
-        if metrics_file is not None:
-            metrics_file.close()
-        raise
-    final = checkpoint_now(epoch_done if stopped else config.epochs)
-    if metrics_file is not None:
-        metrics_file.close()
+        # an exception above, a NumericError included, skips this save: the last
+        # checkpoint written stays on disk instead of the bad state
+        final = checkpoint_now(epoch_done if stopped else config.epochs)
     return TrainResult(final, metrics, metrics_path, ckpt_path, stopped)

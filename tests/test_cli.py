@@ -59,3 +59,16 @@ def test_train_then_logprob_end_to_end(tmp_path, capsys):
     assert main(["logprob", "--ckpt", str(ckpt), "--data", samples,
                  "--out", str(tmp_path / "lp.csv")]) == 0
     assert "mean NLL" in capsys.readouterr().out
+
+
+def test_resume_with_other_hidden_exits_2(tmp_path, capsys):
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
+           "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
+           "dataset": {"name": "ring", "size": 100}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+    ckpt = next((tmp_path / "out").glob("checkpoint_*.bin"))
+    cfg["train"].update(hidden=16, epochs=2)
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "hidden=8" in err and "hidden=16" in err

@@ -1,7 +1,11 @@
 """Potential evaluation against finite-difference oracles and trivial cases."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from maflow import (MLPPotential, PotentialParams, eval_batch, eval_potential,
                     init_params, param_vjp)
@@ -210,6 +214,66 @@ def test_engine_vjp_matches_per_point_vjp():
         acc += g.to_vector()
         assert np.abs(dX[i] - dx).max() < 1e-12
     assert np.abs(flat - acc).max() < 1e-10
+
+
+def test_engine_logistic_matches_expit():
+    # the engine's tanh-form logistic, read through a 1x1 identity layer
+    eng = MLPPotential(PotentialParams(np.ones((1, 1)), np.zeros(1), np.ones(1), 0.0))
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-1e300, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = eng._activations(z[:, None])[:, 0]
+    assert np.abs(S - expit(z)).max() <= 2.3e-16
+    assert S.min() >= 0.0 and S.max() <= 1.0
+    assert S[-2] == 0.0 and S[-1] == 1.0
+
+
+def saturated_params(n, h, seed):
+    # every other hidden unit sits at |b| ~ 50, where s(z) rounds to 0 or 1
+    p = random_params(n, h, seed=seed)
+    b = p.b.copy()
+    b[::4] += 50.0
+    b[2::4] -= 50.0
+    return PotentialParams(p.W, b, p.a, p.c)
+
+
+def test_engine_agrees_with_reference_on_saturated_units():
+    p = saturated_params(6, 64, seed=18)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((16, 6))
+    WG = rng.standard_normal((16, 6))
+    WL = rng.standard_normal(16)
+    eng = MLPPotential(p)
+    G, lap, S = eng.grad_lap(X)
+    ref = eval_batch(p, X)
+    assert np.abs(G - ref.grad).max() < 1e-12
+    assert np.abs(lap - ref.laplacian).max() < 1e-12
+    flat, dX = eng.vjp(X, WG, WL, aux=S)
+    acc = np.zeros(p.size)
+    for i in range(16):
+        g, dx = param_vjp(p, X[i], WG[i], WL[i])
+        acc += g.to_vector()
+        assert np.abs(dX[i] - dx).max() < 1e-12
+    assert np.abs(flat - acc).max() < 1e-12
+
+
+def test_engine_vjp_builds_no_weight_sized_temporary():
+    # B small against (h, n): any (h, n) temporary besides the result breaks the bound
+    B, n, h = 8, 256, 512
+    p = random_params(n, h, seed=19)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((B, n))
+    WG = rng.standard_normal((B, n))
+    WL = rng.standard_normal(B)
+    eng = MLPPotential(p)
+    _, _, S = eng.grad_lap(X)
+    tracemalloc.start()
+    try:
+        flat, _ = eng.vjp(X, WG, WL, aux=S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < flat.nbytes + p.W.nbytes // 2
 
 
 def test_to_from_vector_roundtrip():

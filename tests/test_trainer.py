@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maflow import (AdamState, Checkpoint, IsingEnergy, TrainConfig, init_params, ising_spec,
-                    load_checkpoint, save_checkpoint, train)
+from maflow import (AdamState, Checkpoint, ConfigError, IsingEnergy, TrainConfig, init_params,
+                    ising_spec, load_checkpoint, save_checkpoint, train)
 from maflow import data as data_mod
+from maflow.trainer import METRIC_COLUMNS
 
 
 def assert_same_checkpoint(a, b):
@@ -66,3 +67,32 @@ def test_resume_at_epoch_boundary_equals_uninterrupted(config, target):
     assert first.epoch == 1
     resumed = train(config, target, resume=first).checkpoint
     assert_same_checkpoint(resumed, whole)
+
+
+def test_metrics_csv_closed_when_stop_fn_raises(tmp_path):
+    ring = data_mod.toy_density("ring", 120, np.random.default_rng(1))
+    config = TrainConfig.for_density(epochs=2, hidden=8, steps=3, batch_size=40, seed=2)
+
+    def stop_fn(row):
+        if row["step"] == 3:
+            raise KeyError("stop")
+        return False
+
+    with pytest.raises(KeyError) as info:
+        train(config, ring, out_dir=tmp_path, stop_fn=stop_fn)
+    # the traceback still holds the frame of train; the file must be flushed anyway
+    assert info.traceback
+    lines = (tmp_path / f"metrics_{config.run_hash()}.csv").read_text().splitlines()
+    assert lines[0] == ",".join(METRIC_COLUMNS)
+    assert [line.split(",")[1] for line in lines[1:]] == ["1", "2", "3"]
+
+
+def test_resume_with_other_hidden_is_refused_up_front(tmp_path):
+    ring = data_mod.toy_density("ring", 120, np.random.default_rng(1))
+    config = TrainConfig.for_density(epochs=1, hidden=16, steps=3, batch_size=40, seed=2)
+    ckpt = train(config, ring).checkpoint
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"hidden=16.*hidden=8"):
+        train(replace(config, epochs=2, hidden=8), ring, out_dir=out, resume=ckpt)
+    # refused before the run wrote anything: no metrics file, no checkpoint
+    assert not out.exists()
