@@ -1,14 +1,20 @@
 """Exact reverse-mode differentiation through recorded RK4 trajectories.
 
-The tape stores, for every integration step, the entry state and the four
-stage inputs together with the (grad, laplacian) evaluations used.  The
-reverse pass differentiates the *discrete* RK4 map, so gradients are exact
-at any step size; they approximate the continuous adjoint only in the limit
-of small steps, which is irrelevant here because the loss is defined on the
-discrete map itself.
+The tape stores, for every integration step, the entry state (x0, l0), the
+signed step, and the four stage evaluations: gradients (B, n), Laplacians
+(B,), the evaluator contexts and the evaluator's saved activations (B, h)
+for ``MLPPotential``.  That is B*(5n + 4h + 5)*8 bytes per step.  The stage
+inputs are not stored: stage i+1 starts at x0 + c_i*eta*g_i, so
+``StepRecord.stage_x`` rebuilds them from x0 and the stored gradients with
+the integrator's own expression, bit for bit.
 
-Memory is O(steps * batch * dim): every step is kept, no checkpoint /
-recompute scheme.
+The reverse pass differentiates the *discrete* RK4 map, so gradients are
+exact at any step size; they approximate the continuous adjoint only in the
+limit of small steps, which is irrelevant here because the loss is defined
+on the discrete map itself.
+
+Memory is O(steps * batch * (dim + hidden)): every step is kept, no
+checkpoint / recompute scheme.
 """
 
 from __future__ import annotations
@@ -17,10 +23,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StaleTapeError
+from .errors import NumericError, StaleTapeError
 
 # classical RK4 combination weights for stages 1..4
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
+# stage i+1 starts at x0 + _STAGE_OFFSETS[i] * eta * g_i, for stages i = 0..2
+_STAGE_OFFSETS = (0.5, 0.5, 1.0)
+
+
+def next_stage_input(x0, eta, i, g):
+    """Input of stage i+1 from the entry positions and stage i's gradient.
+
+    The integrator and ``StepRecord.stage_x`` both call this, so the stage
+    inputs rebuilt from the tape are bitwise equal to the evaluated ones.
+    """
+    return x0 + (_STAGE_OFFSETS[i] * eta) * g
 
 
 def combine_stages(x0, l0, eta, grads, laps):
@@ -39,16 +56,28 @@ def combine_stages(x0, l0, eta, grads, laps):
 
 @dataclass
 class StepRecord:
-    """Everything needed to replay and to reverse one RK4 step."""
+    """Everything needed to replay and to reverse one RK4 step.
+
+    Holds B*(5n + 4h + 5)*8 bytes for an ``MLPPotential`` (x0, l0, four
+    gradients, four Laplacians, four (B, h) activation caches).  The stage
+    inputs are not stored; ``stage_x`` rebuilds them bit for bit.
+    """
 
     x0: np.ndarray          # entry positions (B, n)
     l0: np.ndarray          # entry log-densities (B,)
     eta: float              # signed step actually taken
-    stage_x: tuple          # 4 stage input position arrays; stage_x[0] is x0
     stage_grad: tuple       # 4 gradient-field evaluations
     stage_lap: tuple        # 4 Laplacian evaluations
     stage_ctx: tuple        # 4 evaluator contexts (e.g. sampled group element)
     stage_aux: tuple        # 4 evaluator-private caches for the reverse pass
+
+    @property
+    def stage_x(self):
+        """The 4 stage input positions; stage_x[0] is x0, the others are new arrays."""
+        xs = [self.x0]
+        for i in range(3):
+            xs.append(next_stage_input(self.x0, self.eta, i, self.stage_grad[i]))
+        return tuple(xs)
 
 
 @dataclass
@@ -108,26 +137,33 @@ def backprop(traj, potential, d_x_final, d_l_final):
 
     flat_grad = np.zeros(pot.grad_size) if pot.trainable else None
 
-    for rec in reversed(traj.steps):
-        eta = rec.eta
-        # base cotangents on the four stage outputs from the combination rule
-        kbar = [d_x * (eta * w / 6.0) for w in _RK4_WEIGHTS]
-        lbar = [(eta * w / 6.0) * d_l for w in _RK4_WEIGHTS]
-        # stage-input chaining factors: x2 = x0 + eta/2 k1, x3 = x0 + eta/2 k2,
-        # x4 = x0 + eta k3
-        chain = {3: (2, eta), 2: (1, eta / 2.0), 1: (0, eta / 2.0)}
-        d_x_new = d_x.copy()
-        for i in (3, 2, 1, 0):
-            pg, xcot = pot.vjp(rec.stage_x[i], kbar[i], -lbar[i],
-                               ctx=rec.stage_ctx[i], aux=rec.stage_aux[i])
-            if flat_grad is not None and pg is not None:
-                flat_grad += pg
-            d_x_new += xcot
-            if i in chain:
-                j, fac = chain[i]
-                kbar[j] = kbar[j] + fac * xcot
-        d_x = d_x_new
-        # log-density cotangent passes through unchanged: nothing depends on l0
+    # overflow surfaces as a non-finite cotangent, reported below with its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(traj.steps) - 1, -1, -1):
+            rec = traj.steps[k]
+            eta = rec.eta
+            xs = rec.stage_x
+            # base cotangents on the four stage outputs from the combination rule
+            kbar = [d_x * (eta * w / 6.0) for w in _RK4_WEIGHTS]
+            lbar = [(eta * w / 6.0) * d_l for w in _RK4_WEIGHTS]
+            d_x_new = d_x.copy()
+            for i in (3, 2, 1, 0):
+                pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i],
+                                   ctx=rec.stage_ctx[i], aux=rec.stage_aux[i])
+                if flat_grad is not None and pg is not None:
+                    flat_grad += pg
+                d_x_new += xcot
+                if i > 0:
+                    # stage i's input is x0 + _STAGE_OFFSETS[i-1] * eta * g_{i-1}
+                    kbar[i - 1] = kbar[i - 1] + (_STAGE_OFFSETS[i - 1] * eta) * xcot
+            d_x = d_x_new
+            if not np.isfinite(d_x).all():
+                raise NumericError(f"non-finite position cotangent in the reverse pass "
+                                   f"at step {k}")
+            # log-density cotangent passes through unchanged: nothing depends on l0
 
-    param_grad = None if flat_grad is None else pot.grad_to_params(flat_grad)
-    return BackpropResult(param_grad, d_x, d_l.copy())
+    if flat_grad is None:
+        return BackpropResult(None, d_x, d_l.copy())
+    if not np.isfinite(flat_grad).all():
+        raise NumericError("non-finite parameter gradient in the reverse pass")
+    return BackpropResult(pot.grad_to_params(flat_grad), d_x, d_l.copy())

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .difftape import StepRecord, Trajectory, combine_stages
+from .difftape import StepRecord, Trajectory, combine_stages, next_stage_input
 from .errors import NumericError
 from .potential import MLPPotential, PotentialParams
 
@@ -137,20 +137,16 @@ def rk4_step(potential, state, epsilon, direction=FORWARD, ctx=None, record=Fals
     x0, l0 = state.X, state.L
 
     aux, grads, laps = [], [], []
-    stage_x = [x0]
+    xi = x0
     # overflow surfaces as a non-finite value, reported below with its row
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(4):
-            g, lap, a = pot.grad_lap(stage_x[i], ctx[i])
+            g, lap, a = pot.grad_lap(xi, ctx[i])
             aux.append(a)
             grads.append(g)
             laps.append(lap)
-            if i == 0:
-                stage_x.append(x0 + (0.5 * eta) * g)
-            elif i == 1:
-                stage_x.append(x0 + (0.5 * eta) * g)
-            elif i == 2:
-                stage_x.append(x0 + eta * g)
+            if i < 3:
+                xi = next_stage_input(x0, eta, i, g)
 
         x1, l1 = combine_stages(x0, l0, eta, grads, laps)
 
@@ -162,8 +158,7 @@ def rk4_step(potential, state, epsilon, direction=FORWARD, ctx=None, record=Fals
     new_state = FlowState(x1, l1, state.t + eta)
     rec = None
     if record:
-        rec = StepRecord(x0, l0, eta, tuple(stage_x[:4]), tuple(grads), tuple(laps),
-                         ctx, tuple(aux))
+        rec = StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx, tuple(aux))
     return new_state, rec
 
 
@@ -177,7 +172,8 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
     the next four contexts.  ``callback(step_index, state)`` fires after
     every step (used for frame dumps).  With ``record=True`` the returned
     Trajectory holds every step's entry state and all four stage
-    evaluations with their contexts.
+    evaluations with their contexts (the stage inputs are rebuilt from
+    these, see ``StepRecord.stage_x``).
     """
     pot = as_potential(potential)
     if state.n_dim != pot.n_dim:

@@ -102,9 +102,7 @@ class PotentialParams:
         h, n = n_hidden, n_dim
         if vec.shape != (h * n + 2 * h + 1,):
             raise ValueError(f"vector length {vec.shape} does not match (h={h}, n={n})")
-        W = vec[: h * n].reshape(h, n)
-        b = vec[h * n : h * n + h]
-        a = vec[h * n + h : h * n + 2 * h]
+        W, b, a = _split_vector(vec, h, n)
         return cls(W.copy(), b.copy(), a.copy(), float(vec[-1]))
 
     def fingerprint(self):
@@ -116,6 +114,11 @@ class PotentialParams:
         md.update(self.a.tobytes())
         md.update(np.float64(self.c).tobytes())
         return md.digest()
+
+
+def _split_vector(vec, h, n):
+    """Views of W (h, n), b (h,) and a (h,) inside a to_vector()-ordered vector."""
+    return vec[: h * n].reshape(h, n), vec[h * n : h * n + h], vec[h * n + h : h * n + 2 * h]
 
 
 @dataclass
@@ -221,9 +224,10 @@ class MLPPotential:
     of the reference kernels' ``expit``.
 
     ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
-    evaluator.  Otherwise the evaluator is stateless and safe to share, as
-    long as nobody mutates the underlying parameter arrays: the caches would
-    go stale.
+    evaluator, and ``fingerprint`` caches its digest on the first call.
+    Otherwise the evaluator is stateless and safe to share, as long as
+    nobody mutates the underlying parameter arrays: the caches would go
+    stale.
     """
 
     trainable = True
@@ -233,6 +237,7 @@ class MLPPotential:
         self._rowsq = np.einsum("kj,kj->k", params.W, params.W)
         self._aW = params.a[:, None] * params.W
         self._a_rowsq = params.a * self._rowsq
+        self._fingerprint = None
 
     @property
     def n_dim(self):
@@ -290,9 +295,7 @@ class MLPPotential:
         t2 = w_lap @ Sp
 
         flat = np.empty(h * n + 2 * h + 1)
-        dW = flat[: h * n].reshape(h, n)
-        db = flat[h * n : h * n + h]
-        da = flat[h * n + h : -1]
+        dW, db, da = _split_vector(flat, h, n)
         flat[-1] = 0.0                  # c never enters grad or lap
         np.einsum("bk,bk->k", S, U, out=da)
         da += t2 * rowsq
@@ -317,7 +320,12 @@ class MLPPotential:
         return flat, dX
 
     def grad_to_params(self, flat):
-        return PotentialParams.from_vector(flat, self.params.n_dim, self.params.n_hidden)
+        """The flat gradient as PotentialParams of views into ``flat``, without a copy."""
+        W, b, a = _split_vector(flat, *self.params.W.shape)
+        return PotentialParams(W, b, a, flat[-1])
 
     def fingerprint(self):
-        return b"mlp:" + self.params.fingerprint()
+        """Digest of the wrapped parameters, hashed on the first call only."""
+        if self._fingerprint is None:
+            self._fingerprint = b"mlp:" + self.params.fingerprint()
+        return self._fingerprint

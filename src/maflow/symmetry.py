@@ -88,6 +88,7 @@ class SymmetryGroup:
         self.signs = np.array([e.sign for e in elements])
         for arr in (self.perms, self.inv_perms, self.signs):
             arr.setflags(write=False)
+        self._key = None
 
     def __len__(self):
         return len(self.elements)
@@ -99,10 +100,13 @@ class SymmetryGroup:
         return self.elements[i]
 
     def key(self):
-        md = hashlib.sha1()
-        md.update(self.perms.tobytes())
-        md.update(self.signs.tobytes())
-        return md.digest()
+        """Digest of the permutation and sign tables, hashed on the first call only."""
+        if self._key is None:
+            md = hashlib.sha1()
+            md.update(self.perms.tobytes())
+            md.update(self.signs.tobytes())
+            self._key = md.digest()
+        return self._key
 
 
 def trivial_group(n_dim):
@@ -223,7 +227,9 @@ class SymmetrizedPotential:
 
     The evaluator holds no per-call state: ``grad_lap`` and ``vjp`` are pure
     functions of their arguments and the context, so one evaluator can serve
-    nested or interleaved integrations.
+    nested or interleaved integrations.  ``fingerprint`` caches its digest
+    on the first call, so base, group, mode and resample must not be
+    reassigned afterwards.
     """
 
     def __init__(self, base, group, mode="average", resample="step"):
@@ -239,6 +245,7 @@ class SymmetrizedPotential:
         self.group = group
         self.mode = mode
         self.resample = resample
+        self._fingerprint = None
 
     @property
     def trainable(self):
@@ -315,11 +322,14 @@ class SymmetrizedPotential:
         return self.base.grad_to_params(flat)
 
     def fingerprint(self):
-        md = hashlib.sha1()
-        md.update(b"sym:" + self.mode.encode() + b":" + self.resample.encode())
-        md.update(self.group.key())
-        md.update(self.base.fingerprint())
-        return md.digest()
+        """Digest of mode, group and base evaluator, hashed on the first call only."""
+        if self._fingerprint is None:
+            md = hashlib.sha1()
+            md.update(b"sym:" + self.mode.encode() + b":" + self.resample.encode())
+            md.update(self.group.key())
+            md.update(self.base.fingerprint())
+            self._fingerprint = md.digest()
+        return self._fingerprint
 
 
 def build_potential(params, group=None, mode="average", resample="step"):

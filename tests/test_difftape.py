@@ -1,11 +1,14 @@
 """Reverse-mode differentiation through recorded trajectories vs finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from maflow import (FlowState, IntegratorConfig, MLPPotential, PotentialParams,
-                    StaleTapeError, backprop, gaussian_log_density, init_params,
-                    integrate, nll_loss, replay, variational_loss)
+from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, PotentialParams,
+                    StaleTapeError, SymmetrizedPotential, backprop, gaussian_log_density,
+                    init_params, integrate, ising_group, nll_loss, replay, variational_loss)
+from maflow.difftape import StepRecord
 from maflow.gradcheck import central_difference, run_gradcheck
 from maflow.targets import IsingEnergy, ising_spec
 
@@ -169,3 +172,68 @@ def test_backward_direction_tape():
 
 def test_gradcheck_suite():
     assert run_gradcheck(seed=0) < 1e-4
+
+
+def test_non_finite_reverse_pass_is_a_numeric_error():
+    # overflow inside the reverse pass: no RuntimeWarning, and the error names a step
+    p = init_params(3, 8, np.random.default_rng(0))
+    p = PotentialParams(p.W * 30.0, p.b, p.a * 1e4, 0.0)
+    X = np.random.default_rng(0).standard_normal((4, 3))
+    _, traj = make_trajectory(p, X, steps=3)
+    with pytest.raises(NumericError, match="step"):
+        backprop(traj, p, np.full((4, 3), 1e308), np.zeros(4))
+
+
+class RecordingPotential:
+    """Forwards every hook to ``inner`` and keeps a copy of each X given to grad_lap."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def grad_lap(self, X, ctx=None):
+        self.seen.append(X.copy())
+        return self.inner.grad_lap(X, ctx)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_rebuilt_stage_inputs_equal_evaluated_ones(direction, symmetrized):
+    p = random_params(4, 8, seed=18)
+    pot = MLPPotential(p)
+    if symmetrized:
+        pot = SymmetrizedPotential(pot, ising_group(2), mode="sampled", resample="stage")
+    rec_pot = RecordingPotential(pot)
+    X = np.random.default_rng(18).standard_normal((5, 4))
+    st = FlowState(X, gaussian_log_density(X), 0.0)
+    _, traj = integrate(rec_pot, st, IntegratorConfig(0.3, 6, direction),
+                        rng=np.random.default_rng(19), record=True)
+    assert len(rec_pot.seen) == 4 * len(traj)
+    for k, rec in enumerate(traj.steps):
+        xs = rec.stage_x
+        assert xs[0] is rec.x0
+        for i in range(4):
+            assert np.array_equal(xs[i], rec_pot.seen[4 * k + i])
+
+
+def test_tape_holds_no_stage_inputs():
+    B, n, h, steps = 5, 3, 8, 4
+    p = random_params(n, h, seed=20)
+    X = np.random.default_rng(20).standard_normal((B, n))
+    _, traj = make_trajectory(p, X, steps=steps)
+    names = [f.name for f in dataclasses.fields(StepRecord)]
+    assert "stage_x" not in names
+    total = 0
+    for rec in traj.steps:
+        stored = []
+        for name in names:
+            v = getattr(rec, name)
+            stored.extend(v if isinstance(v, tuple) else [v])
+        stored = [a for a in stored if isinstance(a, np.ndarray)]
+        total += sum(a.nbytes for a in stored)
+        for xs in rec.stage_x[1:]:
+            assert not any(a.shape == xs.shape and np.array_equal(a, xs) for a in stored)
+    assert total == steps * B * (5 * n + 4 * h + 5) * 8

@@ -289,3 +289,21 @@ def test_init_params_scales():
     assert np.abs(p.W).max() <= 1.0 / 3.0
     assert np.abs(p.a).max() <= 0.1
     assert np.array_equal(p.b, np.zeros(100)) and p.c == 0.0
+
+
+def test_grad_to_params_views_the_flat_gradient():
+    p = init_params(3, 5, np.random.default_rng(3))
+    flat = np.arange(p.size, dtype=np.float64)
+    g = MLPPotential(p).grad_to_params(flat)
+    for arr in (g.W, g.b, g.a):
+        assert np.shares_memory(arr, flat)
+    assert np.array_equal(g.to_vector(), flat)
+
+
+def test_fingerprint_is_cached_and_tracks_the_weights():
+    p = init_params(3, 5, np.random.default_rng(4))
+    pot = MLPPotential(p)
+    assert pot.fingerprint() is pot.fingerprint()
+    assert pot.fingerprint() == MLPPotential(p.copy()).fingerprint()
+    other = PotentialParams(p.W, p.b, p.a * 1.001, p.c)
+    assert MLPPotential(other).fingerprint() != pot.fingerprint()

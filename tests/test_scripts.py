@@ -1,0 +1,28 @@
+"""The repository scripts still run."""
+
+import importlib.util
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_bitwise_hashes_are_deterministic(capsys):
+    # the hash values depend on the BLAS kernels of the machine, so only their
+    # format and their repeatability are checked
+    mod = load_script("bitwise_hashes")
+    outputs = []
+    for _ in range(2):
+        assert mod.main() == 0
+        outputs.append(capsys.readouterr().out)
+    lines = outputs[0].splitlines()
+    assert len(lines) == 8
+    assert all(re.fullmatch(r"[0-9a-f]{40}  \S.*", line) for line in lines)
+    assert outputs[1] == outputs[0]

@@ -269,3 +269,16 @@ def test_nested_reuse_keeps_trajectory_element():
     _, traj = integrate(pot, state, cfg, rng=np.random.default_rng(19), record=True,
                         callback=evaluate)
     assert len({c for rec in traj.steps for c in rec.stage_ctx}) == 1
+
+
+def test_symmetrized_fingerprint_is_cached_and_tracks_its_parts():
+    p = random_params(4, 8, seed=20)
+    group = ising_group(2)
+    pot = build_potential(p, group, "sampled", "step")
+    assert group.key() is group.key()
+    assert pot.fingerprint() is pot.fingerprint()
+    assert pot.fingerprint() == build_potential(p, ising_group(2), "sampled", "step").fingerprint()
+    for other in (build_potential(p, group, "sampled", "stage"),
+                  build_potential(p, z2_group(4), "sampled", "step"),
+                  build_potential(PotentialParams(p.W, p.b, p.a * 1.001, p.c), group, "sampled")):
+        assert other.fingerprint() != pot.fingerprint()
