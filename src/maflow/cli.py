@@ -170,11 +170,15 @@ def _cmd_train(args):
     return 0
 
 
-def _potential_from_checkpoint(ckpt, mode_override=None):
+def _potential_from_checkpoint(path, mode_override=None):
+    ckpt = load_checkpoint(path)
     cfg = ckpt.config
     group_name = cfg.symmetry if mode_override != "none" else "none"
     mode = mode_override if mode_override in ("sampled", "average") else cfg.symmetry_mode
     group = group_by_name(group_name, ckpt.params.n_dim)
+    if group is not None and mode == "sampled":
+        print(f"note: sampled {cfg.symmetry} symmetry (resample={cfg.resample}): per-row results "
+              "depend on --seed; --symmetry-mode average is exact", file=sys.stderr)
     return build_potential(ckpt.params, group, mode, cfg.resample), cfg
 
 
@@ -188,8 +192,7 @@ def _frames_writer(out_path, every):
 
 
 def _cmd_sample(args):
-    ckpt = load_checkpoint(args.ckpt)
-    pot, cfg = _potential_from_checkpoint(ckpt, args.symmetry_mode)
+    pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
     icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps,
                             args.direction)
     rng = np.random.default_rng(args.seed)
@@ -209,8 +212,7 @@ def _cmd_sample(args):
 
 
 def _cmd_logprob(args):
-    ckpt = load_checkpoint(args.ckpt)
-    pot, cfg = _potential_from_checkpoint(ckpt, args.symmetry_mode)
+    pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
     rng = np.random.default_rng(args.seed)
     if args.data.endswith((".idx", "-ubyte")) or args.idx:
         ds = data_mod.load_idx(args.data)
@@ -218,9 +220,8 @@ def _cmd_logprob(args):
         X = ds.X
     else:
         X = data_mod.load_csv(args.data)
-    if X.shape[1] != ckpt.params.n_dim:
-        raise ConfigError(f"data dimension {X.shape[1]} does not match checkpoint "
-                          f"{ckpt.params.n_dim}")
+    if X.shape[1] != pot.n_dim:
+        raise ConfigError(f"data dimension {X.shape[1]} does not match checkpoint {pot.n_dim}")
     icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps, BACKWARD)
     lp = log_prob(pot, X, icfg, rng=rng)
     data_mod.save_csv(args.out, lp[:, None])
@@ -335,10 +336,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ConfigError, ValueError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:
@@ -347,9 +345,6 @@ def main(argv=None):
     except FormatError as e:
         print(f"format error: {e}", file=sys.stderr)
         return 4
-    except FileNotFoundError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
 
 
 def entry():

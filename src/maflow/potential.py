@@ -21,8 +21,8 @@ quantities through BLAS matmuls and in-place elementwise passes, with the
 logistic written as ``1/2 + 1/2 tanh(z/2)`` (within 2.3e-16 absolute of
 ``expit`` on any z).  Reassociated sums and the different logistic make it
 agree with the reference path to ~1e-12 absolute, not bitwise.  The engine
-caches a_k W_k and a_k |W_k|^2 when it is built, so the parameter arrays it
-wraps must not be mutated afterwards.
+caches a_k W_k and a_k |W_k|^2 when it is built; parameters are read-only, so
+the caches cannot go stale.
 """
 
 from __future__ import annotations
@@ -42,83 +42,82 @@ def softplus(z):
     return np.logaddexp(0.0, z)
 
 
-@dataclass
 class PotentialParams:
-    """Weights of phi(x) = a . softplus(W x + b) + c.
+    """Weights of phi(x) = a . softplus(W x + b) + c, held in one flat vector.
 
-    Doubles as the container for parameter-space gradients, which have the
-    same shape.  Shapes: W (h, n), b (h,), a (h,), c scalar.
+    The vector is C-contiguous float64, ``h n + 2 h + 1`` entries in the order
+    (W row-major, b, a, c), and read-only: ``W`` (h, n), ``b`` (h,) and ``a``
+    (h,) are views of it and ``c`` is its last entry, so writing into any of
+    them raises ``ValueError`` and evaluators may cache what they derive from
+    the weights.  Doubles as the container for parameter-space gradients.
     """
 
-    W: np.ndarray
-    b: np.ndarray
-    a: np.ndarray
-    c: float = 0.0
+    def __init__(self, W, b, a, c=0.0):
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim != 2:
+            raise ValueError(f"W must be 2-d, got shape {W.shape}")
+        h, n = W.shape
+        for name, part in (("b", b), ("a", a)):
+            if np.shape(part) != (h,):
+                raise ValueError(f"{name} shape {np.shape(part)} inconsistent with W {W.shape}")
+        vec = np.empty(vector_size(n, h))
+        for view, part in zip(_split_vector(vec, h, n), (W, b, a, c)):
+            view[...] = part
+        self._adopt(vec, n, h)
 
-    def __post_init__(self):
-        self.W = np.ascontiguousarray(self.W, dtype=np.float64)
-        self.b = np.ascontiguousarray(self.b, dtype=np.float64)
-        self.a = np.ascontiguousarray(self.a, dtype=np.float64)
-        self.c = float(self.c)
-        if self.W.ndim != 2:
-            raise ValueError(f"W must be 2-d, got shape {self.W.shape}")
-        h, n = self.W.shape
-        if h < 1 or n < 1:
-            raise ValueError(f"need at least one hidden unit and one input, got W {self.W.shape}")
-        if self.b.shape != (h,):
-            raise ValueError(f"b shape {self.b.shape} inconsistent with W {self.W.shape}")
-        if self.a.shape != (h,):
-            raise ValueError(f"a shape {self.a.shape} inconsistent with W {self.W.shape}")
-        for name, arr in (("W", self.W), ("b", self.b), ("a", self.a)):
-            if not np.isfinite(arr).all():
-                k = int(np.flatnonzero(~np.isfinite(arr))[0])
-                raise ValueError(f"non-finite entry in {name} at flat index {k}")
-        if not np.isfinite(self.c):
-            raise ValueError("non-finite c")
+    @classmethod
+    def _wrap(cls, vec, n_dim, n_hidden):
+        """Validate and hold ``vec`` read-only, uncopied: for float64 vectors just allocated."""
+        return cls.__new__(cls)._adopt(vec, n_dim, n_hidden)
 
-    @property
-    def n_hidden(self):
-        return self.W.shape[0]
-
-    @property
-    def n_dim(self):
-        return self.W.shape[1]
-
-    @property
-    def size(self):
-        h, n = self.W.shape
-        return h * n + 2 * h + 1
+    def _adopt(self, vec, n_dim, n_hidden):
+        if min(n_hidden, n_dim) < 1 or vec.shape != (vector_size(n_dim, n_hidden),):
+            raise ValueError(f"vector of shape {vec.shape} does not hold h={n_hidden} hidden "
+                             f"units and n={n_dim} inputs (need h, n >= 1)")
+        vec.flags.writeable = False
+        self._vec, parts = vec, _split_vector(vec, n_hidden, n_dim)
+        self.W, self.b, self.a, self.c = *parts[:3], float(parts[3][0])
+        self.n_hidden, self.n_dim, self.size = n_hidden, n_dim, vec.size
+        if not np.isfinite(vec).all():
+            k = int(np.flatnonzero(~np.isfinite(vec))[0])
+            for name, part in zip("Wbac", parts):
+                if k < part.size:
+                    raise ValueError(f"non-finite entry in {name} at flat index {k}")
+                k -= part.size
+        return self
 
     def copy(self):
-        return PotentialParams(self.W.copy(), self.b.copy(), self.a.copy(), self.c)
+        return PotentialParams._wrap(self._vec.copy(), self.n_dim, self.n_hidden)
 
     def to_vector(self):
-        """Flatten to one float64 vector, order (W, b, a, c)."""
-        return np.concatenate([self.W.ravel(), self.b, self.a, [self.c]])
+        """The flat read-only vector itself, order (W, b, a, c); no copy."""
+        return self._vec
 
     @classmethod
     def from_vector(cls, vec, n_dim, n_hidden):
-        vec = np.asarray(vec, dtype=np.float64)
-        h, n = n_hidden, n_dim
-        if vec.shape != (h * n + 2 * h + 1,):
-            raise ValueError(f"vector length {vec.shape} does not match (h={h}, n={n})")
-        W, b, a = _split_vector(vec, h, n)
-        return cls(W.copy(), b.copy(), a.copy(), float(vec[-1]))
+        """Validated parameters holding a copy of a to_vector()-ordered vector."""
+        return cls._wrap(np.array(vec, dtype=np.float64), n_dim, n_hidden)
 
     def fingerprint(self):
-        """Digest of shapes and raw bytes; changes whenever any weight changes."""
+        """Digest of shape and raw bytes; changes whenever any weight changes."""
         md = hashlib.sha1()
         md.update(np.array(self.W.shape, dtype=np.int64).tobytes())
-        md.update(self.W.tobytes())
-        md.update(self.b.tobytes())
-        md.update(self.a.tobytes())
-        md.update(np.float64(self.c).tobytes())
+        md.update(self._vec)
         return md.digest()
 
 
+def vector_size(n_dim, n_hidden):
+    """Length of the flat parameter vector of an (n_dim, n_hidden) potential."""
+    return n_hidden * n_dim + 2 * n_hidden + 1
+
+
 def _split_vector(vec, h, n):
-    """Views of W (h, n), b (h,) and a (h,) inside a to_vector()-ordered vector."""
-    return vec[: h * n].reshape(h, n), vec[h * n : h * n + h], vec[h * n + h : h * n + 2 * h]
+    """Views of W (h, n), b (h,), a (h,) and c (1,) in a flat parameter vector.
+
+    This is the one place that states the layout: W row-major, then b, a, c.
+    """
+    hn = h * n
+    return vec[:hn].reshape(h, n), vec[hn:hn + h], vec[hn + h:hn + 2 * h], vec[hn + 2 * h:]
 
 
 @dataclass
@@ -225,9 +224,9 @@ class MLPPotential:
 
     ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
     evaluator, and ``fingerprint`` caches its digest on the first call.
-    Otherwise the evaluator is stateless and safe to share, as long as
-    nobody mutates the underlying parameter arrays: the caches would go
-    stale.
+    The wrapped ``PotentialParams`` are read-only, so the caches stay valid
+    and the evaluator is stateless and safe to share.  Parameter gradients
+    are flat vectors in the ``PotentialParams`` layout (W row-major, b, a, c).
     """
 
     trainable = True
@@ -294,9 +293,9 @@ class MLPPotential:
         U = w_grad @ W.T
         t2 = w_lap @ Sp
 
-        flat = np.empty(h * n + 2 * h + 1)
-        dW, db, da = _split_vector(flat, h, n)
-        flat[-1] = 0.0                  # c never enters grad or lap
+        flat = np.empty(p.size)
+        dW, db, da, dc = _split_vector(flat, h, n)
+        dc[0] = 0.0                     # c never enters grad or lap
         np.einsum("bk,bk->k", S, U, out=da)
         da += t2 * rowsq
 
@@ -320,9 +319,8 @@ class MLPPotential:
         return flat, dX
 
     def grad_to_params(self, flat):
-        """The flat gradient as PotentialParams of views into ``flat``, without a copy."""
-        W, b, a = _split_vector(flat, *self.params.W.shape)
-        return PotentialParams(W, b, a, flat[-1])
+        """The flat gradient as read-only PotentialParams viewing ``flat``, without a copy."""
+        return PotentialParams._wrap(flat, self.n_dim, self.params.n_hidden)
 
     def fingerprint(self):
         """Digest of the wrapped parameters, hashed on the first call only."""

@@ -14,14 +14,14 @@ import json
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, FormatError, NumericError
 from .flow import IntegratorConfig
-from .potential import PotentialParams, init_params
+from .potential import PotentialParams, init_params, vector_size
 from .symmetry import build_potential, group_by_name
 from .targets import nll_loss, variational_loss
 
@@ -129,7 +129,10 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt):
-    """Binary container: magic, version, config JSON, counters, then blobs.
+    """Binary container, little-endian: magic, ``<I`` version, ``<I`` length and config
+    JSON, ``<QQ`` epoch and step, ``<III`` params version, n_dim and n_hidden and the
+    ``<f8`` vector in ``to_vector()`` order, ``<B`` Adam flag (when set: ``<Q`` count,
+    ``<f8`` m and v), ``<I`` length and RNG state JSON.
 
     The bytes go to a temporary file next to ``path``, which is flushed,
     fsynced and then renamed over ``path``: a write that fails part-way
@@ -158,10 +161,7 @@ def _write_checkpoint(f, ckpt):
     f.write(cfg_json)
     f.write(struct.pack("<QQ", ckpt.epoch, ckpt.step))
     f.write(struct.pack("<III", PARAMS_SECTION_VERSION, p.n_dim, p.n_hidden))
-    f.write(p.W.astype("<f8").tobytes())
-    f.write(p.b.astype("<f8").tobytes())
-    f.write(p.a.astype("<f8").tobytes())
-    f.write(np.float64(p.c).astype("<f8").tobytes())
+    f.write(p.to_vector().astype("<f8").tobytes())
     if ckpt.adam is None:
         f.write(struct.pack("<B", 0))
     else:
@@ -173,14 +173,20 @@ def _write_checkpoint(f, ckpt):
     f.write(rng_json)
 
 
-def _read(f, n, path, what):
-    buf = f.read(n)
+def _read(f, n, path, what, decode=bytes):
+    """The next n bytes through ``decode``; a short or undecodable section is a FormatError."""
+    # a corrupt length must not make read() allocate far past the end of the file
+    buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(buf) != n:
         raise FormatError(f"{path}: truncated checkpoint ({what})")
-    return buf
+    try:
+        return decode(buf)
+    except (ValueError, TypeError, ConfigError) as e:  # TypeError: config not a JSON object
+        raise FormatError(f"{path}: corrupt {what}: {e}") from None
 
 
 def load_checkpoint(path):
+    """Read a ``save_checkpoint`` file; any corrupt or truncated section is a FormatError."""
     with open(path, "rb") as f:
         if _read(f, 8, path, "magic") != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -188,16 +194,13 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read(f, 4, path, "config length"))
-        config = TrainConfig.from_dict(json.loads(_read(f, cfg_len, path, "config")))
+        config = _read(f, cfg_len, path, "config", lambda b: TrainConfig.from_dict(json.loads(b)))
         epoch, step = struct.unpack("<QQ", _read(f, 16, path, "counters"))
         pver, n_dim, n_hidden = struct.unpack("<III", _read(f, 12, path, "params header"))
         if pver != PARAMS_SECTION_VERSION:
             raise FormatError(f"{path}: unsupported params section version {pver}")
-        W = np.frombuffer(_read(f, 8 * n_hidden * n_dim, path, "W"), dtype="<f8")
-        b = np.frombuffer(_read(f, 8 * n_hidden, path, "b"), dtype="<f8")
-        a = np.frombuffer(_read(f, 8 * n_hidden, path, "a"), dtype="<f8")
-        (c,) = struct.unpack("<d", _read(f, 8, path, "c"))
-        params = PotentialParams(W.reshape(n_hidden, n_dim).copy(), b.copy(), a.copy(), c)
+        params = _read(f, 8 * vector_size(n_dim, n_hidden), path, "params", lambda b:
+                       PotentialParams.from_vector(np.frombuffer(b, "<f8"), n_dim, n_hidden))
         (has_adam,) = struct.unpack("<B", _read(f, 1, path, "adam flag"))
         adam = None
         if has_adam:
@@ -207,7 +210,7 @@ def load_checkpoint(path):
             v = np.frombuffer(_read(f, 8 * size, path, "adam v"), dtype="<f8").copy()
             adam = AdamState(m, v, count)
         (rng_len,) = struct.unpack("<I", _read(f, 4, path, "rng length"))
-        rng_state = json.loads(_read(f, rng_len, path, "rng state"))
+        rng_state = _read(f, rng_len, path, "rng state", json.loads)
         extra = f.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after checkpoint")
@@ -260,12 +263,14 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     fwd = config.integrator("forward")
 
     if resume is not None:
-        params = resume.params.copy()
+        old, new = resume.config.as_dict(), config.as_dict()
+        changed = [f"{k}={old[k]!r} vs {k}={new[k]!r}" for k in old
+                   if k not in ("epochs", "max_steps", "checkpoint_every") and old[k] != new[k]]
+        if changed:
+            raise ConfigError(f"config differs from the checkpoint's: {', '.join(changed)}")
+        params = resume.params
         if params.n_dim != n_dim:
             raise ConfigError(f"checkpoint dimension {params.n_dim} does not match target {n_dim}")
-        if params.n_hidden != config.hidden:
-            raise ConfigError(f"checkpoint has hidden={params.n_hidden} but the config has "
-                              f"hidden={config.hidden}")
         adam = resume.adam if resume.adam is not None else AdamState.zeros(params.size)
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
@@ -284,8 +289,8 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
         ckpt_path = os.path.join(out_dir, f"checkpoint_{run_hash}.bin")
 
     def checkpoint_now(epoch_done):
-        ck = Checkpoint(config, params.copy(), AdamState(adam.m.copy(), adam.v.copy(), adam.count),
-                        epoch_done, step, rng.bit_generator.state)
+        # params are read-only and adam_update returns new arrays: nothing here is mutated later
+        ck = Checkpoint(config, params, adam, epoch_done, step, rng.bit_generator.state)
         if ckpt_path is not None:
             save_checkpoint(ckpt_path, ck)
         return ck
@@ -321,8 +326,8 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
                     g = g * (config.grad_clip / gnorm)
                 delta, adam = adam_update(adam, g, config.learning_rate,
                                           config.beta1, config.beta2, config.adam_eps)
-                params = PotentialParams.from_vector(params.to_vector() + delta,
-                                                     n_dim, config.hidden)
+                params = PotentialParams._wrap(params.to_vector() + delta,
+                                               params.n_dim, params.n_hidden)
                 step += 1
                 row = {"epoch": epoch, "step": step, "loss": res.value,
                        "grad_norm": gnorm, "seconds": time.perf_counter() - t_start}

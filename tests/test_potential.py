@@ -1,5 +1,6 @@
 """Potential evaluation against finite-difference oracles and trivial cases."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -281,6 +282,43 @@ def test_to_from_vector_roundtrip():
     q = PotentialParams.from_vector(p.to_vector(), 3, 5)
     assert np.array_equal(p.W, q.W) and np.array_equal(p.b, q.b)
     assert np.array_equal(p.a, q.a) and p.c == q.c
+    assert not np.shares_memory(p.to_vector(), q.to_vector())
+
+
+def test_params_are_views_of_one_read_only_vector():
+    p = random_params(3, 5, seed=18)
+    vec = p.to_vector()
+    assert vec is p.to_vector() and vec.flags.c_contiguous and vec.dtype == np.float64
+    assert np.array_equal(vec, np.concatenate([p.W.ravel(), p.b, p.a, [p.c]]))
+    for arr in (p.W, p.b, p.a):
+        assert np.shares_memory(arr, vec)
+    for arr in (p.W, p.b, p.a, vec):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.W[0, 0] += 1.0
+
+
+@pytest.mark.parametrize("name,index", [("W", 7), ("b", 2), ("a", 4), ("c", 0)])
+def test_non_finite_entry_is_named(name, index):
+    p = random_params(3, 5, seed=20)
+    parts = {"W": p.W.ravel(), "b": p.b, "a": p.a, "c": np.array([p.c])}
+    parts[name] = parts[name].copy()
+    parts[name][index] = np.inf
+    vec = np.concatenate(list(parts.values()))
+    with pytest.raises(ValueError, match=f"non-finite entry in {name} at flat index {index}$"):
+        PotentialParams.from_vector(vec, 3, 5)
+    with pytest.raises(ValueError, match=f"non-finite entry in {name} at flat index {index}$"):
+        PotentialParams(parts["W"].reshape(5, 3), parts["b"], parts["a"], parts["c"][0])
+
+
+def test_fingerprint_is_the_digest_of_shape_and_fields():
+    p = random_params(3, 5, seed=21)
+    md = hashlib.sha1()
+    md.update(np.array([5, 3], dtype=np.int64).tobytes())
+    for part in (p.W, p.b, p.a, np.float64(p.c)):
+        md.update(part.tobytes())
+    assert p.fingerprint() == md.digest()
 
 
 def test_init_params_scales():
@@ -297,7 +335,7 @@ def test_grad_to_params_views_the_flat_gradient():
     g = MLPPotential(p).grad_to_params(flat)
     for arr in (g.W, g.b, g.a):
         assert np.shares_memory(arr, flat)
-    assert np.array_equal(g.to_vector(), flat)
+    assert g.to_vector() is flat and not flat.flags.writeable
 
 
 def test_fingerprint_is_cached_and_tracks_the_weights():
