@@ -14,15 +14,15 @@ No Hessian is ever materialized.  All math is float64.
 
 Two evaluation paths exist on purpose.  ``eval_potential`` / ``eval_batch`` /
 ``param_vjp`` are the reference per-point kernels: they take the logistic from
-scipy's ``expit``, and ``eval_batch`` loops rows through ``eval_potential`` so
-batched and per-row results are bitwise equal.  ``MLPPotential`` is the
-vectorized engine used inside the ODE integrator.  It computes the same
-quantities through BLAS matmuls and in-place elementwise passes, with the
-logistic written as ``1/2 + 1/2 tanh(z/2)`` (within 2.3e-16 absolute of
-``expit`` on any z).  Reassociated sums and the different logistic make it
-agree with the reference path to ~1e-12 absolute, not bitwise.  The engine
-caches a_k W_k and a_k |W_k|^2 when it is built; parameters are read-only, so
-the caches cannot go stale.
+``logistic``, ``exp(-log(1 + exp(-z)))``, and ``eval_batch`` loops rows
+through ``eval_potential`` so batched and per-row results are bitwise equal.
+``MLPPotential`` is the vectorized engine used inside the ODE integrator.  It
+computes the same quantities through BLAS matmuls and in-place elementwise
+passes, with the logistic written as ``1/2 + 1/2 tanh(z/2)`` (within 2.3e-16
+absolute of ``logistic`` on any z).  Reassociated sums and the different
+logistic make it agree with the reference path to ~1e-12 absolute, not
+bitwise.  The engine caches a_k W_k and a_k |W_k|^2 when it is built;
+parameters are read-only, so the caches cannot go stale.
 """
 
 from __future__ import annotations
@@ -31,15 +31,23 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-from scipy.special import expit
 
 from .errors import NumericError
+
+# Entries of dW per row block when MLPPotential.vjp adds the 2 a t2 W term after
+# its GEMM: 2^15 float64 (256 KB) keep the scratch block and the rows of W and
+# dW it meets in a core's L2 cache.  Chosen by timing 8K to 256K at n = 64 and 784.
+_TERM_BLOCK = 1 << 15
 
 
 def softplus(z):
     """log(1 + exp(z)), overflow-safe for large |z|."""
     return np.logaddexp(0.0, z)
+
+
+def logistic(z):
+    """1 / (1 + exp(-z)) as exp(-softplus(-z)): no overflow and no warning for any z."""
+    return np.exp(-np.logaddexp(0.0, -z))
 
 
 class PotentialParams:
@@ -153,7 +161,7 @@ def eval_potential(params, x):
     """Value, gradient and Laplacian of phi at a single point x (shape (n,))."""
     x = _check_point(x, params.n_dim)
     z = params.W @ x + params.b
-    s = expit(z)
+    s = logistic(z)
     value = float(params.a @ softplus(z) + params.c)
     grad = params.W.T @ (params.a * s)
     rowsq = np.einsum("kj,kj->k", params.W, params.W)
@@ -195,7 +203,7 @@ def param_vjp(params, x, w_grad, w_lap):
     w_lap = float(w_lap)
     W, b, a = params.W, params.b, params.a
     z = W @ x + b
-    s = expit(z)
+    s = logistic(z)
     sp = s * (1.0 - s)
     spp = sp * (1.0 - 2.0 * s)
     u = W @ w_grad
@@ -218,9 +226,10 @@ class MLPPotential:
     """Batch evaluator for the network potential, used by the flow integrator.
 
     Each kernel is a few BLAS products plus in-place elementwise passes over
-    (B, h) buffers; neither builds an (h, n) temporary.  The logistic is
-    ``1/2 + 1/2 tanh(z/2)`` (see ``_activations``), within 2.3e-16 absolute
-    of the reference kernels' ``expit``.
+    (B, h) buffers.  The only (h, n)-shaped buffer besides ``vjp``'s result is
+    one row block of dW, at most 256 KB.  The logistic is ``1/2 + 1/2
+    tanh(z/2)`` (see ``_activations``), within 2.3e-16 absolute of the
+    reference kernels' ``logistic``.
 
     ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
     evaluator, and ``fingerprint`` caches its digest on the first call.
@@ -312,10 +321,18 @@ class MLPPotential:
         np.sum(aBm, axis=0, out=db)
         dX = aBm @ W
 
-        # dW = 2 a t2 W + [a Bm; a s]^T [X; w_grad], accumulated in place by one GEMM
-        np.multiply(W, (2.0 * a * t2)[:, None], out=dW)
-        R = np.concatenate([X, w_grad])
-        dgemm(1.0, R.T, L.T, beta=1.0, c=dW.T, trans_b=1, overwrite_c=1)
+        # dW = [a Bm; a s]^T [X; w_grad] + 2 a t2 W: one GEMM into dW, then the term
+        # through a cache-sized scratch block.  Each entry takes one rounded add of
+        # the same two values in either order, so dW is bitwise what a GEMM that
+        # accumulates onto the term gives.
+        np.matmul(L.T, np.concatenate([X, w_grad]), out=dW)
+        coef = (2.0 * a * t2)[:, None]
+        rows = max(1, _TERM_BLOCK // n)
+        term = np.empty((min(rows, h), n))
+        for i in range(0, h, rows):
+            j = min(i + rows, h)
+            np.multiply(W[i:j], coef[i:j], out=term[:j - i])
+            dW[i:j] += term[:j - i]
         return flat, dX
 
     def grad_to_params(self, flat):

@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, logsumexp
 
 from .difftape import backprop
 from .errors import ConfigError
 from .flow import (FORWARD, LOG_2PI, FlowState, as_potential, gaussian_base,
                    gaussian_log_density, integrate)
+from .potential import logistic
 
 # standard square-lattice critical coupling, log(1 + sqrt(2)) / 2
 CRITICAL_COUPLING = 0.5 * math.log(1.0 + math.sqrt(2.0))
@@ -105,26 +104,39 @@ class IsingSpec:
     kplus = K + alpha*I where K couples nearest neighbors (bond weight beta,
     bonds doubling up on the L=2 torus) and alpha lifts the smallest
     eigenvalue to exactly 0.1 so the Gaussian decoupling is well defined.
+
+    kplus is factored once, when the spec is built, by a Cholesky
+    decomposition C C^T.  ``log_det`` reads the factor's diagonal, and
+    ``solve`` multiplies by the cached read-only inverse C^-T C^-1: one GEMM
+    per batch.  The eigenvalues of kplus lie in [0.1, 8 beta + 0.1], so its
+    condition number is 80 beta + 1, about 36 at the critical coupling, and
+    the inverse is as accurate as triangular solves.
     """
 
     side: int
     beta: float
     alpha: float
     kplus: np.ndarray
-    chol: tuple = field(repr=False, compare=False, default=None)
+    _kinv: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_det: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        chol = np.linalg.cholesky(self.kplus)
+        self._log_det = float(2.0 * np.sum(np.log(np.diag(chol))))
+        chol_inv = np.linalg.inv(chol)
+        self._kinv = chol_inv.T @ chol_inv
+        self._kinv.flags.writeable = False
 
     @property
     def n_dim(self):
         return self.side * self.side
 
     def solve(self, Y):
-        """kplus^{-1} y for rows of Y, through the cached factorization."""
-        Y = np.asarray(Y, dtype=np.float64)
-        return cho_solve(self.chol, Y.T).T
+        """kplus^{-1} y for rows of Y (or a single point), through the cached inverse."""
+        return np.asarray(Y, dtype=np.float64) @ self._kinv
 
     def log_det(self):
-        d = np.diag(self.chol[0])
-        return float(2.0 * np.sum(np.log(d)))
+        return self._log_det
 
 
 def ising_spec(L, beta=CRITICAL_COUPLING):
@@ -147,10 +159,7 @@ def ising_spec(L, beta=CRITICAL_COUPLING):
     ks = 2.0 * np.pi * np.arange(L) / L
     lam = 2.0 * beta * (np.cos(ks)[:, None] + np.cos(ks)[None, :])
     alpha = 0.1 - float(lam.min())
-    kplus = K + alpha * np.eye(n)
-    spec = IsingSpec(L, beta, alpha, kplus)
-    spec.chol = cho_factor(kplus, lower=True)
-    return spec
+    return IsingSpec(L, beta, alpha, K + alpha * np.eye(n))
 
 
 def ising_energy(spec, x):
@@ -158,8 +167,7 @@ def ising_energy(spec, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.n_dim,):
         raise ValueError(f"configuration shape {x.shape} does not match lattice {spec.n_dim}")
-    y = cho_solve(spec.chol, x)
-    return float(0.5 * (x @ y) - _log_cosh(x).sum())
+    return float(0.5 * (x @ spec.solve(x)) - _log_cosh(x).sum())
 
 
 def ising_energy_grad(spec, x):
@@ -167,7 +175,7 @@ def ising_energy_grad(spec, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.n_dim,):
         raise ValueError(f"configuration shape {x.shape} does not match lattice {spec.n_dim}")
-    return cho_solve(spec.chol, x) - np.tanh(x)
+    return spec.solve(x) - np.tanh(x)
 
 
 class IsingEnergy:
@@ -212,7 +220,8 @@ def enumerate_log_z_offset(spec):
     _check_enumerable(spec)
     S = _spin_table(spec.n_dim)
     e = 0.5 * np.einsum("bj,bj->b", S @ spec.kplus, S)
-    return float(logsumexp(e))
+    m = e.max()
+    return float(m + np.log(np.sum(np.exp(e - m))))
 
 
 def reference_log_z_offset(spec):
@@ -278,7 +287,7 @@ def spin_sampler(x, rng):
     Works on (n,) or (B, n); returns +-1.0 entries of the same shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    return np.where(rng.random(x.shape) < expit(2.0 * x), 1.0, -1.0)
+    return np.where(rng.random(x.shape) < logistic(2.0 * x), 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

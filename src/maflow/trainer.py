@@ -31,6 +31,9 @@ PARAMS_SECTION_VERSION = 1
 
 METRIC_COLUMNS = ("epoch", "step", "loss", "grad_norm", "seconds")
 
+# TrainConfig's annotations, which are strings under postponed evaluation
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
 
 @dataclass
 class TrainConfig:
@@ -77,11 +80,23 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """A config from a JSON object, each value checked against its field's type.
+
+        ``bool`` is not an ``int``; an ``int`` given for a ``float`` field becomes a float.
+        """
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        values = {}
+        for key, val in d.items():
+            want = _FIELD_TYPES[fields[key].type]
+            if want is float and type(val) is int:
+                val = float(val)
+            elif isinstance(val, bool) or not isinstance(val, want):
+                raise ConfigError(f"train config key '{key}' must be {want.__name__}, got {val!r}")
+            values[key] = val
+        return cls(**values)
 
     def canonical_json(self):
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
@@ -185,6 +200,16 @@ def _read(f, n, path, what, decode=bytes):
         raise FormatError(f"{path}: corrupt {what}: {e}") from None
 
 
+def _pcg64_state(buf):
+    """The RNG section: JSON that a PCG64 bit generator accepts as its state."""
+    state = json.loads(buf)
+    try:
+        np.random.PCG64(0).state = state    # raises TypeError or ValueError itself, too
+    except (KeyError, OverflowError) as e:
+        raise ValueError(f"not a PCG64 state ({type(e).__name__}: {e})") from None
+    return state
+
+
 def load_checkpoint(path):
     """Read a ``save_checkpoint`` file; any corrupt or truncated section is a FormatError."""
     with open(path, "rb") as f:
@@ -210,7 +235,7 @@ def load_checkpoint(path):
             v = np.frombuffer(_read(f, 8 * size, path, "adam v"), dtype="<f8").copy()
             adam = AdamState(m, v, count)
         (rng_len,) = struct.unpack("<I", _read(f, 4, path, "rng length"))
-        rng_state = _read(f, rng_len, path, "rng state", json.loads)
+        rng_state = _read(f, rng_len, path, "rng state", _pcg64_state)
         extra = f.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after checkpoint")

@@ -126,6 +126,41 @@ def test_corrupt_checkpoint_exits_4(tmp_path, capsys, corrupt, section):
     assert err.startswith("format error:") and f"corrupt {section}" in err
 
 
+@pytest.mark.parametrize("key,value", [("steps", "x"), ("steps", True), ("hidden", 3.0),
+                                       ("epsilon", "0.1"), ("symmetry", None)])
+def test_checkpoint_config_of_wrong_type_exits_4(tmp_path, capsys, key, value):
+    path = tmp_path / "ck.bin"
+    raw = save_small_checkpoint(path, TrainConfig.for_density(hidden=3, steps=2))
+    cfg_len = struct.unpack_from("<I", raw, 12)[0]
+    cfg = json.loads(raw[16:16 + cfg_len])
+    cfg[key] = value
+    cfg_json = json.dumps(cfg).encode()
+    path.write_bytes(raw[:12] + struct.pack("<I", len(cfg_json)) + cfg_json
+                     + raw[16 + cfg_len:])
+    assert main(["sample", "--ckpt", str(path), "--n", "2",
+                 "--out", str(tmp_path / "s.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and "corrupt config" in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("rng_json", [b'{"bit_generator":"PCG64"}', b'[]',
+                                      b'{"bit_generator":"MT19937","state":{}}'])
+def test_checkpoint_rng_state_not_pcg64_exits_4_on_resume(tmp_path, capsys, rng_json):
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
+           "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
+           "dataset": {"name": "ring", "size": 100}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+    ckpt = next((tmp_path / "out").glob("checkpoint_*.bin"))
+    raw = ckpt.read_bytes()
+    at = raw.rindex(b'{"bit_generator"') - 4   # the RNG section ends the file
+    ckpt.write_bytes(raw[:at] + struct.pack("<I", len(rng_json)) + rng_json)
+    cfg["train"]["epochs"] = 2
+    capsys.readouterr()
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--resume", str(ckpt)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and "corrupt rng state" in err
+
+
 def test_sampled_symmetry_evaluation_notes_the_seed(tmp_path, capsys):
     path = tmp_path / "ck.bin"
     save_small_checkpoint(path, TrainConfig.for_ising(hidden=3, steps=2, symmetry="ising-full"))

@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
 from maflow import (MLPPotential, PotentialParams, eval_batch, eval_potential,
                     init_params, param_vjp)
+from maflow.potential import logistic
 
 LN2 = 0.6931471805599453
 
@@ -227,6 +229,64 @@ def test_engine_logistic_matches_expit():
     assert np.abs(S - expit(z)).max() <= 2.3e-16
     assert S.min() >= 0.0 and S.max() <= 1.0
     assert S[-2] == 0.0 and S[-1] == 1.0
+
+
+def test_reference_logistic_matches_expit():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                        [-1e300, 1e300, -np.inf, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = logistic(z)
+    assert np.abs(s - expit(z)).max() <= 2.3e-16
+    assert s.min() >= 0.0 and s.max() <= 1.0
+    assert s[-4] == s[-2] == 0.0 and s[-3] == s[-1] == 1.0
+
+
+def dgemm_vjp(p, X, WG, WL):
+    """Flat parameter gradient of ``MLPPotential.vjp`` with dW accumulated by BLAS
+    dgemm(beta=1) onto the 2 a t2 W term, written out with the same elementwise steps."""
+    W, a = p.W, p.a
+    h, n = W.shape
+    B = X.shape[0]
+    rowsq = np.einsum("kj,kj->k", W, W)
+    S = X @ W.T
+    S += p.b
+    S *= 0.5
+    np.tanh(S, out=S)
+    S *= 0.5
+    S += 0.5
+    Sp = S * S
+    np.subtract(S, Sp, out=Sp)
+    U = WG @ W.T
+    t2 = WL @ Sp
+    da = np.einsum("bk,bk->k", S, U)
+    da += t2 * rowsq
+    L = np.empty((2 * B, h))
+    aBm, aS = L[:B], L[B:]
+    np.multiply(S, -2.0 * rowsq, out=aBm)
+    aBm += rowsq
+    aBm *= WL[:, None]
+    aBm += U
+    aBm *= Sp
+    aBm *= a
+    np.multiply(S, a, out=aS)
+    dW = np.empty((h, n))
+    np.multiply(W, (2.0 * a * t2)[:, None], out=dW)
+    R = np.concatenate([X, WG])
+    dgemm(1.0, R.T, L.T, beta=1.0, c=dW.T, trans_b=1, overwrite_c=1)
+    return np.concatenate([dW.ravel(), aBm.sum(axis=0), da, [0.0]])
+
+
+@pytest.mark.parametrize("n,h,B", [(2, 1024, 100), (64, 512, 64), (784, 1024, 100)],
+                         ids=["toy", "ising8", "mnist-shape"])
+def test_engine_vjp_equals_dgemm_accumulation_bitwise(n, h, B):
+    # one rounded add per dW entry, whichever operand comes first; this holds
+    # while the BLAS adds the whole 2B-term product sum to C in one step
+    p = random_params(n, h, seed=22)
+    rng = np.random.default_rng(10)
+    X, WG, WL = rng.standard_normal((B, n)), rng.standard_normal((B, n)), rng.standard_normal(B)
+    flat, _ = MLPPotential(p).vjp(X, WG, WL)
+    assert np.array_equal(flat, dgemm_vjp(p, X, WG, WL))
 
 
 def saturated_params(n, h, seed):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp
 
 from maflow import (ConfigError, IntegratorConfig, IsingEnergy, PotentialParams,
                     QuadraticPotential, exact_neg_log_z, gaussian_flow_oracle,
@@ -51,6 +53,16 @@ def test_ising_spec_l4_four_neighbors():
         row = off[i]
         assert (row != 0).sum() == 4
         assert np.allclose(row[row != 0], 0.3)
+
+
+@pytest.mark.parametrize("L", [2, 4, 8])
+def test_solve_and_log_det_match_cholesky(L):
+    spec = ising_spec(L)
+    factor = cho_factor(spec.kplus, lower=True)
+    Y = 3.0 * np.random.default_rng(L).standard_normal((50, spec.n_dim))
+    assert np.abs(spec.solve(Y) - cho_solve(factor, Y.T).T).max() <= 1e-12
+    assert np.abs(spec.solve(Y[7]) - cho_solve(factor, Y[7])).max() <= 1e-12
+    assert spec.log_det() == pytest.approx(2.0 * np.log(np.diag(factor[0])).sum(), abs=1e-12)
 
 
 def test_kplus_invariant_under_group():
@@ -125,6 +137,15 @@ def test_dual_enumeration_agreement():
         a = enumerate_log_z_offset(spec)
         b = reference_log_z_offset(spec)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("L,beta", [(2, 0.25), (2, CRITICAL_COUPLING), (4, CRITICAL_COUPLING)])
+def test_enumeration_matches_logsumexp(L, beta):
+    spec = ising_spec(L, beta)
+    n = spec.n_dim
+    S = 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
+    e = 0.5 * np.einsum("bj,bj->b", S @ spec.kplus, S)
+    assert enumerate_log_z_offset(spec) == pytest.approx(logsumexp(e), abs=1e-12)
 
 
 def test_enumeration_refuses_large_lattice():

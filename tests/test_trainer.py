@@ -119,6 +119,15 @@ def test_resume_with_changed_config_is_refused_naming_every_field(tmp_path):
     assert train(allowed, ring, resume=ckpt).checkpoint.epoch == 2
 
 
+def test_config_from_dict_checks_types_and_widens_ints():
+    cfg = TrainConfig.from_dict({"epsilon": 1, "grad_clip": 5, "steps": 7})
+    assert type(cfg.epsilon) is float and type(cfg.grad_clip) is float and cfg.steps == 7
+    assert cfg.run_hash() == TrainConfig(epsilon=1.0, grad_clip=5.0, steps=7).run_hash()
+    for bad in ({"steps": 7.0}, {"seed": False}, {"objective": 1}, {"epsilon": None}):
+        with pytest.raises(ConfigError, match=f"'{next(iter(bad))}'"):
+            TrainConfig.from_dict(bad)
+
+
 def test_checkpoint_params_section_layout(tmp_path):
     ck = make_checkpoint()
     path = tmp_path / "ck.bin"
