@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: train, sample, logprob, gaussian1d-demo, ising-oracle (and the
-undocumented gradcheck diagnostic).  Exit codes: 0 success, 2 config error,
-3 numeric abort, 4 format error.  All commands are deterministic given
---seed.  Output artifacts are plain CSV; plotting happens out of process.
+undocumented gradcheck diagnostic).  Exit codes: 0 success, 2 a bad config
+file, argument or input path, 3 numeric abort, 4 format error; any other
+failure is a bug and ends in a traceback.  All commands are deterministic
+given --seed.  Output artifacts are plain CSV; plotting happens out of process.
 """
 
 from __future__ import annotations
@@ -14,41 +15,36 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, FormatError, NumericError
 from .flow import BACKWARD, FORWARD, IntegratorConfig, integrate, log_prob, sample
-from .potential import PotentialParams, init_params
-from .symmetry import build_potential, group_by_name
+from .symmetry import MODES, build_potential, group_by_name
 from .targets import (CRITICAL_COUPLING, IsingEnergy, QuadraticPotential,
                       gaussian_flow_oracle, ising_oracle_report, ising_spec)
-from .trainer import TrainConfig, load_checkpoint, train
+from .trainer import FIELD_RULES, TrainConfig, check_value, load_checkpoint, train
 
 # ---------------------------------------------------------------------------
 # run configuration file
 
+# a leaf names the TrainConfig field it sets, or gives its own (types, allowed) for check_value
 _SCHEMA = {
-    "task": ("density", "ising"),
-    "objective": ("nll", "variational"),
-    "seed": int,
-    "out_dir": str,
-    "train": {
-        "epsilon": float, "steps": int, "hidden": int, "batch_size": int,
-        "epochs": int, "steps_per_epoch": int, "learning_rate": float,
-        "grad_clip": float, "checkpoint_every": int, "max_steps": int,
-    },
-    "symmetry": {
-        "group": ("none", "z2", "ising-full"),
-        "mode": ("sampled", "average"),
-        "resample": ("step", "stage", "trajectory"),
-    },
+    "task": ((str,), ("density", "ising")),
+    "seed": "seed",
+    "out_dir": ((str,), None),
+    "train": {name: name for name in (
+        "epsilon", "steps", "hidden", "batch_size", "epochs", "steps_per_epoch",
+        "learning_rate", "grad_clip", "checkpoint_every", "max_steps")},
+    "symmetry": {"group": "symmetry", "mode": "symmetry_mode", "resample": "resample"},
     "dataset": {
-        "name": str, "path": (str, type(None)), "labels_path": (str, type(None)),
-        "lambda": float, "size": int,
+        "name": ((str,), None), "path": ((str, type(None)), None),
+        "labels_path": ((str, type(None)), None), "lambda": "logit_lambda",
+        "size": ((int,), "[0, inf)"),
     },
-    "ising": {"L": int, "beta": float},
+    "ising": {"L": ((int,), None), "beta": ((float,), "(-inf, inf)")},
 }
 
 
@@ -59,29 +55,19 @@ def _key_line(text, key):
     return text.count("\n", 0, m.start()) + 1
 
 
-def _check_keys(node, schema, text, prefix=""):
-    """Reject unknown keys and wrongly typed values; an int given for a float becomes a float."""
+def _check_keys(node, schema, text, fields, prefix=""):
+    """Reject unknown keys and values outside their rule; collect the TrainConfig fields set."""
     for key, val in node.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key '{prefix}{key}' (line {_key_line(text, key)})")
-        rule = schema[key]
+        where = f"config key '{prefix}{key}' (line {_key_line(text, key)})"
+        rule = schema.get(key)
+        if rule is None:
+            raise ConfigError(f"unknown {where}")
         if isinstance(rule, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key '{prefix}{key}' must be an object "
-                                  f"(line {_key_line(text, key)})")
-            _check_keys(val, rule, text, prefix=f"{prefix}{key}.")
-        elif isinstance(rule, tuple) and all(isinstance(r, str) for r in rule):
-            if val not in rule:
-                raise ConfigError(f"config key '{prefix}{key}' must be one of {rule}, "
-                                  f"got {val!r} (line {_key_line(text, key)})")
+            _check_keys(check_value(where, val, (dict,)), rule, text, fields, f"{prefix}{key}.")
+        elif isinstance(rule, str):
+            fields[rule] = check_value(where, val, *FIELD_RULES[rule])
         else:
-            types = rule if isinstance(rule, tuple) else (rule,)
-            if float in types and type(val) is int:
-                node[key] = float(val)  # 1 and 1.0 configure (and hash as) the same run
-            elif isinstance(val, bool) or not isinstance(val, types):
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-                raise ConfigError(f"config key '{prefix}{key}' must be {names}, "
-                                  f"got {val!r} (line {_key_line(text, key)})")
+            node[key] = check_value(where, val, *rule)
 
 
 def load_run_config(path):
@@ -94,35 +80,16 @@ def load_run_config(path):
         raise ConfigError(f"{path}: JSON parse error at line {e.lineno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(raw, _SCHEMA, text)
+    overrides = {"symmetry": "none"}  # unlike for_ising, off unless named
+    _check_keys(raw, _SCHEMA, text, overrides)
+    if "task" not in raw:
+        raise ConfigError("config key 'task' is required: 'density' or 'ising'")
 
-    task = raw.get("task")
-    if task not in ("density", "ising"):
-        raise ConfigError("config key 'task' is required and must be 'density' or 'ising'")
-    objective = raw.get("objective", "nll" if task == "density" else "variational")
-    if task == "density" and objective != "nll":
-        raise ConfigError("the density task trains with the 'nll' objective")
-    if task == "ising" and objective != "variational":
-        raise ConfigError("the ising task trains with the 'variational' objective")
-
-    overrides = dict(raw.get("train", {}))
-    sym = raw.get("symmetry", {})
-    overrides["symmetry"] = sym.get("group", "none")  # unlike for_ising, off unless named
-    for key, name in (("mode", "symmetry_mode"), ("resample", "resample")):
-        if key in sym:
-            overrides[name] = sym[key]
-    if "seed" in raw:
-        overrides["seed"] = raw["seed"]
-    ds = dict(name="mixture-of-8", path=None, labels_path=None, size=10000)
-    ds.update(raw.get("dataset", {}))
-    if "lambda" in ds:
-        overrides["logit_lambda"] = ds.pop("lambda")
-    ising = dict(L=4, beta=CRITICAL_COUPLING)
-    ising.update(raw.get("ising", {}))
-
-    make = TrainConfig.for_density if task == "density" else TrainConfig.for_ising
-    config = make(**overrides)
-    return {"task": task, "config": config, "dataset": ds, "ising": ising,
+    ds = {"name": "mixture-of-8", "path": None, "labels_path": None, "size": 10000,
+          **raw.get("dataset", {})}
+    ising = {"L": 4, "beta": CRITICAL_COUPLING, **raw.get("ising", {})}
+    make = TrainConfig.for_density if raw["task"] == "density" else TrainConfig.for_ising
+    return {"task": raw["task"], "config": make(**overrides), "dataset": ds, "ising": ising,
             "out_dir": raw.get("out_dir", "runs")}
 
 
@@ -133,6 +100,8 @@ def _build_target(run):
     ds = run["dataset"]
     rng = np.random.default_rng(run["config"].seed + 1)  # data stream separate from training
     if ds["name"] in data_mod.TOY_NAMES:
+        if ds["size"] < 1:
+            raise ConfigError(f"'dataset.size' must be >= 1 for toy sets, got {ds['size']}")
         return data_mod.toy_density(ds["name"], ds["size"], rng)
     if ds["name"] == "idx":
         if not ds["path"]:
@@ -157,7 +126,7 @@ def _build_target(run):
 def _cmd_train(args):
     run = load_run_config(args.config)
     if args.seed is not None:
-        run["config"].seed = args.seed
+        run["config"] = replace(run["config"], seed=args.seed)
     target = _build_target(run)
     resume = load_checkpoint(args.resume) if args.resume else None
     result = train(run["config"], target, out_dir=run["out_dir"], resume=resume)
@@ -174,7 +143,7 @@ def _potential_from_checkpoint(path, mode_override=None):
     ckpt = load_checkpoint(path)
     cfg = ckpt.config
     group_name = cfg.symmetry if mode_override != "none" else "none"
-    mode = mode_override if mode_override in ("sampled", "average") else cfg.symmetry_mode
+    mode = mode_override if mode_override in MODES else cfg.symmetry_mode
     group = group_by_name(group_name, ckpt.params.n_dim)
     if group is not None and mode == "sampled":
         print(f"note: sampled {cfg.symmetry} symmetry (resample={cfg.resample}): per-row results "
@@ -193,8 +162,7 @@ def _frames_writer(out_path, every):
 
 def _cmd_sample(args):
     pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
-    icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps,
-                            args.direction)
+    icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps)
     rng = np.random.default_rng(args.seed)
     state = sample(pot, args.n, icfg, rng, callback=_frames_writer(args.out, args.dump_every))
     data_mod.save_csv(args.out, state.X)
@@ -230,8 +198,6 @@ def _cmd_logprob(args):
 
 
 def _cmd_gaussian1d_demo(args):
-    if not math.isfinite(args.rate):
-        raise ConfigError("--lambda must be finite")
     steps = args.steps
     eps = args.T / steps
     oracle = gaussian_flow_oracle(args.rate, args.T)
@@ -272,6 +238,17 @@ def _cmd_gradcheck(args):
     return 0 if worst < 1e-4 else 1
 
 
+def _flag(kind, allowed):
+    """An argparse type: a ``kind`` within ``allowed``, as check_value reads them."""
+    def parse(text):
+        try:
+            return check_value(text, kind(text), (kind,), allowed)
+        except (ValueError, ConfigError):
+            raise argparse.ArgumentTypeError(f"must be {kind.__name__} in {allowed}, "
+                                             f"got {text!r}") from None
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="maflow",
@@ -282,22 +259,23 @@ def build_parser():
     t = sub.add_parser("train", help="optimize a potential against a config-defined target")
     t.add_argument("--config", required=True, help="JSON run configuration")
     t.add_argument("--resume", help="checkpoint to continue from")
-    t.add_argument("--seed", type=int, default=None, help="override the config seed")
+    t.add_argument("--seed", type=_flag(int, "[0, inf)"), default=None,
+                   help="override the config seed")
     t.set_defaults(fn=_cmd_train)
 
     s = sub.add_parser("sample", help="draw samples from a trained checkpoint")
     s.add_argument("--ckpt", required=True)
-    s.add_argument("--n", type=int, required=True, help="number of samples")
+    s.add_argument("--n", type=_flag(int, "[1, inf)"), required=True, help="number of samples")
     s.add_argument("--out", required=True, help="output CSV")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--epsilon", type=float, default=None, help="override step size")
-    s.add_argument("--steps", type=int, default=None, help="override step count")
-    s.add_argument("--direction", choices=(FORWARD, BACKWARD), default=FORWARD)
-    s.add_argument("--dump-every", type=int, default=0, metavar="K",
+    s.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
+    s.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None,
+                   help="override step size")
+    s.add_argument("--steps", type=_flag(int, "[1, inf)"), default=None, help="override step count")
+    s.add_argument("--dump-every", type=_flag(int, "[0, inf)"), default=0, metavar="K",
                    help="write intermediate positions every K steps")
     s.add_argument("--spins", action="store_true",
                    help="also write +-1 spin configurations drawn from p(s|x)")
-    s.add_argument("--symmetry-mode", choices=("sampled", "average", "none"), default=None,
+    s.add_argument("--symmetry-mode", choices=MODES + ("none",), default=None,
                    help="override the checkpoint's symmetrization mode")
     s.set_defaults(fn=_cmd_sample)
 
@@ -306,27 +284,27 @@ def build_parser():
     l.add_argument("--data", required=True, help="CSV of points, or an IDX image file")
     l.add_argument("--out", required=True, help="output CSV of per-row log-densities")
     l.add_argument("--idx", action="store_true", help="force IDX parsing of --data")
-    l.add_argument("--seed", type=int, default=0)
-    l.add_argument("--epsilon", type=float, default=None)
-    l.add_argument("--steps", type=int, default=None)
-    l.add_argument("--symmetry-mode", choices=("sampled", "average", "none"), default=None)
+    l.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
+    l.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None)
+    l.add_argument("--steps", type=_flag(int, "[1, inf)"), default=None)
+    l.add_argument("--symmetry-mode", choices=MODES + ("none",), default=None)
     l.set_defaults(fn=_cmd_logprob)
 
     g = sub.add_parser("gaussian1d-demo",
                        help="integrator accuracy against the exact 1-d Gaussian flow")
-    g.add_argument("--lambda", dest="rate", type=float, default=0.5)
-    g.add_argument("--T", type=float, default=1.0)
-    g.add_argument("--steps", type=int, default=10)
+    g.add_argument("--lambda", dest="rate", type=_flag(float, "(-inf, inf)"), default=0.5)
+    g.add_argument("--T", type=_flag(float, "(0, inf)"), default=1.0)
+    g.add_argument("--steps", type=_flag(int, "[1, inf)"), default=10)
     g.set_defaults(fn=_cmd_gaussian1d_demo)
 
     o = sub.add_parser("ising-oracle",
                        help="exact small-lattice free energy by enumeration")
     o.add_argument("--L", type=int, required=True)
-    o.add_argument("--beta", type=float, default=CRITICAL_COUPLING)
+    o.add_argument("--beta", type=_flag(float, "(-inf, inf)"), default=CRITICAL_COUPLING)
     o.set_defaults(fn=_cmd_ising_oracle)
 
     gc = sub.add_parser("gradcheck")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
     gc.set_defaults(fn=_cmd_gradcheck)
     return p
 
@@ -336,7 +314,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -24,6 +24,11 @@ import numpy as np
 from .errors import ConfigError
 from .potential import MLPPotential, PotentialEval, eval_potential
 
+# the names group_by_name and SymmetrizedPotential take, and so a config may give
+GROUPS = ("none", "z2", "ising-full")
+MODES = ("sampled", "average")
+RESAMPLES = ("step", "stage", "trajectory")
+
 
 @dataclass(eq=False)
 class GroupElement:
@@ -182,7 +187,7 @@ def group_by_name(name, n_dim):
         if L * L != n_dim:
             raise ConfigError(f"'ising-full' needs a square lattice, got dimension {n_dim}")
         return ising_group(L)
-    raise ConfigError(f"unknown symmetry group '{name}' (choose none, z2, ising-full)")
+    raise ConfigError(f"unknown symmetry group '{name}' (choose from {', '.join(GROUPS)})")
 
 
 def symmetrized_eval(params, group, x, mode="average", rng=None):
@@ -235,9 +240,9 @@ class SymmetrizedPotential:
     def __init__(self, base, group, mode="average", resample="step"):
         if group is None or len(group) == 0:
             raise ConfigError("symmetrized potential needs a non-empty group")
-        if mode not in ("average", "sampled"):
+        if mode not in MODES:
             raise ConfigError(f"unknown symmetrization mode '{mode}'")
-        if resample not in ("step", "stage", "trajectory"):
+        if resample not in RESAMPLES:
             raise ConfigError(f"unknown resample granularity '{resample}'")
         self.base = base
         if group.n_dim != base.n_dim:

@@ -140,7 +140,7 @@ class IsingSpec:
 
 
 def ising_spec(L, beta=CRITICAL_COUPLING):
-    """Build the coupling for an L x L periodic lattice (L even, >= 2)."""
+    """Build the coupling for an L x L periodic lattice (L even, >= 2, 0 <= beta <= 1e6)."""
     L = int(L)
     if L < 2:
         raise ConfigError(f"lattice side must be at least 2, got {L}")
@@ -149,6 +149,8 @@ def ising_spec(L, beta=CRITICAL_COUPLING):
             f"odd lattice side {L} unsupported: the spectrum minimum sits at the "
             "(pi, pi) mode, which only exists for even sides")
     beta = float(beta)
+    if not 0.0 <= beta <= 1e6:  # keeps the condition number of kplus, 80 beta + 1, far below 1/eps
+        raise ConfigError(f"coupling beta must be in [0, 1e6], got {beta}")
     n = L * L
     idx = np.arange(n).reshape(L, L)
     K = np.zeros((n, n))
@@ -269,15 +271,14 @@ def ising_oracle_report(spec):
     """All quantities printed by the ising-oracle command, computed once."""
     lnz_off = enumerate_log_z_offset(spec)
     lnz_ref = reference_log_z_offset(spec)
-    n = spec.n_dim
     return {
         "alpha": spec.alpha,
         "log_det_kplus": spec.log_det(),
         "log_z_ising_offset": lnz_off,
-        "log_z_ising": lnz_off - 0.5 * n * spec.alpha,
+        "log_z_ising": lnz_off - 0.5 * spec.n_dim * spec.alpha,
         "log_z_ising_offset_reference": lnz_ref,
         "enumeration_disagreement": abs(lnz_off - lnz_ref),
-        "neg_log_z": -lnz_off - 0.5 * spec.log_det() + 0.5 * n * math.log(2.0 / math.pi),
+        "neg_log_z": exact_neg_log_z(spec, lambda _: lnz_off),
     }
 
 

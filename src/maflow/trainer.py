@@ -6,15 +6,13 @@ checkpointed, so training N epochs equals training, checkpointing and
 resuming.  A run aborts on non-finite losses with the last good state saved.
 """
 
-from __future__ import annotations
-
 import contextlib
 import hashlib
 import json
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from . import data as data_mod
 from .errors import ConfigError, FormatError, NumericError
 from .flow import IntegratorConfig
 from .potential import PotentialParams, init_params, vector_size
-from .symmetry import build_potential, group_by_name
+from .symmetry import GROUPS, MODES, RESAMPLES, build_potential, group_by_name
 from .targets import nll_loss, variational_loss
 
 CHECKPOINT_MAGIC = b"MAFLOW01"
@@ -31,44 +29,73 @@ PARAMS_SECTION_VERSION = 1
 
 METRIC_COLUMNS = ("epoch", "step", "loss", "grad_norm", "seconds")
 
-# TrainConfig's annotations, which are strings under postponed evaluation
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
+OBJECTIVES = ("nll", "variational")
+
+
+def check_value(what, val, types, allowed=None):
+    """``val`` if of ``types`` and within ``allowed``, else a ConfigError on ``what``.  ``allowed``
+    is None, a tuple of choices or an interval such as ``"[0, 1)"``, which nan is never in.
+    ``bool`` is not ``int``; an ``int`` for a ``float`` becomes a float, as 1 and 1.0 configure
+    (and hash as) the same run."""
+    if float in types and type(val) is int:
+        val = float(val)
+    if isinstance(val, bool) or not isinstance(val, types):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ConfigError(f"{what} must be {names}, got {val!r}")
+    if isinstance(allowed, tuple) and val not in allowed:
+        raise ConfigError(f"{what} must be one of {allowed}, got {val!r}")
+    if isinstance(allowed, str):
+        lo, hi = (float(bound) for bound in allowed[1:-1].split(","))
+        if not ((lo <= val if allowed[0] == "[" else lo < val)
+                and (val <= hi if allowed[-1] == "]" else val < hi)):
+            raise ConfigError(f"{what} must be in {allowed}, got {val!r}")
+    return val
+
+
+def _field(default, allowed):
+    return field(default=default, metadata={"allowed": allowed})
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one run; defaults follow the reference experiments."""
+    """Hyperparameters of one run, and the schema of every config: each field's line gives
+    its type, default and allowed values, as ``check_value`` reads them.  ``__post_init__``
+    checks them all, so the presets, ``dataclasses.replace``, ``from_dict`` and the CLI's
+    run-config file reject a bad value alike.  Defaults follow the reference experiments."""
 
-    objective: str = "nll"            # "nll" | "variational"
-    epsilon: float = 0.1
-    steps: int = 100
-    hidden: int = 1024
-    batch_size: int = 100
-    epochs: int = 10
-    steps_per_epoch: int = 10         # only used by the variational objective
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float = 10.0
-    seed: int = 0
-    symmetry: str = "none"            # "none" | "z2" | "ising-full"
-    symmetry_mode: str = "sampled"    # "sampled" | "average"
-    resample: str = "step"            # "step" | "stage" | "trajectory"
-    logit_lambda: float = 1e-6
-    checkpoint_every: int = 0         # epochs between checkpoints; 0 = final only
-    max_steps: int = 0                # optimizer-step budget; 0 = no limit
+    objective: str = _field("nll", OBJECTIVES)
+    epsilon: float = _field(0.1, "(0, inf)")
+    steps: int = _field(100, "[1, inf)")
+    hidden: int = _field(1024, "[1, inf)")
+    batch_size: int = _field(100, "[1, inf)")
+    epochs: int = _field(10, "[1, inf)")
+    steps_per_epoch: int = _field(10, "[1, inf)")     # only used by the variational objective
+    learning_rate: float = _field(1e-3, "(0, inf)")
+    beta1: float = _field(0.9, "[0, 1)")
+    beta2: float = _field(0.999, "[0, 1)")
+    adam_eps: float = _field(1e-8, "(0, inf)")
+    grad_clip: float = _field(10.0, "[0, inf)")        # 0 = no clipping
+    seed: int = _field(0, "[0, inf)")
+    symmetry: str = _field("none", GROUPS)
+    symmetry_mode: str = _field("sampled", MODES)
+    resample: str = _field("step", RESAMPLES)
+    logit_lambda: float = _field(1e-6, "[0, 0.5)")
+    checkpoint_every: int = _field(0, "[0, inf)")      # epochs between checkpoints; 0 = final only
+    max_steps: int = _field(0, "[0, inf)")             # optimizer-step budget; 0 = no limit
+
+    def __post_init__(self):
+        for name, rule in FIELD_RULES.items():
+            setattr(self, name, check_value(f"train config key '{name}'", getattr(self, name),
+                                            *rule))
 
     @classmethod
     def for_density(cls, **overrides):
-        base = dict(objective="nll", epsilon=0.1, steps=100, hidden=1024, batch_size=100)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**overrides)
 
     @classmethod
     def for_ising(cls, **overrides):
-        base = dict(objective="variational", epsilon=0.1, steps=50, hidden=512,
-                    batch_size=64, symmetry="ising-full")
+        base = dict(objective="variational", steps=50, hidden=512, batch_size=64,
+                    symmetry="ising-full")
         base.update(overrides)
         return cls(**base)
 
@@ -80,29 +107,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """A config from a JSON object, each value checked against its field's type.
-
-        ``bool`` is not an ``int``; an ``int`` given for a ``float`` field becomes a float.
-        """
-        fields = cls.__dataclass_fields__
-        unknown = set(d) - set(fields)
+        """A config from a JSON object such as ``as_dict`` gives; unknown keys are a ConfigError."""
+        unknown = set(d) - set(FIELD_RULES)
         if unknown:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        values = {}
-        for key, val in d.items():
-            want = _FIELD_TYPES[fields[key].type]
-            if want is float and type(val) is int:
-                val = float(val)
-            elif isinstance(val, bool) or not isinstance(val, want):
-                raise ConfigError(f"train config key '{key}' must be {want.__name__}, got {val!r}")
-            values[key] = val
-        return cls(**values)
+        return cls(**d)
 
     def canonical_json(self):
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
     def run_hash(self):
         return hashlib.sha1(self.canonical_json().encode()).hexdigest()[:12]
+
+
+# field name -> (types, allowed values), the arguments check_value takes
+FIELD_RULES = {f.name: ((f.type,), f.metadata["allowed"]) for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -276,13 +295,9 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     if config.objective == "nll":
         if not isinstance(target, data_mod.Dataset):
             raise ConfigError("the nll objective needs a Dataset target")
-        n_dim = target.n_dim
-    elif config.objective == "variational":
-        if not hasattr(target, "energy") or not hasattr(target, "grad"):
-            raise ConfigError("the variational objective needs an energy function target")
-        n_dim = target.n_dim
-    else:
-        raise ConfigError(f"unknown objective '{config.objective}'")
+    elif not hasattr(target, "energy") or not hasattr(target, "grad"):
+        raise ConfigError("the variational objective needs an energy function target")
+    n_dim = target.n_dim
 
     group = group_by_name(config.symmetry, n_dim)
     fwd = config.integrator("forward")

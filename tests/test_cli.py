@@ -2,12 +2,14 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from maflow import Checkpoint, TrainConfig, init_params, save_checkpoint
-from maflow.cli import load_run_config, main
+from maflow import cli
+from maflow.cli import _SCHEMA, load_run_config, main
 
 
 def write_config(tmp_path, cfg):
@@ -21,12 +23,81 @@ def write_config(tmp_path, cfg):
     ({"task": "density", "seed": "x"}, "seed"),
     ({"task": "ising", "ising": {"L": 4.7}}, "ising.L"),
     ({"task": "density", "train": {"steps": True}}, "train.steps"),
+    ({"task": "density", "train": {"hidden": 0}}, "train.hidden"),
+    ({"task": "density", "train": {"batch_size": 0}}, "train.batch_size"),
+    ({"task": "ising", "train": {"steps_per_epoch": 0}}, "train.steps_per_epoch"),
+    ({"task": "ising", "symmetry": {"group": "d4"}}, "symmetry.group"),
+    ({"task": "density", "dataset": {"lambda": 0.7}}, "dataset.lambda"),
+    ({"task": "density", "dataset": {"size": -1}}, "dataset.size"),
+    ({"task": "density", "seed": -1}, "seed"),
+    ({"task": "density", "objective": "nll"}, "objective"),
 ])
 def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, cfg, key):
+    # a tiny run around the bad value, so a value the checks miss does not train for minutes
+    cfg = {**cfg, "out_dir": str(tmp_path / "out"),
+           "train": {"epochs": 1, "hidden": 2, "steps": 1, **cfg.get("train", {})},
+           "dataset": {"name": "ring", "size": 10, **cfg.get("dataset", {})},
+           "ising": {"L": 2, **cfg.get("ising", {})}}
     path = write_config(tmp_path, cfg)
     assert main(["train", "--config", path]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("config error:")
     assert f"'{key}'" in err and "(line " in err
+
+
+def test_toy_dataset_without_rows_is_a_config_error(tmp_path, capsys):
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"), "dataset": {"size": 0}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'dataset.size'" in err
+    assert not (tmp_path / "out").exists()
+
+
+# TrainConfig fields a run-config file leaves at the preset's value
+PRESET_ONLY = {"objective", "beta1", "beta2", "adam_eps"}
+
+# every key of the file set, each to a value neither preset has ...
+EVERY_KEY = {
+    "seed": 9, "out_dir": "runs",
+    "train": {"epsilon": 0.05, "steps": 7, "hidden": 12, "batch_size": 30, "epochs": 3,
+              "steps_per_epoch": 4, "learning_rate": 0.02, "grad_clip": 2.5,
+              "checkpoint_every": 2, "max_steps": 11},
+    "symmetry": {"group": "z2", "mode": "average", "resample": "stage"},
+    "dataset": {"name": "ring", "path": None, "labels_path": None, "lambda": 1e-4, "size": 50},
+    "ising": {"L": 2, "beta": 0.3},
+}
+# ... and the TrainConfig fields those keys set
+EVERY_FIELD = dict(seed=9, epsilon=0.05, steps=7, hidden=12, batch_size=30, epochs=3,
+                   steps_per_epoch=4, learning_rate=0.02, grad_clip=2.5, checkpoint_every=2,
+                   max_steps=11, symmetry="z2", symmetry_mode="average", resample="stage",
+                   logit_lambda=1e-4)
+
+
+def schema_leaves(schema, prefix=""):
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            yield from schema_leaves(rule, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", rule
+
+
+def test_schema_names_each_train_config_field_once():
+    names = [rule for _, rule in schema_leaves(_SCHEMA) if isinstance(rule, str)]
+    assert len(names) == len(set(names))
+    assert set(names) | PRESET_ONLY == {f.name for f in fields(TrainConfig)}
+    assert not set(names) & PRESET_ONLY
+    assert sorted(names) == sorted(EVERY_FIELD)
+
+
+@pytest.mark.parametrize("task,make", [("density", TrainConfig.for_density),
+                                       ("ising", TrainConfig.for_ising)])
+def test_file_setting_every_key_matches_its_preset(tmp_path, task, make):
+    set_keys = {key for key, _ in schema_leaves(EVERY_KEY)}
+    assert set_keys | {"task"} == {key for key, _ in schema_leaves(_SCHEMA)}
+    for key, val in EVERY_FIELD.items():
+        assert getattr(make(), key) != val
+    run = load_run_config(write_config(tmp_path, {"task": task, **EVERY_KEY}))
+    assert run["config"].run_hash() == make(**EVERY_FIELD).run_hash()
 
 
 @pytest.mark.parametrize("cfg,make,overrides", [
@@ -127,7 +198,8 @@ def test_corrupt_checkpoint_exits_4(tmp_path, capsys, corrupt, section):
 
 
 @pytest.mark.parametrize("key,value", [("steps", "x"), ("steps", True), ("hidden", 3.0),
-                                       ("epsilon", "0.1"), ("symmetry", None)])
+                                       ("epsilon", "0.1"), ("symmetry", None),
+                                       ("symmetry", "bogus"), ("steps", 0), ("resample", "x")])
 def test_checkpoint_config_of_wrong_type_exits_4(tmp_path, capsys, key, value):
     path = tmp_path / "ck.bin"
     raw = save_small_checkpoint(path, TrainConfig.for_density(hidden=3, steps=2))
@@ -176,3 +248,42 @@ def test_sampled_symmetry_evaluation_notes_the_seed(tmp_path, capsys):
                                       "--symmetry-mode average"))
         assert main(cmd + ["--ckpt", str(path), "--symmetry-mode", "average"]) == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gaussian1d-demo", "--steps", "0"], "--steps"),
+    (["gaussian1d-demo", "--T", "0"], "--T"),
+    (["gaussian1d-demo", "--lambda", "nan"], "--lambda"),
+    (["ising-oracle", "--L", "2", "--beta", "nan"], "--beta"),
+    (["sample", "--n", "2", "--steps", "0"], "--steps"),
+    (["sample", "--n", "2", "--epsilon", "0"], "--epsilon"),
+    (["sample", "--n", "-1"], "--n"),
+    (["sample", "--n", "2", "--seed", "-1"], "--seed"),
+    (["sample", "--n", "2", "--dump-every", "-1"], "--dump-every"),
+    (["sample", "--n", "2", "--direction", "backward"], "--direction"),
+    (["logprob", "--data", "x.csv", "--steps", "0"], "--steps"),
+    (["logprob", "--data", "x.csv", "--epsilon", "inf"], "--epsilon"),
+    (["train", "--config", "run.json", "--seed", "-1"], "--seed"),
+])
+def test_bad_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    save_small_checkpoint(tmp_path / "ck.bin", TrainConfig.for_density(hidden=3, steps=2))
+    (tmp_path / "x.csv").write_text("0,0\n")
+    write_config(tmp_path, {"task": "density", "train": {"epochs": 1, "hidden": 3, "steps": 2},
+                            "dataset": {"name": "ring", "size": 10}})
+    if argv[0] in ("sample", "logprob"):
+        argv = argv + ["--ckpt", "ck.bin", "--out", "out.csv"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_value_error_from_the_library_is_not_a_config_error(monkeypatch):
+    def broken(spec):
+        raise ValueError("a bug, not a bad argument")
+    monkeypatch.setattr(cli, "ising_oracle_report", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["ising-oracle", "--L", "2"])

@@ -76,6 +76,13 @@ def test_odd_side_rejected():
         ising_spec(3)
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, 1e16])
+def test_coupling_outside_its_range_rejected(beta):
+    # at 1e16 the 0.1 lift of kplus is lost to rounding and the Cholesky factor fails
+    with pytest.raises(ConfigError, match="beta"):
+        ising_spec(4, beta)
+
+
 def test_ising_energy_zero_at_origin():
     spec = ising_spec(2)
     assert ising_energy(spec, np.zeros(4)) == 0.0

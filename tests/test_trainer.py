@@ -128,6 +128,18 @@ def test_config_from_dict_checks_types_and_widens_ints():
             TrainConfig.from_dict(bad)
 
 
+def test_every_way_of_building_a_config_checks_it():
+    cfg = TrainConfig.for_density(hidden=4)
+    for build in (lambda: TrainConfig(steps="3"), lambda: replace(cfg, hidden=0),
+                  lambda: TrainConfig.for_ising(symmetry="d4"),
+                  lambda: TrainConfig(epsilon=float("nan")), lambda: TrainConfig(beta2=1.0),
+                  lambda: TrainConfig(objective="mle"),
+                  lambda: TrainConfig.from_dict({"seed": -1})):
+        with pytest.raises(ConfigError):
+            build()
+    assert type(replace(cfg, learning_rate=1).learning_rate) is float
+
+
 def test_checkpoint_params_section_layout(tmp_path):
     ck = make_checkpoint()
     path = tmp_path / "ck.bin"
