@@ -11,7 +11,7 @@ from .difftape import BackpropResult, Trajectory, backprop, replay
 from .errors import ConfigError, FormatError, MaflowError, NumericError, StaleTapeError
 from .flow import (FlowState, IntegratorConfig, as_potential, gaussian_base,
                    gaussian_log_density, integrate, log_prob, rk4_step, sample)
-from .potential import (MLPPotential, PotentialEval, PotentialParams, eval_batch,
+from .potential import (MLPPotential, ParamGrad, PotentialEval, PotentialParams, eval_batch,
                         eval_potential, init_params, param_vjp)
 from .symmetry import (GroupElement, SymmetrizedPotential, SymmetryGroup, apply,
                        build_potential, compose, d4_group, group_by_name, identity,

@@ -193,7 +193,7 @@ def _cmd_logprob(args):
     icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps, BACKWARD)
     lp = log_prob(pot, X, icfg, rng=rng)
     data_mod.save_csv(args.out, lp[:, None])
-    print(f"mean NLL {(-lp.mean())!r} over {X.shape[0]} rows; per-row log-densities in {args.out}")
+    print(f"mean NLL {float(-lp.mean())!r} over {X.shape[0]} rows; per-row log-densities in {args.out}")
     return 0
 
 
@@ -314,7 +314,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -15,6 +15,13 @@ on the discrete map itself.
 
 Memory is O(steps * batch * (dim + hidden)): every step is kept, no
 checkpoint / recompute scheme.
+
+The parameter gradient is one ``ParamGrad`` for the whole trajectory.  Each
+stage's ``vjp`` adds its db, da and t2 at once and its dW product L^T R into
+one dense dW, in reverse step order and stages 4..1 inside each step; the
+2 a (sum t2) W term of dW comes last, once.  Large products run on a worker
+thread beside the cotangent chain, in the same order, so the result does not
+depend on which thread ran them.
 """
 
 from __future__ import annotations
@@ -118,8 +125,10 @@ def backprop(traj, potential, d_x_final, d_l_final):
 
     ``potential`` must be the evaluator (or its parameters wrapped in one)
     that produced the tape; a fingerprint mismatch raises StaleTapeError.
-    Accumulation order is fixed: steps in reverse, stages 4..1 inside each
-    step, so results are reproducible bit for bit.
+    Accumulation order is fixed: the per-call dW products, db, da and t2 in
+    reverse step order and stages 4..1 inside each step, then the W term
+    last, so results are reproducible bit for bit.  A non-finite position
+    cotangent or parameter gradient raises NumericError.
     """
     from .flow import as_potential  # local import to avoid a cycle at module load
 
@@ -135,7 +144,7 @@ def backprop(traj, potential, d_x_final, d_l_final):
     if d_x.shape != (B, n) or d_l.shape != (B,):
         raise ValueError("cotangent shapes do not match the recorded batch")
 
-    flat_grad = np.zeros(pot.grad_size) if pot.trainable else None
+    grad = None     # ParamGrad summed over every stage, or None for fixed fields
 
     # overflow surfaces as a non-finite cotangent, reported below with its step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,8 +159,8 @@ def backprop(traj, potential, d_x_final, d_l_final):
             for i in (3, 2, 1, 0):
                 pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i],
                                    ctx=rec.stage_ctx[i], aux=rec.stage_aux[i])
-                if flat_grad is not None and pg is not None:
-                    flat_grad += pg
+                if pg is not None:
+                    grad = pg if grad is None else grad.add(pg)
                 d_x_new += xcot
                 if i > 0:
                     # stage i's input is x0 + _STAGE_OFFSETS[i-1] * eta * g_{i-1}
@@ -161,9 +170,10 @@ def backprop(traj, potential, d_x_final, d_l_final):
                 raise NumericError(f"non-finite position cotangent in the reverse pass "
                                    f"at step {k}")
             # log-density cotangent passes through unchanged: nothing depends on l0
+        if grad is None:
+            return BackpropResult(None, d_x, d_l.copy())
+        flat = grad.to_vector()
 
-    if flat_grad is None:
-        return BackpropResult(None, d_x, d_l.copy())
-    if not np.isfinite(flat_grad).all():
+    if not np.isfinite(flat).all():
         raise NumericError("non-finite parameter gradient in the reverse pass")
-    return BackpropResult(pot.grad_to_params(flat_grad), d_x, d_l.copy())
+    return BackpropResult(pot.grad_to_params(flat), d_x, d_l.copy())

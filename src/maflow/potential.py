@@ -23,21 +23,42 @@ absolute of ``logistic`` on any z).  Reassociated sums and the different
 logistic make it agree with the reference path to ~1e-12 absolute, not
 bitwise.  The engine caches a_k W_k and a_k |W_k|^2 when it is built;
 parameters are read-only, so the caches cannot go stale.
+
+``MLPPotential.vjp`` returns its parameter gradient as a ``ParamGrad``: the
+(h, n) block dW stays factored as L^T R plus a term linear in W until
+``to_vector``, so the reverse pass sums one dense dW over a whole trajectory
+instead of building one per RK4 stage.  Large products L^T R run on one worker
+thread beside the cotangent chain; it starts on the first such product, so
+importing the package or integrating forward starts no thread.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
 
-# Entries of dW per row block when MLPPotential.vjp adds the 2 a t2 W term after
-# its GEMM: 2^15 float64 (256 KB) keep the scratch block and the rows of W and
-# dW it meets in a core's L2 cache.  Chosen by timing 8K to 256K at n = 64 and 784.
+# Entries of dW per row block when ParamGrad.to_vector adds the 2 a t2 W term
+# after the products: 2^15 float64 (256 KB) keep the scratch block and the rows
+# of W and dW it meets in a core's L2 cache.  Chosen by timing 8K to 256K at
+# n = 64 and 784.
 _TERM_BLOCK = 1 << 15
+
+# A product L^T R of at least this many multiply-adds (2B h n) folds into a sum
+# of ParamGrads on the worker thread, beside the cotangent chain; a smaller one
+# folds inline, where the hand-off costs more than the overlap gains.  Timed on
+# a whole backprop with one BLAS thread on 2 cores: the worker breaks even at
+# 13M (n = 64, h = 1024, B = 100), saves 22% at 26M and 33% at 161M, and costs
+# 50% at 4.2M (n = 64, h = 512, B = 64).
+_WORKER_MIN_SIZE = 1 << 24
+# products of one sum queued on the worker at a time; each holds its L and R alive
+_MAX_IN_FLIGHT = 2
 
 
 def softplus(z):
@@ -226,16 +247,17 @@ class MLPPotential:
     """Batch evaluator for the network potential, used by the flow integrator.
 
     Each kernel is a few BLAS products plus in-place elementwise passes over
-    (B, h) buffers.  The only (h, n)-shaped buffer besides ``vjp``'s result is
-    one row block of dW, at most 256 KB.  The logistic is ``1/2 + 1/2
-    tanh(z/2)`` (see ``_activations``), within 2.3e-16 absolute of the
-    reference kernels' ``logistic``.
+    (B, h) and (2B, h) buffers.  ``vjp`` builds no (h, n)-shaped array: its
+    parameter gradient is a ``ParamGrad`` that holds dW as factors, and
+    ``ParamGrad.to_vector`` builds the flat vector in the ``PotentialParams``
+    layout (W row-major, b, a, c).  The logistic is ``1/2 + 1/2 tanh(z/2)``
+    (see ``_activations``), within 2.3e-16 absolute of the reference
+    kernels' ``logistic``.
 
     ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
     evaluator, and ``fingerprint`` caches its digest on the first call.
     The wrapped ``PotentialParams`` are read-only, so the caches stay valid
-    and the evaluator is stateless and safe to share.  Parameter gradients
-    are flat vectors in the ``PotentialParams`` layout (W row-major, b, a, c).
+    and the evaluator is stateless and safe to share.
     """
 
     trainable = True
@@ -288,24 +310,20 @@ class MLPPotential:
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """Batch-accumulated derivatives of sum_i [w_grad_i . grad_i + w_lap_i * lap_i].
 
-        Returns (flat parameter gradient in to_vector() order, per-row x
-        cotangents (B, n)).  ``aux`` may carry activations saved by
-        ``grad_lap``; otherwise they are recomputed.  ``aux`` is only read.
+        Returns (``ParamGrad``, per-row x cotangents (B, n)).  The parameter
+        gradient stays factored until ``ParamGrad.to_vector``.  ``aux`` may
+        carry activations saved by ``grad_lap``; otherwise they are
+        recomputed.  ``aux`` is only read.
         """
         p = self.params
         W, a, rowsq = p.W, p.a, self._rowsq
-        h, n = W.shape
-        B = X.shape[0]
+        B, h = X.shape[0], p.n_hidden
         S = aux if aux is not None else self._activations(X)
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s'
         U = w_grad @ W.T
         t2 = w_lap @ Sp
-
-        flat = np.empty(p.size)
-        dW, db, da, dc = _split_vector(flat, h, n)
-        dc[0] = 0.0                     # c never enters grad or lap
-        np.einsum("bk,bk->k", S, U, out=da)
+        da = np.einsum("bk,bk->k", S, U)
         da += t2 * rowsq
 
         # rows :B hold a * dF/dz = a s' (U + w_lap (1 - 2s) |W_k|^2), rows B: hold a * s
@@ -318,22 +336,9 @@ class MLPPotential:
         aBm *= Sp
         aBm *= a
         np.multiply(S, a, out=aS)
-        np.sum(aBm, axis=0, out=db)
+        db = np.sum(aBm, axis=0)
         dX = aBm @ W
-
-        # dW = [a Bm; a s]^T [X; w_grad] + 2 a t2 W: one GEMM into dW, then the term
-        # through a cache-sized scratch block.  Each entry takes one rounded add of
-        # the same two values in either order, so dW is bitwise what a GEMM that
-        # accumulates onto the term gives.
-        np.matmul(L.T, np.concatenate([X, w_grad]), out=dW)
-        coef = (2.0 * a * t2)[:, None]
-        rows = max(1, _TERM_BLOCK // n)
-        term = np.empty((min(rows, h), n))
-        for i in range(0, h, rows):
-            j = min(i + rows, h)
-            np.multiply(W[i:j], coef[i:j], out=term[:j - i])
-            dW[i:j] += term[:j - i]
-        return flat, dX
+        return ParamGrad(p, L, np.concatenate([X, w_grad]), db, da, t2), dX
 
     def grad_to_params(self, flat):
         """The flat gradient as read-only PotentialParams viewing ``flat``, without a copy."""
@@ -344,3 +349,147 @@ class MLPPotential:
         if self._fingerprint is None:
             self._fingerprint = b"mlp:" + self.params.fingerprint()
         return self._fingerprint
+
+
+# ---------------------------------------------------------------------------
+# factored parameter gradients
+
+
+class ParamGrad:
+    """Parameter gradient of one or more ``MLPPotential.vjp`` calls, summed lazily.
+
+    One call's gradient is dW = L^T R + 2 a t2 W with L = [a Bm; a s] (2B, h)
+    and R = [X; w_grad] (2B, n), plus db, da and dc = 0.  The call's
+    ParamGrad holds L, R, db, da and t2, and no (h, n) array.
+
+    ``add`` sums db, da and t2 at once and folds each product L^T R into one
+    dense dW.  The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W
+    once, after every product.  A product of at least ``_WORKER_MIN_SIZE``
+    multiply-adds folds on one worker thread, first in first out, with at
+    most ``_MAX_IN_FLIGHT`` of a sum queued; a smaller one folds inline once
+    the worker has finished the sum's earlier folds.  Both paths call
+    ``_product`` in the order of the ``add`` calls, so a sum is bitwise the
+    same whichever thread ran it, and a single call's ``to_vector`` is bitwise
+    the GEMM followed by the term.  Exceptions from the worker surface from
+    ``add`` or ``to_vector``.
+    """
+
+    def __init__(self, params, L, R, db, da, t2):
+        self._params = params
+        self._factors = (L, R)      # this call's product, until it is folded
+        self._flat = None           # the result vector, allocated by the first fold
+        self._dW = None             # its (h, n) view, which sums the folded products
+        self._scratch = None        # (h, n) buffer for every product after the first
+        self._pending = collections.deque()
+        self._vector = None
+        self.db, self.da, self.t2 = db, da, t2
+
+    def add(self, other):
+        """Fold ``other``, a gradient of the same parameters, into this sum; returns self."""
+        if other._params is not self._params:
+            raise ValueError("cannot add gradients of different parameters")
+        if self._vector is not None or other._vector is not None:
+            raise ValueError("cannot add to or from a materialized gradient")
+        self.db += other.db
+        self.da += other.da
+        self.t2 += other.t2
+        self._fold_own()
+        if other._factors is not None:
+            self._fold(*other._factors)
+        else:
+            other._wait()
+            self._wait()
+            self._dW += other._dW
+        return self
+
+    def to_vector(self):
+        """The flat gradient in ``PotentialParams`` order (W row-major, b, a, c).
+
+        Materializes the sum on the first call and returns the same vector
+        on later ones; the gradient then takes no more ``add``.
+        """
+        if self._vector is None:
+            self._fold_own()
+            self._wait()
+            p = self._params
+            h, n = p.W.shape
+            dW, db, da, dc = _split_vector(self._flat, h, n)
+            # the term after the products, through a cache-sized block: for one call
+            # each entry takes one rounded add of the same two values in either order,
+            # so dW is bitwise what a GEMM that accumulates onto the term gives
+            coef = (2.0 * p.a * self.t2)[:, None]
+            rows = max(1, _TERM_BLOCK // n)
+            term = np.empty((min(rows, h), n))
+            for i in range(0, h, rows):
+                j = min(i + rows, h)
+                np.multiply(p.W[i:j], coef[i:j], out=term[:j - i])
+                dW[i:j] += term[:j - i]
+            db[...], da[...], dc[0] = self.db, self.da, 0.0    # c never enters grad or lap
+            self._vector = self._flat
+        return self._vector
+
+    def _fold_own(self):
+        if self._factors is not None:
+            factors, self._factors = self._factors, None
+            self._fold(*factors)
+
+    def _fold(self, L, R):
+        scratch = None
+        if self._flat is None:
+            self._flat = np.empty(self._params.size)
+            self._dW = _split_vector(self._flat, *self._params.W.shape)[0]
+        else:
+            if self._scratch is None:
+                self._scratch = np.empty(self._params.W.shape)
+            scratch = self._scratch
+        args = (self._dW, scratch, L, R)
+        if L.shape[0] * L.shape[1] * R.shape[1] >= _WORKER_MIN_SIZE:
+            while len(self._pending) >= _MAX_IN_FLIGHT:
+                self._pending.popleft().result()
+            self._pending.append(_submit(_product, *args))
+        else:
+            self._wait()
+            _product(*args)
+
+    def _wait(self):
+        while self._pending:
+            self._pending.popleft().result()
+
+
+def _product(dW, scratch, L, R):
+    """dW = L^T R for a sum's first product, else dW += L^T R through ``scratch``."""
+    if scratch is None:
+        np.matmul(L.T, R, out=dW)
+    else:
+        np.matmul(L.T, R, out=scratch)
+        dW += scratch
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _submit(fn, *args):
+    """Run ``fn(*args)`` on the worker thread, started on the first call."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            # imported here: it costs 10 ms and 0.6 MB, which only the worker needs
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-dW")
+        return _worker.submit(_quietly, fn, *args)
+
+
+def _quietly(fn, *args):
+    # overflow shows as a non-finite gradient, which backprop reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        fn(*args)
+
+
+def _forget_worker():
+    # a forked child has no copy of the parent's worker thread
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)

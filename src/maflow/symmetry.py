@@ -311,17 +311,17 @@ class SymmetrizedPotential:
             pg, xc = self.base.vjp(self._transform(ctx, X), self._transform(ctx, w_grad),
                                    w_lap, aux=aux)
             return pg, self._untransform(ctx, xc)
+        # a vjp is linear in its cotangents: scale them instead of the |G|-term sums
+        k = float(len(self.group))
+        w_grad, w_lap = w_grad / k, w_lap / k
         pg_total = None
         xc_total = np.zeros_like(X)
         for m in range(len(self.group)):
             pg, xc = self.base.vjp(self._transform(m, X), self._transform(m, w_grad), w_lap)
             if pg is not None:
-                pg_total = pg if pg_total is None else pg_total + pg
+                pg_total = pg if pg_total is None else pg_total.add(pg)
             xc_total += self._untransform(m, xc)
-        k = float(len(self.group))
-        if pg_total is not None:
-            pg_total = pg_total / k
-        return pg_total, xc_total / k
+        return pg_total, xc_total
 
     def grad_to_params(self, flat):
         return self.base.grad_to_params(flat)

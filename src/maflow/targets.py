@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .difftape import backprop
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .flow import (FORWARD, LOG_2PI, FlowState, as_potential, gaussian_base,
                    gaussian_log_density, integrate)
 from .potential import logistic
@@ -66,21 +66,27 @@ class GaussianFlowSolution:
     rate: float
     time: float
 
+    def _exp(self, exponent):
+        try:
+            return math.exp(exponent)
+        except OverflowError:
+            raise NumericError(f"exact Gaussian flow overflows float64: exp({exponent!r}) at "
+                               f"lambda*T = {self.rate * self.time!r}") from None
+
     @property
     def alpha(self):
-        return math.exp(-self.rate * self.time)
+        return self._exp(-self.rate * self.time)
 
     @property
     def scale(self):
-        return math.exp(self.rate * self.time)
+        return self._exp(self.rate * self.time)
 
     def map(self, x0):
         return self.scale * np.asarray(x0, dtype=np.float64)
 
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
-        a = self.alpha
-        return math.log(a) - 0.5 * LOG_2PI - 0.5 * (a * x) ** 2
+        return -self.rate * self.time - 0.5 * LOG_2PI - 0.5 * (self.alpha * x) ** 2
 
 
 def gaussian_flow_oracle(rate, time):

@@ -1,6 +1,7 @@
 """Run-config parsing and exit codes of the command-line front end."""
 
 import json
+import math
 import struct
 from dataclasses import fields
 
@@ -131,7 +132,9 @@ def test_train_then_logprob_end_to_end(tmp_path, capsys):
     assert main(["sample", "--ckpt", str(ckpt), "--n", "5", "--out", samples]) == 0
     assert main(["logprob", "--ckpt", str(ckpt), "--data", samples,
                  "--out", str(tmp_path / "lp.csv")]) == 0
-    assert "mean NLL" in capsys.readouterr().out
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("mean NLL ")
+    assert math.isfinite(float(line.split()[2]))
 
 
 def test_resume_with_other_hidden_exits_2(tmp_path, capsys):
@@ -279,6 +282,28 @@ def test_bad_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--ckpt", ".", "--n", "2", "--out", "s.csv"],
+    ["sample", "--ckpt", "x.csv/ck.bin", "--n", "2", "--out", "s.csv"],
+    ["logprob", "--ckpt", "ck.bin", "--data", ".", "--out", "l.csv"],
+    ["logprob", "--ckpt", "ck.bin", "--data", "x.csv/", "--out", "l.csv"],
+], ids=["ckpt-dir", "ckpt-under-file", "data-dir", "data-under-file"])
+def test_unreadable_input_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    save_small_checkpoint(tmp_path / "ck.bin", TrainConfig.for_density(hidden=3, steps=2))
+    (tmp_path / "x.csv").write_text("0,0\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / argv[-1]).exists()
+
+
+@pytest.mark.parametrize("rate", ["-50", "50"])
+def test_gaussian_demo_overflow_is_a_numeric_abort(capsys, rate):
+    assert main(["gaussian1d-demo", "--lambda", rate, "--T", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort:") and f"lambda*T = {float(rate) * 100!r}" in err
 
 
 def test_value_error_from_the_library_is_not_a_config_error(monkeypatch):

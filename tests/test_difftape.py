@@ -1,10 +1,15 @@
 """Reverse-mode differentiation through recorded trajectories vs finite differences."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from maflow import potential
 from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, PotentialParams,
                     StaleTapeError, SymmetrizedPotential, backprop, gaussian_log_density,
                     init_params, integrate, ising_group, nll_loss, replay, variational_loss)
@@ -174,14 +179,124 @@ def test_gradcheck_suite():
     assert run_gradcheck(seed=0) < 1e-4
 
 
-def test_non_finite_reverse_pass_is_a_numeric_error():
-    # overflow inside the reverse pass: no RuntimeWarning, and the error names a step
+def test_non_finite_reverse_pass_is_a_numeric_error(fold_on):
+    # overflow inside the reverse pass: no RuntimeWarning, on either thread, and the
+    # error names a step
     p = init_params(3, 8, np.random.default_rng(0))
     p = PotentialParams(p.W * 30.0, p.b, p.a * 1e4, 0.0)
     X = np.random.default_rng(0).standard_normal((4, 3))
     _, traj = make_trajectory(p, X, steps=3)
     with pytest.raises(NumericError, match="step"):
         backprop(traj, p, np.full((4, 3), 1e308), np.zeros(4))
+
+
+@pytest.mark.parametrize("mode", [None, "sampled", "average"])
+def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, mode):
+    p = random_params(4, 16, seed=21)
+    pot = MLPPotential(p)
+    if mode is not None:
+        pot = SymmetrizedPotential(pot, ising_group(2), mode=mode, resample="stage")
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((6, 4))
+    st = FlowState(X, gaussian_log_density(X), 0.0)
+    _, traj = integrate(pot, st, IntegratorConfig(0.1, 5), rng=rng, record=True)
+    d_x, d_l = rng.standard_normal((6, 4)), rng.standard_normal(6)
+    grads = []
+    for size in (1 << 62, 0):
+        monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size)
+        grads.append(backprop(traj, pot, d_x, d_l).param_grad.to_vector())
+    assert np.array_equal(grads[0], grads[1])
+    assert any(t.name.startswith("maflow-dW") for t in threading.enumerate())
+
+
+def test_worker_exception_surfaces_from_backprop(monkeypatch):
+    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", 0)
+    product, threads = potential._product, []
+
+    def failing(*args):
+        threads.append(threading.current_thread().name)
+        if len(threads) == 3:
+            raise RuntimeError("product failed")
+        product(*args)
+
+    monkeypatch.setattr(potential, "_product", failing)
+    p = random_params(3, 8, seed=22)
+    X = np.random.default_rng(22).standard_normal((5, 3))
+    _, traj = make_trajectory(p, X, steps=4)
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(backprop(traj, p, np.ones_like(X), np.ones(5)))
+        except RuntimeError as e:
+            outcome.append(e)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(60)
+    assert not t.is_alive()
+    assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "product failed"
+    assert threads[2].startswith("maflow-dW")
+    # the worker survives a failed task
+    monkeypatch.setattr(potential, "_product", product)
+    assert np.isfinite(backprop(traj, p, np.ones_like(X), np.ones(5))
+                       .param_grad.to_vector()).all()
+
+
+def test_concurrent_reverse_passes_share_the_worker(monkeypatch):
+    # more callers than cores, each with its own sum on the one worker
+    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", 0)
+    p = random_params(5, 32, seed=24)
+    X = np.random.default_rng(24).standard_normal((7, 5))
+    _, traj = make_trajectory(p, X, steps=6)
+    cots = [(np.full_like(X, 0.5 + j), np.full(7, 1.0 - j)) for j in range(6)]
+    want = [backprop(traj, p, *c).param_grad.to_vector() for c in cots]
+    got = [None] * len(cots)
+
+    def run(j):
+        got[j] = backprop(traj, p, *cots[j]).param_grad.to_vector()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,), daemon=True) for j in range(len(cots))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def test_one_worker_thread_started_by_the_reverse_pass_only():
+    code = """
+import threading
+n0 = threading.active_count()
+import numpy as np
+import maflow
+from maflow import IntegratorConfig, build_potential, init_params, log_prob, nll_loss, sample
+B, n = 100, 784
+h = -(-maflow.potential._WORKER_MIN_SIZE // (2 * B * n))   # products just big enough
+rng = np.random.default_rng(0)
+pot = build_potential(init_params(n, h, rng))
+cfg = IntegratorConfig(0.1, 2)
+X = sample(pot, B, cfg, rng).X
+log_prob(pot, X, cfg)
+counts = [threading.active_count() - n0]
+for _ in range(2):
+    nll_loss(pot, X, cfg)
+    counts.append(threading.active_count() - n0)
+print(counts)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 1, 1]"
 
 
 class RecordingPotential:

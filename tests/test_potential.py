@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
-from maflow import (MLPPotential, PotentialParams, eval_batch, eval_potential,
-                    init_params, param_vjp)
+from maflow import (MLPPotential, PotentialParams, SymmetrizedPotential, eval_batch,
+                    eval_potential, init_params, param_vjp, z2_group)
 from maflow.potential import logistic
 
 LN2 = 0.6931471805599453
@@ -210,7 +210,8 @@ def test_engine_vjp_matches_per_point_vjp():
     WG = rng.standard_normal((7, 4))
     WL = rng.standard_normal(7)
     eng = MLPPotential(p)
-    flat, dX = eng.vjp(X, WG, WL)
+    pg, dX = eng.vjp(X, WG, WL)
+    flat = pg.to_vector()
     acc = np.zeros(p.size)
     for i in range(7):
         g, dx = param_vjp(p, X[i], WG[i], WL[i])
@@ -285,8 +286,40 @@ def test_engine_vjp_equals_dgemm_accumulation_bitwise(n, h, B):
     p = random_params(n, h, seed=22)
     rng = np.random.default_rng(10)
     X, WG, WL = rng.standard_normal((B, n)), rng.standard_normal((B, n)), rng.standard_normal(B)
-    flat, _ = MLPPotential(p).vjp(X, WG, WL)
-    assert np.array_equal(flat, dgemm_vjp(p, X, WG, WL))
+    pg, _ = MLPPotential(p).vjp(X, WG, WL)
+    assert np.array_equal(pg.to_vector(), dgemm_vjp(p, X, WG, WL))
+
+
+def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
+    # mixed batch sizes and an average-mode sum (itself |G| calls with scaled cotangents)
+    n, h = 6, 24
+    p = random_params(n, h, seed=23)
+    eng = MLPPotential(p)
+    sym = SymmetrizedPotential(eng, z2_group(n), mode="average")
+    rng = np.random.default_rng(11)
+    calls = [(pot, rng.standard_normal((B, n)), rng.standard_normal((B, n)),
+              rng.standard_normal(B)) for pot, B in ((eng, 3), (sym, 5), (eng, 1), (eng, 8),
+                                                      (sym, 2), (eng, 5))]
+    total = None
+    for pot, X, WG, WL in calls:
+        pg, _ = pot.vjp(X, WG, WL)
+        total = pg if total is None else total.add(pg)
+    ref = np.zeros(p.size)
+    for pot, X, WG, WL in calls:
+        if pot is eng:
+            ref += eng.vjp(X, WG, WL)[0].to_vector()
+            continue
+        k = len(sym.group)
+        for m in range(k):
+            ref += eng.vjp(sym._transform(m, X), sym._transform(m, WG), WL)[0].to_vector() / k
+    vec = total.to_vector()
+    assert np.abs(vec - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert total.to_vector() is vec
+    with pytest.raises(ValueError, match="materialized"):
+        total.add(eng.vjp(X, WG, WL)[0])
+    other = MLPPotential(random_params(n, h, seed=24)).vjp(X, WG, WL)[0]
+    with pytest.raises(ValueError, match="different parameters"):
+        eng.vjp(X, WG, WL)[0].add(other)
 
 
 def saturated_params(n, h, seed):
@@ -309,7 +342,8 @@ def test_engine_agrees_with_reference_on_saturated_units():
     ref = eval_batch(p, X)
     assert np.abs(G - ref.grad).max() < 1e-12
     assert np.abs(lap - ref.laplacian).max() < 1e-12
-    flat, dX = eng.vjp(X, WG, WL, aux=S)
+    pg, dX = eng.vjp(X, WG, WL, aux=S)
+    flat = pg.to_vector()
     acc = np.zeros(p.size)
     for i in range(16):
         g, dx = param_vjp(p, X[i], WG[i], WL[i])
@@ -319,7 +353,7 @@ def test_engine_agrees_with_reference_on_saturated_units():
 
 
 def test_engine_vjp_builds_no_weight_sized_temporary():
-    # B small against (h, n): any (h, n) temporary besides the result breaks the bound
+    # B small against (h, n): vjp keeps dW factored, so any (h, n) array breaks the bound
     B, n, h = 8, 256, 512
     p = random_params(n, h, seed=19)
     rng = np.random.default_rng(9)
@@ -330,11 +364,11 @@ def test_engine_vjp_builds_no_weight_sized_temporary():
     _, _, S = eng.grad_lap(X)
     tracemalloc.start()
     try:
-        flat, _ = eng.vjp(X, WG, WL, aux=S)
+        eng.vjp(X, WG, WL, aux=S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < flat.nbytes + p.W.nbytes // 2
+    assert peak < p.W.nbytes // 2
 
 
 def test_to_from_vector_roundtrip():
