@@ -180,20 +180,35 @@ def _cmd_sample(args):
 
 
 def _cmd_logprob(args):
+    """Model log-density of CSV rows, or of IDX images in pixel space.
+
+    An IDX image is read as its dequantized bytes in [0, 256)^n.  Its
+    log-density is the model's in logit space plus the log-det of the logit
+    map, minus n ln 256 for the scaling to [0, 1); bits/dim is the mean NLL
+    over n ln 2, the convention of RealNVP (Dinh et al. 2016).
+    """
     pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
     rng = np.random.default_rng(args.seed)
+    pixel_logdet = None
     if args.data.endswith((".idx", "-ubyte")) or args.idx:
         ds = data_mod.load_idx(args.data)
-        ds, _ = data_mod.logit_transform(data_mod.dequantize(ds, rng), cfg.logit_lambda)
+        ds, pixel_logdet = data_mod.logit_transform(data_mod.dequantize(ds, rng),
+                                                    cfg.logit_lambda)
         X = ds.X
+        pixel_logdet -= X.shape[1] * math.log(256.0)
     else:
         X = data_mod.load_csv(args.data)
     if X.shape[1] != pot.n_dim:
         raise ConfigError(f"data dimension {X.shape[1]} does not match checkpoint {pot.n_dim}")
     icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps, BACKWARD)
     lp = log_prob(pot, X, icfg, rng=rng)
+    bpd = ""
+    if pixel_logdet is not None:
+        lp += pixel_logdet
+        bpd = f", bits/dim {float(-lp.mean() / (X.shape[1] * math.log(2.0)))!r}"
     data_mod.save_csv(args.out, lp[:, None])
-    print(f"mean NLL {float(-lp.mean())!r} over {X.shape[0]} rows; per-row log-densities in {args.out}")
+    print(f"mean NLL {float(-lp.mean())!r} over {X.shape[0]} rows{bpd}; "
+          f"per-row log-densities in {args.out}")
     return 0
 
 
@@ -282,7 +297,8 @@ def build_parser():
     l = sub.add_parser("logprob", help="model log-density of data rows")
     l.add_argument("--ckpt", required=True)
     l.add_argument("--data", required=True, help="CSV of points, or an IDX image file")
-    l.add_argument("--out", required=True, help="output CSV of per-row log-densities")
+    l.add_argument("--out", required=True,
+                   help="output CSV of per-row log-densities (pixel space for IDX images)")
     l.add_argument("--idx", action="store_true", help="force IDX parsing of --data")
     l.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
     l.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None)

@@ -2,19 +2,20 @@
 
 The tape stores, for every integration step, the entry state (x0, l0), the
 signed step, and the four stage evaluations: gradients (B, n), Laplacians
-(B,), the evaluator contexts and the evaluator's saved activations (B, h)
-for ``MLPPotential``.  That is B*(5n + 4h + 5)*8 bytes per step.  The stage
-inputs are not stored: stage i+1 starts at x0 + c_i*eta*g_i, so
-``StepRecord.stage_x`` rebuilds them from x0 and the stored gradients with
-the integrator's own expression, bit for bit.
+(B,) and the evaluator contexts.  That is B*(5n + 5)*8 bytes per step,
+whatever the evaluator's hidden width: ``vjp`` recomputes the hidden-layer
+activations from the stage input.  The stage inputs are not stored either:
+stage i+1 starts at x0 + c_i*eta*g_i, so ``StepRecord.stage_x`` rebuilds
+them from x0 and the stored gradients with the integrator's own expression,
+bit for bit.
 
 The reverse pass differentiates the *discrete* RK4 map, so gradients are
 exact at any step size; they approximate the continuous adjoint only in the
 limit of small steps, which is irrelevant here because the loss is defined
 on the discrete map itself.
 
-Memory is O(steps * batch * (dim + hidden)): every step is kept, no
-checkpoint / recompute scheme.
+Memory is O(steps * batch * dim): every step is kept, and only the
+activations inside a stage are recomputed, not whole steps.
 
 The parameter gradient is one ``ParamGrad`` for the whole trajectory.  Each
 stage's ``vjp`` adds its db, da and t2 at once and its dW product L^T R into
@@ -65,9 +66,9 @@ def combine_stages(x0, l0, eta, grads, laps):
 class StepRecord:
     """Everything needed to replay and to reverse one RK4 step.
 
-    Holds B*(5n + 4h + 5)*8 bytes for an ``MLPPotential`` (x0, l0, four
-    gradients, four Laplacians, four (B, h) activation caches).  The stage
-    inputs are not stored; ``stage_x`` rebuilds them bit for bit.
+    Holds B*(5n + 5)*8 bytes (x0, l0, four gradients, four Laplacians) for
+    any evaluator.  The stage inputs are not stored; ``stage_x`` rebuilds
+    them bit for bit.
     """
 
     x0: np.ndarray          # entry positions (B, n)
@@ -76,7 +77,12 @@ class StepRecord:
     stage_grad: tuple       # 4 gradient-field evaluations
     stage_lap: tuple        # 4 Laplacian evaluations
     stage_ctx: tuple        # 4 evaluator contexts (e.g. sampled group element)
-    stage_aux: tuple        # 4 evaluator-private caches for the reverse pass
+
+    @property
+    def stage_aux(self):
+        # compatibility name: perfbench's tape_bytes iterates it; removed with
+        # benchmark v2 (ROADMAP direction 1)
+        return (None,) * 4
 
     @property
     def stage_x(self):
@@ -157,8 +163,7 @@ def backprop(traj, potential, d_x_final, d_l_final):
             lbar = [(eta * w / 6.0) * d_l for w in _RK4_WEIGHTS]
             d_x_new = d_x.copy()
             for i in (3, 2, 1, 0):
-                pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i],
-                                   ctx=rec.stage_ctx[i], aux=rec.stage_aux[i])
+                pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i], ctx=rec.stage_ctx[i])
                 if pg is not None:
                     grad = pg if grad is None else grad.add(pg)
                 d_x_new += xcot

@@ -136,13 +136,12 @@ def rk4_step(potential, state, epsilon, direction=FORWARD, ctx=None, record=Fals
 
     x0, l0 = state.X, state.L
 
-    aux, grads, laps = [], [], []
+    grads, laps = [], []
     xi = x0
     # overflow surfaces as a non-finite value, reported below with its row
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(4):
-            g, lap, a = pot.grad_lap(xi, ctx[i])
-            aux.append(a)
+            g, lap = pot.grad_lap(xi, ctx[i])
             grads.append(g)
             laps.append(lap)
             if i < 3:
@@ -158,7 +157,7 @@ def rk4_step(potential, state, epsilon, direction=FORWARD, ctx=None, record=Fals
     new_state = FlowState(x1, l1, state.t + eta)
     rec = None
     if record:
-        rec = StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx, tuple(aux))
+        rec = StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx)
     return new_state, rec
 
 

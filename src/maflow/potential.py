@@ -24,6 +24,11 @@ logistic make it agree with the reference path to ~1e-12 absolute, not
 bitwise.  The engine caches a_k W_k and a_k |W_k|^2 when it is built;
 parameters are read-only, so the caches cannot go stale.
 
+``MLPPotential.grad_lap`` returns no activations to keep: ``vjp`` recomputes
+S = s(X W^T + b) from X, in the same GEMM as its U = w_grad W^T (one product
+over the stack [X; w_grad]), so the tape of a trajectory holds no (B, h)
+array and the recomputed S is bitwise the forward pass's.
+
 ``MLPPotential.vjp`` returns its parameter gradient as a ``ParamGrad``: the
 (h, n) block dW stays factored as L^T R plus a term linear in W until
 ``to_vector``, so the reverse pass sums one dense dW over a whole trajectory
@@ -251,16 +256,18 @@ class MLPPotential:
     parameter gradient is a ``ParamGrad`` that holds dW as factors, and
     ``ParamGrad.to_vector`` builds the flat vector in the ``PotentialParams``
     layout (W row-major, b, a, c).  The logistic is ``1/2 + 1/2 tanh(z/2)``
-    (see ``_activations``), within 2.3e-16 absolute of the reference
+    (see ``_squash``), within 2.3e-16 absolute of the reference
     kernels' ``logistic``.
+
+    ``vjp`` takes no activations from ``grad_lap``: it recomputes them
+    through one stacked product [X; w_grad] W^T, bitwise equal to the
+    forward pass's.
 
     ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
     evaluator, and ``fingerprint`` caches its digest on the first call.
     The wrapped ``PotentialParams`` are read-only, so the caches stay valid
     and the evaluator is stateless and safe to share.
     """
-
-    trainable = True
 
     def __init__(self, params):
         self.params = params
@@ -273,55 +280,60 @@ class MLPPotential:
     def n_dim(self):
         return self.params.n_dim
 
-    @property
-    def grad_size(self):
-        return self.params.size
-
     def begin_trajectory(self, rng):
         """Stage contexts of one trajectory: none, every stage evaluates the same field."""
         return None
 
     def _activations(self, X):
-        """S = s(X W^T + b), in place in the matmul's output.
+        """S = s(X W^T + b), in place in the matmul's output."""
+        return self._squash(X @ self.params.W.T)
+
+    def _squash(self, Z):
+        """s(Z + b) in place in Z, for Z a product X W^T.
 
         ``1/2 + 1/2 tanh(z/2)`` is the logistic through numpy's vectorized
         tanh; it cannot overflow for any finite or infinite z.
         """
-        S = X @ self.params.W.T
-        S += self.params.b
-        S *= 0.5
-        np.tanh(S, out=S)
-        S *= 0.5
-        S += 0.5
-        return S
+        Z += self.params.b
+        Z *= 0.5
+        np.tanh(Z, out=Z)
+        Z *= 0.5
+        Z += 0.5
+        return Z
 
     def grad_lap(self, X, ctx=None):
-        """Gradient field and Laplacian for every row of X.
+        """Gradient field (B, n) and Laplacian (B,) for every row of X.
 
-        Returns (grad (B, n), lap (B,), aux); aux carries the hidden-layer
-        activations for reuse in ``vjp`` on the reverse pass.
+        Nothing is kept for the reverse pass: ``vjp`` recomputes the
+        activations from X.
         """
         S = self._activations(X)
         G = S @ self._aW
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)
-        return G, Sp @ self._a_rowsq, S
+        return G, Sp @ self._a_rowsq
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """Batch-accumulated derivatives of sum_i [w_grad_i . grad_i + w_lap_i * lap_i].
 
         Returns (``ParamGrad``, per-row x cotangents (B, n)).  The parameter
-        gradient stays factored until ``ParamGrad.to_vector``.  ``aux`` may
-        carry activations saved by ``grad_lap``; otherwise they are
-        recomputed.  ``aux`` is only read.
+        gradient stays factored until ``ParamGrad.to_vector``.  The
+        activations S are recomputed: one GEMM gives [X; w_grad] W^T, whose
+        rows :B become S through the same passes as in ``grad_lap`` and
+        whose rows B: are U = w_grad W^T.
         """
+        if aux is not None:
+            # compatibility keyword for perfbench's TimingProxy; removed with
+            # benchmark v2 (ROADMAP direction 1)
+            raise ValueError("vjp recomputes the activations; aux must be None")
         p = self.params
         W, a, rowsq = p.W, p.a, self._rowsq
         B, h = X.shape[0], p.n_hidden
-        S = aux if aux is not None else self._activations(X)
+        R = np.concatenate([X, w_grad])
+        ZU = R @ W.T
+        S, U = self._squash(ZU[:B]), ZU[B:]
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s'
-        U = w_grad @ W.T
         t2 = w_lap @ Sp
         da = np.einsum("bk,bk->k", S, U)
         da += t2 * rowsq
@@ -338,7 +350,7 @@ class MLPPotential:
         np.multiply(S, a, out=aS)
         db = np.sum(aBm, axis=0)
         dX = aBm @ W
-        return ParamGrad(p, L, np.concatenate([X, w_grad]), db, da, t2), dX
+        return ParamGrad(p, L, R, db, da, t2), dX
 
     def grad_to_params(self, flat):
         """The flat gradient as read-only PotentialParams viewing ``flat``, without a copy."""

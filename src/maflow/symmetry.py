@@ -253,16 +253,8 @@ class SymmetrizedPotential:
         self._fingerprint = None
 
     @property
-    def trainable(self):
-        return self.base.trainable
-
-    @property
     def n_dim(self):
         return self.base.n_dim
-
-    @property
-    def grad_size(self):
-        return self.base.grad_size
 
     def begin_trajectory(self, rng):
         """Stage contexts of one trajectory: an endless iterator of element indices.
@@ -295,21 +287,24 @@ class SymmetrizedPotential:
 
     def grad_lap(self, X, ctx=None):
         if ctx is not None:
-            G, lap, aux = self.base.grad_lap(self._transform(ctx, X))
-            return self._untransform(ctx, G), lap, aux
+            G, lap = self.base.grad_lap(self._transform(ctx, X))
+            return self._untransform(ctx, G), lap
         Gs = np.zeros_like(X)
         laps = np.zeros(X.shape[0])
         for m in range(len(self.group)):
-            G, lap, _ = self.base.grad_lap(self._transform(m, X))
+            G, lap = self.base.grad_lap(self._transform(m, X))
             Gs += self._untransform(m, G)
             laps += lap
         k = float(len(self.group))
-        return Gs / k, laps / k, None
+        return Gs / k, laps / k
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
+        if aux is not None:
+            # compatibility keyword for perfbench's TimingProxy; removed with
+            # benchmark v2 (ROADMAP direction 1)
+            raise ValueError("vjp recomputes the activations; aux must be None")
         if ctx is not None:
-            pg, xc = self.base.vjp(self._transform(ctx, X), self._transform(ctx, w_grad),
-                                   w_lap, aux=aux)
+            pg, xc = self.base.vjp(self._transform(ctx, X), self._transform(ctx, w_grad), w_lap)
             return pg, self._untransform(ctx, xc)
         # a vjp is linear in its cotangents: scale them instead of the |G|-term sums
         k = float(len(self.group))

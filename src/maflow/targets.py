@@ -35,8 +35,6 @@ class QuadraticPotential:
     be measured against the exact exponential solution.
     """
 
-    trainable = False
-
     def __init__(self, rate, n_dim):
         self.rate = float(rate)
         self.n_dim = int(n_dim)
@@ -45,9 +43,9 @@ class QuadraticPotential:
         return None
 
     def grad_lap(self, X, ctx=None):
-        return self.rate * X, np.full(X.shape[0], self.rate * self.n_dim), None
+        return self.rate * X, np.full(X.shape[0], self.rate * self.n_dim)
 
-    def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
+    def vjp(self, X, w_grad, w_lap, ctx=None):
         return None, self.rate * w_grad
 
     def fingerprint(self):

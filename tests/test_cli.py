@@ -2,14 +2,16 @@
 
 import json
 import math
+import re
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from maflow import Checkpoint, TrainConfig, init_params, save_checkpoint
+from maflow import Checkpoint, PotentialParams, TrainConfig, init_params, save_checkpoint
 from maflow import cli
+from maflow import data as data_mod
 from maflow.cli import _SCHEMA, load_run_config, main
 
 
@@ -135,6 +137,37 @@ def test_train_then_logprob_end_to_end(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     assert line.startswith("mean NLL ")
     assert math.isfinite(float(line.split()[2]))
+
+
+def test_idx_logprob_of_identity_flow_is_closed_form_bits_per_dim(tmp_path, capsys):
+    # a = 0 makes phi constant, so the flow is the identity and the pixel-space density
+    # is a product over pixels: N(z) |dz/dx| / 256 with z = logit(lam + (1 - 2 lam) x)
+    count, rows, cols, h, lam, seed = 6, 3, 4, 8, 1e-3, 5
+    n = rows * cols
+    rng = np.random.default_rng(1)
+    images = rng.integers(0, 256, size=(count, rows, cols))
+    data_mod.write_idx(str(tmp_path / "images.idx"), images)
+    params = PotentialParams(rng.standard_normal((h, n)), rng.standard_normal(h), np.zeros(h))
+    save_checkpoint(tmp_path / "identity.ckpt",
+                    Checkpoint(TrainConfig.for_density(hidden=h, logit_lambda=lam), params,
+                               None, 0, 0, rng.bit_generator.state))
+    out = tmp_path / "lp.csv"
+    assert main(["logprob", "--ckpt", str(tmp_path / "identity.ckpt"), "--seed", str(seed),
+                 "--data", str(tmp_path / "images.idx"), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+
+    x = (images.reshape(count, n) + np.random.default_rng(seed).random((count, n))) / 256.0
+    y = lam + (1.0 - 2.0 * lam) * x
+    z = np.log(y) - np.log1p(-y)
+    per_pixel = -0.5 * (math.log(2.0 * math.pi) + z * z) + math.log1p(-2.0 * lam) \
+        - np.log(y) - np.log1p(-y) - math.log(256.0)
+    lp = per_pixel.sum(axis=1)
+    bits_per_dim = -lp.mean() / (n * math.log(2.0))
+    assert np.abs(np.loadtxt(out, delimiter=",") - lp).max() <= 1e-12 * np.abs(lp).max()
+    printed = re.fullmatch(r"mean NLL (\S+) over 6 rows, bits/dim (\S+); per-row .*", line)
+    assert printed, line
+    assert float(printed[1]) == pytest.approx(-lp.mean(), rel=1e-12, abs=0)
+    assert abs(float(printed[2]) - bits_per_dim) <= 1e-12
 
 
 def test_resume_with_other_hidden_exits_2(tmp_path, capsys):

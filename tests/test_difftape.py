@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,21 +335,53 @@ def test_rebuilt_stage_inputs_equal_evaluated_ones(direction, symmetrized):
             assert np.array_equal(xs[i], rec_pot.seen[4 * k + i])
 
 
+def stored_arrays(rec):
+    """The arrays a tape record holds in its dataclass fields."""
+    out = []
+    for f in dataclasses.fields(rec):
+        v = getattr(rec, f.name)
+        out.extend(a for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
+    return out
+
+
 def test_tape_holds_no_stage_inputs():
     B, n, h, steps = 5, 3, 8, 4
     p = random_params(n, h, seed=20)
     X = np.random.default_rng(20).standard_normal((B, n))
     _, traj = make_trajectory(p, X, steps=steps)
-    names = [f.name for f in dataclasses.fields(StepRecord)]
-    assert "stage_x" not in names
+    assert "stage_x" not in [f.name for f in dataclasses.fields(StepRecord)]
     total = 0
     for rec in traj.steps:
-        stored = []
-        for name in names:
-            v = getattr(rec, name)
-            stored.extend(v if isinstance(v, tuple) else [v])
-        stored = [a for a in stored if isinstance(a, np.ndarray)]
+        stored = stored_arrays(rec)
         total += sum(a.nbytes for a in stored)
         for xs in rec.stage_x[1:]:
             assert not any(a.shape == xs.shape and np.array_equal(a, xs) for a in stored)
-    assert total == steps * B * (5 * n + 4 * h + 5) * 8
+    assert total == steps * B * (5 * n + 5) * 8
+
+
+def test_tape_bytes_do_not_depend_on_hidden_width():
+    B, n, steps = 5, 3, 4
+    X = np.random.default_rng(21).standard_normal((B, n))
+    sizes = []
+    for h in (8, 256):
+        _, traj = make_trajectory(random_params(n, h, seed=21), X, steps=steps)
+        sizes.append(sum(a.nbytes for rec in traj.steps for a in stored_arrays(rec)))
+    assert sizes == [steps * B * (5 * n + 5) * 8] * 2
+
+
+def test_loss_and_grad_peak_stays_below_the_activation_caches():
+    # a tape that kept the four (B, h) activations of every step would hold this alone
+    B, n, h, steps = 16, 32, 512, 8
+    caches = steps * 4 * B * h * 8
+    p = random_params(n, h, seed=22, amp=1.0)
+    X = np.random.default_rng(22).standard_normal((B, n))
+    cfg = IntegratorConfig(0.05, steps, "backward")
+    nll_loss(p, X, cfg)     # warm-up: lazy imports and first-call allocations
+    tracemalloc.start()
+    try:
+        res = nll_loss(p, X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.grad is not None
+    assert peak < caches

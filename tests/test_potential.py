@@ -198,7 +198,7 @@ def test_vectorized_engine_agrees_with_reference():
     X = np.random.default_rng(5).standard_normal((10, 5))
     ref = eval_batch(p, X)
     eng = MLPPotential(p)
-    G, lap, _ = eng.grad_lap(X)
+    G, lap = eng.grad_lap(X)
     assert np.abs(G - ref.grad).max() < 1e-12
     assert np.abs(lap - ref.laplacian).max() < 1e-12
 
@@ -338,11 +338,11 @@ def test_engine_agrees_with_reference_on_saturated_units():
     WG = rng.standard_normal((16, 6))
     WL = rng.standard_normal(16)
     eng = MLPPotential(p)
-    G, lap, S = eng.grad_lap(X)
+    G, lap = eng.grad_lap(X)
     ref = eval_batch(p, X)
     assert np.abs(G - ref.grad).max() < 1e-12
     assert np.abs(lap - ref.laplacian).max() < 1e-12
-    pg, dX = eng.vjp(X, WG, WL, aux=S)
+    pg, dX = eng.vjp(X, WG, WL)
     flat = pg.to_vector()
     acc = np.zeros(p.size)
     for i in range(16):
@@ -361,14 +361,25 @@ def test_engine_vjp_builds_no_weight_sized_temporary():
     WG = rng.standard_normal((B, n))
     WL = rng.standard_normal(B)
     eng = MLPPotential(p)
-    _, _, S = eng.grad_lap(X)
     tracemalloc.start()
     try:
-        eng.vjp(X, WG, WL, aux=S)
+        eng.vjp(X, WG, WL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < p.W.nbytes // 2
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_vjp_refuses_saved_activations(symmetrized):
+    n, h, B = 4, 8, 3
+    pot = MLPPotential(random_params(n, h, seed=25))
+    if symmetrized:
+        pot = SymmetrizedPotential(pot, z2_group(n), mode="sampled")
+    rng = np.random.default_rng(12)
+    X, WG, WL = rng.standard_normal((B, n)), rng.standard_normal((B, n)), rng.standard_normal(B)
+    with pytest.raises(ValueError, match="aux must be None"):
+        pot.vjp(X, WG, WL, ctx=1 if symmetrized else None, aux=np.zeros((B, h)))
 
 
 def test_to_from_vector_roundtrip():
