@@ -9,10 +9,10 @@ optionally with a symmetrized potential.
 
 from .difftape import BackpropResult, Trajectory, backprop, replay
 from .errors import ConfigError, FormatError, MaflowError, NumericError, StaleTapeError
-from .flow import (FlowState, IntegratorConfig, as_potential, gaussian_base,
-                   gaussian_log_density, integrate, log_prob, rk4_step, sample)
-from .potential import (MLPPotential, ParamGrad, PotentialEval, PotentialParams, eval_batch,
-                        eval_potential, init_params, param_vjp)
+from .flow import (FlowState, IntegratorConfig, gaussian_base, gaussian_log_density,
+                   integrate, log_prob, rk4_step, sample)
+from .potential import (MLPPotential, ParamGrad, PotentialEval, PotentialParams, as_potential,
+                        eval_batch, eval_potential, init_params, param_vjp)
 from .symmetry import (GroupElement, SymmetrizedPotential, SymmetryGroup, apply,
                        build_potential, compose, d4_group, group_by_name, identity,
                        inverse, ising_group, symmetrized_eval, trivial_group, z2_group)

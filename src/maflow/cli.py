@@ -40,8 +40,7 @@ _SCHEMA = {
         "learning_rate", "grad_clip", "checkpoint_every", "max_steps")},
     "symmetry": {"group": "symmetry", "mode": "symmetry_mode", "resample": "resample"},
     "dataset": {
-        "name": ((str,), None), "path": ((str, type(None)), None),
-        "labels_path": ((str, type(None)), None), "lambda": "logit_lambda",
+        "name": ((str,), None), "path": ((str, type(None)), None), "lambda": "logit_lambda",
         "size": ((int,), "[0, inf)"),
     },
     "ising": {"L": ((int,), None), "beta": ((float,), "(-inf, inf)")},
@@ -85,8 +84,7 @@ def load_run_config(path):
     if "task" not in raw:
         raise ConfigError("config key 'task' is required: 'density' or 'ising'")
 
-    ds = {"name": "mixture-of-8", "path": None, "labels_path": None, "size": 10000,
-          **raw.get("dataset", {})}
+    ds = {"name": "mixture-of-8", "path": None, "size": 10000, **raw.get("dataset", {})}
     ising = {"L": 4, "beta": CRITICAL_COUPLING, **raw.get("ising", {})}
     make = TrainConfig.for_density if raw["task"] == "density" else TrainConfig.for_ising
     return {"task": raw["task"], "config": make(**overrides), "dataset": ds, "ising": ising,
@@ -106,11 +104,9 @@ def _build_target(run):
     if ds["name"] == "idx":
         if not ds["path"]:
             raise ConfigError("dataset.name 'idx' needs dataset.path")
-        loaded = data_mod.load_idx(ds["path"], ds["labels_path"])
+        loaded = data_mod.load_idx(ds["path"])
         if ds["size"] and ds["size"] < len(loaded):
-            loaded = data_mod.Dataset(loaded.X[: ds["size"]].copy(), loaded.space,
-                                      None if loaded.labels is None
-                                      else loaded.labels[: ds["size"]].copy())
+            loaded = data_mod.Dataset(loaded.X[: ds["size"]].copy(), loaded.space)
         return loaded
     if ds["name"] == "csv":
         if not ds["path"]:
@@ -182,30 +178,23 @@ def _cmd_sample(args):
 def _cmd_logprob(args):
     """Model log-density of CSV rows, or of IDX images in pixel space.
 
-    An IDX image is read as its dequantized bytes in [0, 256)^n.  Its
-    log-density is the model's in logit space plus the log-det of the logit
-    map, minus n ln 256 for the scaling to [0, 1); bits/dim is the mean NLL
-    over n ln 2, the convention of RealNVP (Dinh et al. 2016).
+    A file that starts with the IDX magic is read as images, anything else
+    as CSV.  An IDX image is read as its dequantized bytes in [0, 256)^n:
+    its log-density is the model's in logit space plus the log-det of
+    ``data.model_space``; bits/dim is the mean NLL over n ln 2, the
+    convention of RealNVP (Dinh et al. 2016).
     """
     pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
     rng = np.random.default_rng(args.seed)
-    pixel_logdet = None
-    if args.data.endswith((".idx", "-ubyte")) or args.idx:
-        ds = data_mod.load_idx(args.data)
-        ds, pixel_logdet = data_mod.logit_transform(data_mod.dequantize(ds, rng),
-                                                    cfg.logit_lambda)
-        X = ds.X
-        pixel_logdet -= X.shape[1] * math.log(256.0)
-    else:
-        X = data_mod.load_csv(args.data)
+    ds = (data_mod.load_idx(args.data) if data_mod.is_idx(args.data)
+          else data_mod.Dataset(data_mod.load_csv(args.data)))
+    X, logdet = data_mod.model_space(ds, rng, cfg.logit_lambda)
     if X.shape[1] != pot.n_dim:
         raise ConfigError(f"data dimension {X.shape[1]} does not match checkpoint {pot.n_dim}")
     icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps, BACKWARD)
-    lp = log_prob(pot, X, icfg, rng=rng)
-    bpd = ""
-    if pixel_logdet is not None:
-        lp += pixel_logdet
-        bpd = f", bits/dim {float(-lp.mean() / (X.shape[1] * math.log(2.0)))!r}"
+    lp = log_prob(pot, X, icfg, rng=rng) + logdet
+    bpd = (f", bits/dim {float(-lp.mean() / (X.shape[1] * math.log(2.0)))!r}"
+           if ds.space == data_mod.RAW else "")
     data_mod.save_csv(args.out, lp[:, None])
     print(f"mean NLL {float(-lp.mean())!r} over {X.shape[0]} rows{bpd}; "
           f"per-row log-densities in {args.out}")
@@ -296,10 +285,10 @@ def build_parser():
 
     l = sub.add_parser("logprob", help="model log-density of data rows")
     l.add_argument("--ckpt", required=True)
-    l.add_argument("--data", required=True, help="CSV of points, or an IDX image file")
+    l.add_argument("--data", required=True,
+                   help="CSV of points, or an IDX image file (recognized by its magic)")
     l.add_argument("--out", required=True,
                    help="output CSV of per-row log-densities (pixel space for IDX images)")
-    l.add_argument("--idx", action="store_true", help="force IDX parsing of --data")
     l.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
     l.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None)
     l.add_argument("--steps", type=_flag(int, "[1, inf)"), default=None)

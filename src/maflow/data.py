@@ -1,13 +1,15 @@
 """Dataset ingestion and the image-to-continuous-space pipeline.
 
 Images arrive as IDX files of bytes, get uniform jitter ((byte + u)/256 with
-u ~ U[0,1)) and then a padded logit map to the whole real line.  Toy 2-d
-densities with known log-densities provide desk-scale targets for density
+u ~ U[0,1)) and then a padded logit map to the whole real line;
+``model_space`` is that pipeline, for training and evaluation alike.  Toy
+2-d densities with known log-densities provide desk-scale targets for density
 estimation.  Datasets are immutable after construction.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -21,7 +23,6 @@ LOGIT = "logit"        # unconstrained model space for image data
 PLAIN = "plain"        # already-continuous model space (toys, CSV loads)
 
 _IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
 
 TOY_NAMES = ("two-moons", "ring", "mixture-of-8")
 
@@ -38,7 +39,6 @@ class Dataset:
 
     X: np.ndarray
     space: str = PLAIN
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -62,8 +62,14 @@ def _read_exact(f, n, path, what):
     return buf
 
 
-def load_idx(images_path, labels_path=None):
-    """Load an IDX image file (and optionally its labels) into a raw Dataset.
+def is_idx(path):
+    """True when the file starts with the IDX image magic, which no CSV text can start with."""
+    with open(path, "rb") as f:
+        return f.read(4) == struct.pack(">I", _IDX_IMAGES_MAGIC)
+
+
+def load_idx(images_path):
+    """Load an IDX image file into a raw Dataset.
 
     Expects the published big-endian container: magic 0x00000803, dimension
     sizes, then unsigned bytes.  Images are flattened row-major.
@@ -79,23 +85,10 @@ def load_idx(images_path, labels_path=None):
         if extra:
             raise FormatError(f"{images_path}: trailing bytes at offset {f.tell() - 1}")
     X = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
-
-    labels = None
-    if labels_path is not None:
-        with open(labels_path, "rb") as f:
-            magic = struct.unpack(">I", _read_exact(f, 4, labels_path, "magic"))[0]
-            if magic != _IDX_LABELS_MAGIC:
-                raise FormatError(f"{labels_path}: bad magic 0x{magic:08x} at byte offset 0, "
-                                  f"expected 0x{_IDX_LABELS_MAGIC:08x}")
-            (n,) = struct.unpack(">I", _read_exact(f, 4, labels_path, "header"))
-            if n != count:
-                raise FormatError(f"{labels_path}: {n} labels for {count} images")
-            labels = np.frombuffer(_read_exact(f, n, labels_path, "label data"),
-                                   dtype=np.uint8).copy()
-    return Dataset(X, RAW, labels)
+    return Dataset(X, RAW)
 
 
-def write_idx(images_path, images, labels_path=None, labels=None):
+def write_idx(images_path, images):
     """Write byte images (n, rows, cols) as an IDX file; inverse of load_idx."""
     images = np.asarray(images)
     if images.ndim != 3:
@@ -108,11 +101,6 @@ def write_idx(images_path, images, labels_path=None, labels=None):
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, rows, cols))
         f.write(images.tobytes())
-    if labels_path is not None:
-        labels = np.asarray(labels, dtype=np.uint8)
-        with open(labels_path, "wb") as f:
-            f.write(struct.pack(">II", _IDX_LABELS_MAGIC, labels.shape[0]))
-            f.write(labels.tobytes())
 
 
 def dequantize(dataset, rng):
@@ -120,7 +108,7 @@ def dequantize(dataset, rng):
     if dataset.space != RAW:
         raise ValueError(f"dequantize expects raw byte data, got '{dataset.space}'")
     u = rng.random(dataset.X.shape)
-    return Dataset((dataset.X + u) / 256.0, UNIT, dataset.labels)
+    return Dataset((dataset.X + u) / 256.0, UNIT)
 
 
 def logit_transform(dataset, lam=1e-6):
@@ -132,9 +120,9 @@ def logit_transform(dataset, lam=1e-6):
     if dataset.space != UNIT:
         raise ValueError(f"logit_transform expects unit-interval data, got '{dataset.space}'")
     y = lam + (1.0 - 2.0 * lam) * dataset.X
-    out = np.log(y) - np.log1p(-y)
-    logdet = (np.log1p(-2.0 * lam) - np.log(y) - np.log1p(-y)).sum(axis=1)
-    return Dataset(out, LOGIT, dataset.labels), logdet
+    log_y, log_1my = np.log(y), np.log1p(-y)
+    logdet = (np.log1p(-2.0 * lam) - log_y - log_1my).sum(axis=1)
+    return Dataset(log_y - log_1my, LOGIT), logdet
 
 
 def inverse_logit_transform(dataset, lam=1e-6):
@@ -142,7 +130,23 @@ def inverse_logit_transform(dataset, lam=1e-6):
     if dataset.space != LOGIT:
         raise ValueError(f"expected logit-space data, got '{dataset.space}'")
     y = 1.0 / (1.0 + np.exp(-dataset.X))
-    return Dataset((y - lam) / (1.0 - 2.0 * lam), UNIT, dataset.labels)
+    return Dataset((y - lam) / (1.0 - 2.0 * lam), UNIT)
+
+
+def model_space(dataset, rng, lam=1e-6):
+    """The rows in model space and each row's log-det-Jacobian from the dataset's own units.
+
+    RAW bytes get fresh jitter from ``rng`` and the logit map; their log-det
+    includes -n ln 256 for the scaling to [0, 1).  UNIT data gets the logit
+    map.  Any other space is returned as it is, with zero log-det.
+    """
+    if dataset.space == RAW:
+        ds, logdet = logit_transform(dequantize(dataset, rng), lam)
+        return ds.X, logdet - dataset.n_dim * math.log(256.0)
+    if dataset.space == UNIT:
+        ds, logdet = logit_transform(dataset, lam)
+        return ds.X, logdet
+    return dataset.X, np.zeros(len(dataset))
 
 
 # ---------------------------------------------------------------------------

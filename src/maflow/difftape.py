@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, StaleTapeError
+from .potential import as_potential
 
 # classical RK4 combination weights for stages 1..4
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
@@ -99,7 +100,6 @@ class Trajectory:
 
     steps: list = field(default_factory=list)
     fingerprint: bytes = b""
-    t0: float = 0.0
 
     def __len__(self):
         return len(self.steps)
@@ -121,7 +121,7 @@ def replay(traj):
 
 @dataclass
 class BackpropResult:
-    param_grad: object        # PotentialParams gradient, or None for fixed fields
+    param_grad: object        # materialized ParamGrad, or None for fixed fields
     d_x0: np.ndarray          # cotangent w.r.t. the entry positions
     d_l0: np.ndarray          # cotangent w.r.t. the entry log-densities
 
@@ -133,11 +133,10 @@ def backprop(traj, potential, d_x_final, d_l_final):
     that produced the tape; a fingerprint mismatch raises StaleTapeError.
     Accumulation order is fixed: the per-call dW products, db, da and t2 in
     reverse step order and stages 4..1 inside each step, then the W term
-    last, so results are reproducible bit for bit.  A non-finite position
+    last, so results are reproducible bit for bit.  ``param_grad`` is the
+    sum's ``ParamGrad``, already materialized.  A non-finite position
     cotangent or parameter gradient raises NumericError.
     """
-    from .flow import as_potential  # local import to avoid a cycle at module load
-
     pot = as_potential(potential)
     if traj.fingerprint != pot.fingerprint():
         raise StaleTapeError("trajectory was recorded under different potential parameters")
@@ -175,10 +174,6 @@ def backprop(traj, potential, d_x_final, d_l_final):
                 raise NumericError(f"non-finite position cotangent in the reverse pass "
                                    f"at step {k}")
             # log-density cotangent passes through unchanged: nothing depends on l0
-        if grad is None:
-            return BackpropResult(None, d_x, d_l.copy())
-        flat = grad.to_vector()
-
-    if not np.isfinite(flat).all():
-        raise NumericError("non-finite parameter gradient in the reverse pass")
-    return BackpropResult(pot.grad_to_params(flat), d_x, d_l.copy())
+        if grad is not None and not np.isfinite(grad.to_vector()).all():
+            raise NumericError("non-finite parameter gradient in the reverse pass")
+    return BackpropResult(grad, d_x, d_l.copy())

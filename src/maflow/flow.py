@@ -8,7 +8,9 @@ The joint ODE is
 integrated forward (sampling: noise -> data) or backward (inference:
 data -> noise) with the classical fourth-order Runge-Kutta scheme at a
 fixed step.  Backward integration reuses the same stepper with a negated
-increment, so both directions cost the same.
+increment, so both directions cost the same.  Each direction has one
+integration, ``_forward`` or ``_backward``: ``sample`` and ``log_prob`` call
+them, and so do the losses in ``targets``, which also record the tape.
 
 Batch rows are independent; everything is float64 and deterministic for a
 given seed.  Non-finite intermediates abort with diagnostics instead of
@@ -25,7 +27,7 @@ import numpy as np
 
 from .difftape import StepRecord, Trajectory, combine_stages, next_stage_input
 from .errors import NumericError
-from .potential import MLPPotential, PotentialParams
+from .potential import as_potential
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -82,15 +84,6 @@ class IntegratorConfig:
     def reversed(self):
         d = BACKWARD if self.direction == FORWARD else FORWARD
         return replace(self, direction=d)
-
-
-def as_potential(obj):
-    """Coerce raw parameters into an evaluator; pass evaluators through."""
-    if isinstance(obj, PotentialParams):
-        return MLPPotential(obj)
-    if hasattr(obj, "grad_lap") and hasattr(obj, "vjp"):
-        return obj
-    raise TypeError(f"not a potential evaluator: {type(obj)!r}")
 
 
 def gaussian_log_density(X):
@@ -178,7 +171,7 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
     if state.n_dim != pot.n_dim:
         raise ValueError(f"state dimension {state.n_dim} does not match potential {pot.n_dim}")
     contexts = pot.begin_trajectory(rng)
-    traj = Trajectory(fingerprint=pot.fingerprint(), t0=state.t) if record else None
+    traj = Trajectory(fingerprint=pot.fingerprint()) if record else None
     for k in range(config.steps):
         ctx = None if contexts is None else tuple(itertools.islice(contexts, 4))
         state, rec = rk4_step(pot, state, config.epsilon, config.direction,
@@ -190,18 +183,35 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
     return state, traj
 
 
+def _forward(potential, n_samples, config, rng, record=False, callback=None):
+    """The base Gaussian pushed forward: (final state, Trajectory or None)."""
+    if config.direction != FORWARD:
+        raise ValueError("sampling integrates forward; got a backward config")
+    pot = as_potential(potential)
+    state = gaussian_base(pot.n_dim, n_samples, rng)
+    return integrate(pot, state, config, rng=rng, record=record, callback=callback)
+
+
+def _backward(potential, X, config, rng=None, record=False, callback=None):
+    """Rows of X integrated back to the base: (log-densities, base points, Trajectory or None)."""
+    pot = as_potential(potential)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != pot.n_dim:
+        raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
+    cfg = config if config.direction == BACKWARD else config.reversed()
+    state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
+    final, traj = integrate(pot, state, cfg, rng=rng, record=record, callback=callback)
+    # backward accumulation leaves +integral(lap) in L
+    return gaussian_log_density(final.X) - final.L, final.X, traj
+
+
 def sample(potential, n_samples, config, rng, callback=None):
     """Draw n_samples from the model: base Gaussian pushed forward through the flow.
 
     The returned state carries the exact model log-density of each sample
     (up to integrator truncation error) in ``L``.
     """
-    if config.direction != FORWARD:
-        raise ValueError("sampling integrates forward; got a backward config")
-    pot = as_potential(potential)
-    state = gaussian_base(pot.n_dim, n_samples, rng)
-    final, _ = integrate(pot, state, config, rng=rng, callback=callback)
-    return final
+    return _forward(potential, n_samples, config, rng, callback=callback)[0]
 
 
 def log_prob(potential, X, config, rng=None, callback=None):
@@ -210,12 +220,4 @@ def log_prob(potential, X, config, rng=None, callback=None):
     Integrates backward to the base, accumulating the Laplacian along the
     path:  ln p(x, T) = ln N(z) - integral of lap phi over the trajectory.
     """
-    pot = as_potential(potential)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != pot.n_dim:
-        raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
-    cfg = config if config.direction == BACKWARD else config.reversed()
-    state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
-    final, _ = integrate(pot, state, cfg, rng=rng, callback=callback)
-    # backward accumulation leaves +integral(lap) in L
-    return gaussian_log_density(final.X) - final.L
+    return _backward(potential, X, config, rng, callback=callback)[0]

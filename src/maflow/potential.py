@@ -83,7 +83,7 @@ class PotentialParams:
     (W row-major, b, a, c), and read-only: ``W`` (h, n), ``b`` (h,) and ``a``
     (h,) are views of it and ``c`` is its last entry, so writing into any of
     them raises ``ValueError`` and evaluators may cache what they derive from
-    the weights.  Doubles as the container for parameter-space gradients.
+    the weights.  The reference ``param_vjp`` returns its gradient in one.
     """
 
     def __init__(self, W, b, a, c=0.0):
@@ -352,15 +352,20 @@ class MLPPotential:
         dX = aBm @ W
         return ParamGrad(p, L, R, db, da, t2), dX
 
-    def grad_to_params(self, flat):
-        """The flat gradient as read-only PotentialParams viewing ``flat``, without a copy."""
-        return PotentialParams._wrap(flat, self.n_dim, self.params.n_hidden)
-
     def fingerprint(self):
         """Digest of the wrapped parameters, hashed on the first call only."""
         if self._fingerprint is None:
             self._fingerprint = b"mlp:" + self.params.fingerprint()
         return self._fingerprint
+
+
+def as_potential(obj):
+    """Coerce raw parameters into an evaluator; pass evaluators through."""
+    if isinstance(obj, PotentialParams):
+        return MLPPotential(obj)
+    if hasattr(obj, "grad_lap") and hasattr(obj, "vjp"):
+        return obj
+    raise TypeError(f"not a potential evaluator: {type(obj)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +403,10 @@ class ParamGrad:
 
     def add(self, other):
         """Fold ``other``, a gradient of the same parameters, into this sum; returns self."""
-        if other._params is not self._params:
-            raise ValueError("cannot add gradients of different parameters")
         if self._vector is not None or other._vector is not None:
             raise ValueError("cannot add to or from a materialized gradient")
+        if other._params is not self._params:
+            raise ValueError("cannot add gradients of different parameters")
         self.db += other.db
         self.da += other.da
         self.t2 += other.t2
@@ -415,7 +420,7 @@ class ParamGrad:
         return self
 
     def to_vector(self):
-        """The flat gradient in ``PotentialParams`` order (W row-major, b, a, c).
+        """The flat gradient in ``PotentialParams`` order (W row-major, b, a, c), read-only.
 
         Materializes the sum on the first call and returns the same vector
         on later ones; the gradient then takes no more ``add``.
@@ -437,7 +442,9 @@ class ParamGrad:
                 np.multiply(p.W[i:j], coef[i:j], out=term[:j - i])
                 dW[i:j] += term[:j - i]
             db[...], da[...], dc[0] = self.db, self.da, 0.0    # c never enters grad or lap
-            self._vector = self._flat
+            self._flat.flags.writeable = False
+            # keep only the vector: a caller may hold the gradient past the parameters
+            self._vector, self._params, self._scratch = self._flat, None, None
         return self._vector
 
     def _fold_own(self):

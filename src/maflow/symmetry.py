@@ -318,9 +318,6 @@ class SymmetrizedPotential:
             xc_total += self._untransform(m, xc)
         return pg_total, xc_total
 
-    def grad_to_params(self, flat):
-        return self.base.grad_to_params(flat)
-
     def fingerprint(self):
         """Digest of mode, group and base evaluator, hashed on the first call only."""
         if self._fingerprint is None:

@@ -1,10 +1,11 @@
 """Objectives, target densities and analytic / brute-force oracles.
 
 Contains the two training losses (negative log-likelihood for density
-estimation, variational free energy for energy-based targets), the standard
-Gaussian base density, the continuous-variable Ising energy with its exact
-small-lattice partition function, and the closed-form Gaussian flow under a
-quadratic potential used to validate the integrator.
+estimation, variational free energy for energy-based targets), the
+continuous-variable Ising energy with its exact small-lattice partition
+function, and the closed-form Gaussian flow under a quadratic potential used
+to validate the integrator.  Each loss is ``log_prob`` or ``sample`` through
+the same integration, with the tape recorded when a gradient is wanted.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 
 from .difftape import backprop
 from .errors import ConfigError, NumericError
-from .flow import (FORWARD, LOG_2PI, FlowState, as_potential, gaussian_base,
-                   gaussian_log_density, integrate)
-from .potential import logistic
+from .flow import LOG_2PI, _backward, _forward
+from .potential import as_potential, logistic
 
 # standard square-lattice critical coupling, log(1 + sqrt(2)) / 2
 CRITICAL_COUPLING = 0.5 * math.log(1.0 + math.sqrt(2.0))
@@ -302,7 +302,7 @@ def spin_sampler(x, rng):
 @dataclass
 class LossResult:
     value: float
-    grad: object              # PotentialParams gradient, or None when not requested
+    grad: object              # ParamGrad of the parameters, or None when not requested
     per_sample: np.ndarray    # per-row contributions, mean equals ``value``
 
     def stderr(self):
@@ -313,47 +313,35 @@ class LossResult:
 def nll_loss(potential, X_data, config, rng=None, want_grad=True):
     """Negative log-likelihood of the data rows under the model.
 
-    Integrates the data backward to the base and accumulates the log-density
-    change along the way; the gradient comes from the recorded tape, together
-    with the chain through the reached base points.
+    ``log_prob``'s backward integration, recorded when ``want_grad``: the
+    gradient comes from the tape, together with the chain through the
+    reached base points.  ``per_sample`` is ``-log_prob`` bit for bit.
     """
     pot = as_potential(potential)
-    X = np.asarray(X_data, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != pot.n_dim:
-        raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
-    cfg = config if config.direction != FORWARD else config.reversed()
-    state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
-    final, traj = integrate(pot, state, cfg, rng=rng, record=want_grad)
-    logp = gaussian_log_density(final.X) - final.L
-    loss = -float(logp.mean())
+    logp, base, traj = _backward(pot, X_data, config, rng, record=want_grad)
     grad = None
     if want_grad:
-        n = X.shape[0]
-        d_x = final.X / n
-        d_l = np.full(n, 1.0 / n)
-        grad = backprop(traj, pot, d_x, d_l).param_grad
-    return LossResult(loss, grad, -logp)
+        n = base.shape[0]
+        grad = backprop(traj, pot, base / n, np.full(n, 1.0 / n)).param_grad
+    return LossResult(-float(logp.mean()), grad, -logp)
 
 
 def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
     """Sampled free-energy bound: mean of [model log-density + target energy].
 
-    Always at least -ln Z of the target.  The gradient is the pathwise
-    (reparametrized) estimator: base noise is held fixed and the sampling map
-    is differentiated through the recorded tape.
+    Always at least -ln Z of the target.  ``sample``'s forward integration,
+    recorded when ``want_grad``; ``per_sample`` is ``sample(...).L`` plus the
+    energy, bit for bit, under the same ``rng``.  The gradient is the
+    pathwise (reparametrized) estimator: base noise is held fixed and the
+    sampling map is differentiated through the tape.
     """
     pot = as_potential(potential)
-    if config.direction != FORWARD:
-        raise ValueError("the variational loss samples forward; got a backward config")
     if energy.n_dim != pot.n_dim:
         raise ValueError(f"energy dimension {energy.n_dim} does not match potential {pot.n_dim}")
-    state = gaussian_base(pot.n_dim, n_samples, rng)
-    final, traj = integrate(pot, state, config, rng=rng, record=want_grad)
+    final, traj = _forward(pot, n_samples, config, rng, record=want_grad)
     per = final.L + energy.energy(final.X)
-    loss = float(per.mean())
     grad = None
     if want_grad:
         d_x = energy.grad(final.X) / n_samples
-        d_l = np.full(n_samples, 1.0 / n_samples)
-        grad = backprop(traj, pot, d_x, d_l).param_grad
-    return LossResult(loss, grad, per)
+        grad = backprop(traj, pot, d_x, np.full(n_samples, 1.0 / n_samples)).param_grad
+    return LossResult(float(per.mean()), grad, per)

@@ -274,15 +274,8 @@ def _epoch_batches(target, config, rng):
     """Model-space matrix and batch index lists for one epoch of the objective."""
     if config.objective == "variational":
         return None, [None] * config.steps_per_epoch
-    ds = target
-    if ds.space == data_mod.RAW:
-        # fresh jitter every epoch, then the padded logit map
-        ds, _ = data_mod.logit_transform(data_mod.dequantize(ds, rng), config.logit_lambda)
-    elif ds.space == data_mod.UNIT:
-        ds, _ = data_mod.logit_transform(ds, config.logit_lambda)
-    X = ds.X
-    batches = list(data_mod.minibatch_indices(X.shape[0], config.batch_size, rng))
-    return X, batches
+    X, _ = data_mod.model_space(target, rng, config.logit_lambda)    # fresh jitter every epoch
+    return X, list(data_mod.minibatch_indices(X.shape[0], config.batch_size, rng))
 
 
 def train(config, target, out_dir=None, resume=None, stop_fn=None):

@@ -66,7 +66,7 @@ EVERY_KEY = {
               "steps_per_epoch": 4, "learning_rate": 0.02, "grad_clip": 2.5,
               "checkpoint_every": 2, "max_steps": 11},
     "symmetry": {"group": "z2", "mode": "average", "resample": "stage"},
-    "dataset": {"name": "ring", "path": None, "labels_path": None, "lambda": 1e-4, "size": 50},
+    "dataset": {"name": "ring", "path": None, "lambda": 1e-4, "size": 50},
     "ising": {"L": 2, "beta": 0.3},
 }
 # ... and the TrainConfig fields those keys set
@@ -168,6 +168,24 @@ def test_idx_logprob_of_identity_flow_is_closed_form_bits_per_dim(tmp_path, caps
     assert printed, line
     assert float(printed[1]) == pytest.approx(-lp.mean(), rel=1e-12, abs=0)
     assert abs(float(printed[2]) - bits_per_dim) <= 1e-12
+
+
+def test_logprob_tells_idx_from_csv_by_the_magic(tmp_path, capsys):
+    n, h = 4, 8
+    rng = np.random.default_rng(2)
+    ckpt = str(tmp_path / "c.ckpt")
+    save_checkpoint(ckpt, Checkpoint(TrainConfig.for_density(hidden=h, steps=3),
+                                     init_params(n, h, rng), None, 0, 0, rng.bit_generator.state))
+    data_mod.write_idx(str(tmp_path / "x.csv"), rng.integers(0, 256, size=(3, 2, 2)))
+    data_mod.save_csv(str(tmp_path / "x.idx"), rng.standard_normal((5, n)))
+    out = []
+    for name in ("x.csv", "x.idx", ""):
+        code = main(["logprob", "--ckpt", ckpt, "--data", str(tmp_path / name),
+                     "--out", str(tmp_path / "lp.csv")])
+        out.append((code, *capsys.readouterr()))
+    assert out[0][0] == 0 and " over 3 rows, bits/dim " in out[0][1]
+    assert out[1][0] == 0 and " over 5 rows; " in out[1][1]
+    assert out[2][0] == 2 and out[2][2].startswith("config error:")     # a directory
 
 
 def test_resume_with_other_hidden_exits_2(tmp_path, capsys):

@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 
 from maflow import ConfigError, FormatError
-from maflow.data import (Dataset, dequantize, inverse_logit_transform, load_csv,
-                         load_idx, logit_transform, minibatch_indices, save_csv,
+from maflow.data import (Dataset, dequantize, inverse_logit_transform, is_idx, load_csv,
+                         load_idx, logit_transform, minibatch_indices, model_space, save_csv,
                          toy_density, toy_log_density, write_idx)
 
 
 def test_idx_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     imgs = rng.integers(0, 256, size=(2, 5, 4)).astype(np.uint8)
-    labels = np.array([3, 7], dtype=np.uint8)
-    ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
-    write_idx(ip, imgs, lp, labels)
-    ds = load_idx(ip, lp)
+    ip = tmp_path / "imgs.idx"
+    write_idx(ip, imgs)
+    ds = load_idx(ip)
     assert ds.X.shape == (2, 20)
     assert np.array_equal(ds.X.reshape(2, 5, 4), imgs.astype(np.float64))
-    assert np.array_equal(ds.labels, labels)
     # second write from the loaded data is byte-identical
     ip2 = tmp_path / "imgs2.idx"
     write_idx(ip2, ds.X.reshape(2, 5, 4).astype(np.uint8))
@@ -94,6 +92,35 @@ def test_logit_logdet_matches_finite_differences():
 
     fd = (fwd(x[0, 0] + h) - fwd(x[0, 0] - h)) / (2 * h)
     assert logdet[0] == pytest.approx(math.log(fd), rel=1e-8)
+
+
+def test_model_space_of_raw_bytes_is_dequantize_then_logit():
+    ds = Dataset(np.random.default_rng(11).integers(0, 256, size=(6, 5)), "raw")
+    X, logdet = model_space(ds, np.random.default_rng(12), 1e-3)
+    want, want_logdet = logit_transform(dequantize(ds, np.random.default_rng(12)), 1e-3)
+    assert np.array_equal(X, want.X)
+    assert np.array_equal(logdet, want_logdet - 5 * math.log(256.0))
+
+
+def test_model_space_of_unit_data_is_the_logit_map_and_plain_data_passes():
+    ds = Dataset(np.random.default_rng(13).random((6, 5)), "unit")
+    rng = np.random.default_rng(14)
+    X, logdet = model_space(ds, rng, 1e-3)
+    want, want_logdet = logit_transform(ds, 1e-3)
+    assert np.array_equal(X, want.X) and np.array_equal(logdet, want_logdet)
+    plain = Dataset(ds.X, "plain")
+    X, logdet = model_space(plain, rng, 1e-3)
+    assert X is plain.X and np.array_equal(logdet, np.zeros(6))
+    # neither space draws from the generator
+    assert rng.bit_generator.state == np.random.default_rng(14).bit_generator.state
+
+
+def test_is_idx_reads_the_magic_not_the_name(tmp_path):
+    write_idx(tmp_path / "x.csv", np.zeros((2, 3, 3), dtype=np.uint8))
+    save_csv(tmp_path / "x.idx", np.ones((2, 9)))
+    (tmp_path / "short").write_bytes(b"\x00\x00")
+    assert is_idx(tmp_path / "x.csv")
+    assert not is_idx(tmp_path / "x.idx") and not is_idx(tmp_path / "short")
 
 
 def test_toy_samplers_shapes_and_determinism():

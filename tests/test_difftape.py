@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from maflow import potential
-from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, PotentialParams,
-                    StaleTapeError, SymmetrizedPotential, backprop, gaussian_log_density,
-                    init_params, integrate, ising_group, nll_loss, replay, variational_loss)
+from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, ParamGrad,
+                    PotentialParams, StaleTapeError, SymmetrizedPotential, backprop,
+                    gaussian_log_density, init_params, integrate, ising_group, nll_loss, replay,
+                    variational_loss)
 from maflow.difftape import StepRecord
 from maflow.gradcheck import central_difference, run_gradcheck
 from maflow.targets import IsingEnergy, ising_spec
@@ -174,6 +175,43 @@ def test_backward_direction_tape():
     assert np.array_equal(rx, fin.X)
     res = backprop(traj, p, np.ones_like(X), np.zeros(5))
     assert np.isfinite(res.param_grad.to_vector()).all()
+
+
+def reference_param_grad(traj, pot, d_x, d_l):
+    """The summed vjp gradients' vector, in the order ``backprop`` documents."""
+    total = None
+    for rec in reversed(traj.steps):
+        xs, eta = rec.stage_x, rec.eta
+        kbar = [d_x * (eta * w / 6.0) for w in (1.0, 2.0, 2.0, 1.0)]
+        lbar = [(eta * w / 6.0) * d_l for w in (1.0, 2.0, 2.0, 1.0)]
+        d_x = d_x.copy()
+        for i in (3, 2, 1, 0):
+            pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i], ctx=rec.stage_ctx[i])
+            total = pg if total is None else total.add(pg)
+            d_x += xcot
+            if i > 0:
+                kbar[i - 1] = kbar[i - 1] + ((0.5, 0.5, 1.0)[i - 1] * eta) * xcot
+    return total.to_vector()
+
+
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_backprop_returns_the_read_only_summed_param_grad(symmetrized):
+    p = random_params(4, 16, seed=23)
+    pot = MLPPotential(p)
+    if symmetrized:
+        pot = SymmetrizedPotential(pot, ising_group(2), mode="sampled", resample="stage")
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((6, 4))
+    st = FlowState(X, gaussian_log_density(X), 0.0)
+    _, traj = integrate(pot, st, IntegratorConfig(0.1, 5), rng=rng, record=True)
+    d_x, d_l = rng.standard_normal((6, 4)), rng.standard_normal(6)
+    grad = backprop(traj, pot, d_x, d_l).param_grad
+    assert isinstance(grad, ParamGrad)
+    vec = grad.to_vector()
+    assert vec is grad.to_vector() and not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 0.0
+    assert np.array_equal(vec, reference_param_grad(traj, pot, d_x, d_l))
 
 
 def test_gradcheck_suite():

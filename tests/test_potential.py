@@ -434,15 +434,6 @@ def test_init_params_scales():
     assert np.array_equal(p.b, np.zeros(100)) and p.c == 0.0
 
 
-def test_grad_to_params_views_the_flat_gradient():
-    p = init_params(3, 5, np.random.default_rng(3))
-    flat = np.arange(p.size, dtype=np.float64)
-    g = MLPPotential(p).grad_to_params(flat)
-    for arr in (g.W, g.b, g.a):
-        assert np.shares_memory(arr, flat)
-    assert g.to_vector() is flat and not flat.flags.writeable
-
-
 def test_fingerprint_is_cached_and_tracks_the_weights():
     p = init_params(3, 5, np.random.default_rng(4))
     pot = MLPPotential(p)

@@ -8,10 +8,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from maflow import (ConfigError, IntegratorConfig, IsingEnergy, PotentialParams,
-                    QuadraticPotential, exact_neg_log_z, gaussian_flow_oracle,
-                    gaussian_log_density, init_params, ising_energy, ising_energy_grad,
-                    ising_group, ising_oracle_report, ising_spec, nll_loss, spin_sampler,
-                    variational_loss)
+                    QuadraticPotential, build_potential, exact_neg_log_z,
+                    gaussian_flow_oracle, gaussian_log_density, init_params, ising_energy,
+                    ising_energy_grad, ising_group, ising_oracle_report, ising_spec, log_prob,
+                    nll_loss, sample, spin_sampler, variational_loss)
 from maflow.targets import (CRITICAL_COUPLING, enumerate_log_z_offset,
                             reference_log_z_offset)
 
@@ -308,3 +308,33 @@ def test_losses_reproducible_under_seed():
     b = variational_loss(p, energy, 32, cfg, np.random.default_rng(5))
     assert a.value == b.value
     assert np.array_equal(a.grad.to_vector(), b.grad.to_vector())
+
+
+def _evaluator(symmetrized, L=2):
+    p = init_params(L * L, 8, np.random.default_rng(13))
+    p = PotentialParams(p.W, p.b, p.a * 3.0, 0.0)
+    return build_potential(p, ising_group(L) if symmetrized else None, "sampled", "stage")
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_nll_loss_is_log_prob_bitwise(symmetrized, want_grad):
+    pot = _evaluator(symmetrized)
+    X = np.random.default_rng(14).standard_normal((9, 4)) * 1.3
+    cfg = IntegratorConfig(0.1, 6)
+    res = nll_loss(pot, X, cfg, rng=np.random.default_rng(15), want_grad=want_grad)
+    lp = log_prob(pot, X, cfg, rng=np.random.default_rng(15))
+    assert np.array_equal(res.per_sample, -lp)
+    assert res.value == -float(lp.mean())
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_variational_loss_is_sample_plus_energy_bitwise(symmetrized, want_grad):
+    pot = _evaluator(symmetrized)
+    energy = IsingEnergy(ising_spec(2))
+    cfg = IntegratorConfig(0.1, 6)
+    res = variational_loss(pot, energy, 9, cfg, np.random.default_rng(16), want_grad=want_grad)
+    s = sample(pot, 9, cfg, np.random.default_rng(16))
+    assert np.array_equal(res.per_sample, s.L + energy.energy(s.X))
+    assert res.value == float(res.per_sample.mean())
