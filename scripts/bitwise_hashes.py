@@ -7,8 +7,10 @@ hashes.  Every case is small.
     PYTHONPATH=src python scripts/bitwise_hashes.py
 
 Cases: a 2-epoch ``train`` on the toy ring (nll); 2-epoch variational
-``train`` runs at L=2 with six symmetry settings; and ``sample`` followed
-by ``log_prob`` with a sampled L=4 evaluator.
+``train`` runs at L=2 with six symmetry settings; ``sample`` followed
+by ``log_prob`` with a sampled L=4 evaluator; and the ``perms`` and
+``signs`` tables of ``ising_group`` at L=2, 3, 4 and 8, whose row order
+decides which element every sampled index picks.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ def main():
     for arr in (state.X, state.L, lp):
         md.update(np.ascontiguousarray(arr).tobytes())
     out.append(("L=4 sampled sample+log_prob", md.hexdigest()))
+
+    md = hashlib.sha1()
+    for L in (2, 3, 4, 8):
+        group = ising_group(L)
+        md.update(group.perms.tobytes())
+        md.update(group.signs.tobytes())
+    out.append(("ising_group tables L=2,3,4,8", md.hexdigest()))
 
     for name, digest in out:
         print(f"{digest}  {name}")

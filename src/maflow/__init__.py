@@ -13,9 +13,8 @@ from .flow import (FlowState, IntegratorConfig, gaussian_base, gaussian_log_dens
                    integrate, log_prob, rk4_step, sample)
 from .potential import (MLPPotential, ParamGrad, PotentialEval, PotentialParams, as_potential,
                         eval_batch, eval_potential, init_params, param_vjp)
-from .symmetry import (GroupElement, SymmetrizedPotential, SymmetryGroup, apply,
-                       build_potential, compose, d4_group, group_by_name, identity,
-                       inverse, ising_group, symmetrized_eval, trivial_group, z2_group)
+from .symmetry import (SymmetrizedPotential, SymmetryGroup, build_potential, d4_group,
+                       group_by_name, ising_group, symmetrized_eval, trivial_group, z2_group)
 from .targets import (CRITICAL_COUPLING, GaussianFlowSolution, IsingEnergy, IsingSpec,
                       LossResult, QuadraticPotential, exact_neg_log_z,
                       gaussian_flow_oracle, ising_energy, ising_energy_grad,

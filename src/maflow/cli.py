@@ -23,7 +23,7 @@ from . import data as data_mod
 from .errors import ConfigError, FormatError, NumericError
 from .flow import BACKWARD, FORWARD, IntegratorConfig, integrate, log_prob, sample
 from .symmetry import MODES, build_potential, group_by_name
-from .targets import (CRITICAL_COUPLING, IsingEnergy, QuadraticPotential,
+from .targets import (_ENUM_LIMIT, CRITICAL_COUPLING, IsingEnergy, QuadraticPotential,
                       gaussian_flow_oracle, ising_oracle_report, ising_spec)
 from .trainer import FIELD_RULES, TrainConfig, check_value, load_checkpoint, train
 
@@ -304,7 +304,7 @@ def build_parser():
 
     o = sub.add_parser("ising-oracle",
                        help="exact small-lattice free energy by enumeration")
-    o.add_argument("--L", type=int, required=True)
+    o.add_argument("--L", type=_flag(int, f"[2, {_ENUM_LIMIT}]"), required=True)
     o.add_argument("--beta", type=_flag(float, "(-inf, inf)"), default=CRITICAL_COUPLING)
     o.set_defaults(fn=_cmd_ising_oracle)
 

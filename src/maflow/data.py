@@ -10,6 +10,7 @@ estimation.  Datasets are immutable after construction.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -56,7 +57,8 @@ class Dataset:
 
 
 def _read_exact(f, n, path, what):
-    buf = f.read(n)
+    # a corrupt size must not make read() allocate far past the end of the file
+    buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(buf) != n:
         raise FormatError(f"{path}: truncated {what} at byte offset {f.tell() - len(buf)}")
     return buf
@@ -72,7 +74,9 @@ def load_idx(images_path):
     """Load an IDX image file into a raw Dataset.
 
     Expects the published big-endian container: magic 0x00000803, dimension
-    sizes, then unsigned bytes.  Images are flattened row-major.
+    sizes, then unsigned bytes.  Images are flattened row-major.  A file with
+    no images or no pixels, or whose sizes disagree with its length, is a
+    FormatError.
     """
     with open(images_path, "rb") as f:
         magic = struct.unpack(">I", _read_exact(f, 4, images_path, "magic"))[0]
@@ -80,6 +84,8 @@ def load_idx(images_path):
             raise FormatError(f"{images_path}: bad magic 0x{magic:08x} at byte offset 0, "
                               f"expected 0x{_IDX_IMAGES_MAGIC:08x}")
         count, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path, "header"))
+        if count * rows * cols == 0:
+            raise FormatError(f"{images_path}: no image data ({count} images of {rows}x{cols})")
         raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
         extra = f.read(1)
         if extra:

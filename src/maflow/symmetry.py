@@ -1,23 +1,23 @@
 """Symmetry groups on lattice configurations and symmetrized potentials.
 
-Group elements are a global sign times an index permutation, applied as
-(g x)_i = sign * x[perm[i]].  These are orthogonal maps, so pulling a
-gradient back through an element is just the inverse element applied to the
-gradient, and the Laplacian is invariant.
+A group is two read-only tables: ``perms``, one index permutation per row,
+and ``signs``, one global sign per row.  Row m acts as
+(g_m x)_i = signs[m] * x[perms[m, i]] (``act``).  These are orthogonal maps,
+so pulling a gradient back through a row is the inverse row applied to the
+gradient (``pull``), and the Laplacian is invariant.
 
 ``SymmetrizedPotential`` averages a base potential over a group, either
-exactly (every element) or stochastically (one element drawn per
-integration step, the default, or per stage / per trajectory).  Like every
-evaluator, it is a pure function of the points and a stage context; the
-sampled element indices come from ``begin_trajectory(rng)``, which the
-integrator calls once per trajectory and records on the tape.
+exactly (every row) or stochastically (one row drawn per integration step,
+the default, or per stage / per trajectory).  Like every evaluator, it is a
+pure function of the points and a stage context; the sampled row indices
+come from ``begin_trajectory(rng)``, which the integrator calls once per
+trajectory and records on the tape.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,79 +30,47 @@ MODES = ("sampled", "average")
 RESAMPLES = ("step", "stage", "trajectory")
 
 
-@dataclass(eq=False)
-class GroupElement:
-    perm: np.ndarray  # (n,) int64 bijection on 0..n-1
-    sign: int          # +1 or -1
-
-    def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=np.int64)
-        self.sign = int(self.sign)
-        if self.sign not in (-1, 1):
-            raise ConfigError(f"element sign must be +1 or -1, got {self.sign}")
-        n = self.perm.shape[0]
-        if self.perm.ndim != 1 or not np.array_equal(np.sort(self.perm), np.arange(n)):
-            raise ConfigError("element permutation is not a bijection on 0..n-1")
-        self.perm.setflags(write=False)
-
-    def key(self):
-        return (self.sign, self.perm.tobytes())
-
-    @property
-    def n_dim(self):
-        return self.perm.shape[0]
-
-
-def apply(g, x):
-    """Apply one element: (g x)_i = sign * x[perm[i]].  Works on (n,) or (B, n)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != g.n_dim:
-        raise ConfigError(f"configuration has {x.shape[-1]} sites, element acts on {g.n_dim}")
-    return g.sign * x[..., g.perm]
-
-
-def inverse(g):
-    return GroupElement(np.argsort(g.perm), g.sign)
-
-
-def compose(g1, g2):
-    """Element performing g2 first, then g1."""
-    return GroupElement(g2.perm[g1.perm], g1.sign * g2.sign)
-
-
-def identity(n_dim):
-    return GroupElement(np.arange(n_dim), 1)
-
-
 class SymmetryGroup:
-    """Immutable, enumerable set of elements; the identity must be present."""
+    """A group as its read-only tables: ``perms`` (|G|, n) int64 bijections on 0..n-1,
+    ``signs`` (|G|,) of +1 or -1, and ``inv_perms``, the inverse of each row; ``act`` and
+    ``pull`` apply a row and its inverse.  The identity row must be present.  Row order is
+    part of the group: a sampled index picks its element by row number."""
 
-    def __init__(self, elements):
-        if not elements:
-            raise ConfigError("a symmetry group needs at least the identity element")
-        n = elements[0].n_dim
-        if any(e.n_dim != n for e in elements):
-            raise ConfigError("group elements act on different dimensions")
-        ident = identity(n)
-        if not any(e.key() == ident.key() for e in elements):
+    def __init__(self, perms, signs):
+        perms, signs = np.asarray(perms), np.asarray(signs)
+        if (perms.ndim != 2 or perms.size == 0 or signs.shape != perms.shape[:1]
+                or not np.issubdtype(perms.dtype, np.integer)):
+            raise ConfigError(f"a symmetry group needs a non-empty (|G|, n) integer permutation "
+                              f"table and |G| signs, got shapes {perms.shape} and {signs.shape}")
+        n = perms.shape[1]
+        inv_perms = np.argsort(perms, axis=1)
+        bad = (np.take_along_axis(perms, inv_perms, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            raise ConfigError(f"group row {np.flatnonzero(bad)[0]} is not a bijection on 0..n-1")
+        bad = ~np.isin(signs, (-1, 1))
+        if bad.any():
+            raise ConfigError(f"group row {np.flatnonzero(bad)[0]} has sign "
+                              f"{signs[bad][0]}, not +1 or -1")
+        if not ((perms == np.arange(n)).all(axis=1) & (signs == 1)).any():
             raise ConfigError("group does not contain the identity element")
-        self.elements = list(elements)
-        self.n_dim = n
-        self.perms = np.stack([e.perm for e in elements])
-        self.inv_perms = np.stack([np.argsort(e.perm) for e in elements])
-        self.signs = np.array([e.sign for e in elements])
+        self.perms = perms.astype(np.int64)
+        self.inv_perms = inv_perms
+        self.signs = signs.astype(np.int64)
         for arr in (self.perms, self.inv_perms, self.signs):
             arr.setflags(write=False)
+        self.n_dim = n
         self._key = None
 
     def __len__(self):
-        return len(self.elements)
+        return self.perms.shape[0]
 
-    def __iter__(self):
-        return iter(self.elements)
+    def act(self, m, X):
+        """Row m applied to the last axis of X: signs[m] * X[..., perms[m]]."""
+        return self.signs[m] * X[..., self.perms[m]]
 
-    def __getitem__(self, i):
-        return self.elements[i]
+    def pull(self, m, V):
+        """The inverse of row m applied to the last axis of V: undoes ``act(m, .)``."""
+        return self.signs[m] * V[..., self.inv_perms[m]]
 
     def key(self):
         """Digest of the permutation and sign tables, hashed on the first call only."""
@@ -115,65 +83,52 @@ class SymmetryGroup:
 
 
 def trivial_group(n_dim):
-    return SymmetryGroup([identity(n_dim)])
+    return SymmetryGroup(np.arange(n_dim)[None], [1])
 
 
 def z2_group(n_dim):
     """Global sign flip and the identity."""
-    return SymmetryGroup([identity(n_dim), GroupElement(np.arange(n_dim), -1)])
+    return SymmetryGroup(np.tile(np.arange(n_dim), (2, 1)), [1, -1])
 
 
-def _d4_source_maps(L):
-    # output (r, c) <- source coordinates, for the 8 square symmetries
+def _square_maps(L):
+    """(8, L*L) table: row f holds, for each output site (r, c), its source site under the
+    f-th symmetry of the square."""
+    r, c = np.divmod(np.arange(L * L), L)
     m = L - 1
-    return [
-        lambda r, c: (r, c),
-        lambda r, c: (c, m - r),          # 90 degree rotation
-        lambda r, c: (m - r, m - c),      # 180
-        lambda r, c: (m - c, r),          # 270
-        lambda r, c: (r, m - c),          # horizontal flip
-        lambda r, c: (m - r, c),          # vertical flip
-        lambda r, c: (c, r),              # transpose
-        lambda r, c: (m - c, m - r),      # anti-transpose
-    ]
+    # identity, rotations by 90, 180 and 270 degrees, horizontal flip, vertical
+    # flip, transpose, anti-transpose
+    src_r = np.stack([r, c, m - r, m - c, r, m - r, c, m - c])
+    src_c = np.stack([c, m - r, m - c, r, m - c, c, r, m - r])
+    return src_r * L + src_c
 
 
 def d4_group(L):
-    """The 8 point-group permutations of an L x L grid (sign +1), identity first."""
-    rr, cc = np.divmod(np.arange(L * L), L)
-    out = []
-    for f in _d4_source_maps(L):
-        sr, sc = f(rr, cc)
-        out.append(GroupElement(sr * L + sc, 1))
-    return out
+    """The group of the 8 point-group permutations of an L x L grid (sign +1), identity first."""
+    return SymmetryGroup(_square_maps(L), [1] * 8)
 
 
 def ising_group(L):
     """Sign flips x translations x square point group for an L x L periodic lattice.
 
-    The naive product has 2 * L^2 * 8 members; coincident (perm, sign) pairs
-    (which occur for small L, where e.g. the 180-degree rotation is also a
-    translation) are removed, keeping the first occurrence in enumeration
-    order.  The identity comes first.
+    Rows are enumerated sign first (+1, then -1), then translation (tr, tc) in
+    row-major order, then the 8 maps of ``_square_maps``; row (tr, tc, f) reads
+    site (r, c) from the f-th map's source of ((r + tr) mod L, (c + tc) mod L).
+    The naive product has 2 * L^2 * 8 rows; coincident rows (which occur for
+    small L, where e.g. the 180-degree rotation is also a translation) are
+    removed, keeping the first occurrence.  The identity comes first.  This
+    order fixes which element a sampled index picks, and so every sampled result.
     """
     if L < 2:
         raise ConfigError(f"lattice side must be at least 2, got {L}")
-    rr, cc = np.divmod(np.arange(L * L), L)
-    seen = set()
-    elements = []
-    for sign in (1, -1):
-        for tr in range(L):
-            for tc in range(L):
-                tr_r = (rr + tr) % L
-                tr_c = (cc + tc) % L
-                for f in _d4_source_maps(L):
-                    sr, sc = f(tr_r, tr_c)
-                    e = GroupElement(sr * L + sc, sign)
-                    k = e.key()
-                    if k not in seen:
-                        seen.add(k)
-                        elements.append(e)
-    return SymmetryGroup(elements)
+    n = L * L
+    r, c = np.divmod(np.arange(n), L)
+    shifts = (r[:, None] + r) % L * L + (c[:, None] + c) % L   # [t, site], t = tr * L + tc
+    perms = _square_maps(L)[:, shifts].swapaxes(0, 1).reshape(8 * n, n)   # a C-ordered copy
+    # a +1 row never equals a -1 row, so deduplicate the permutations once for both halves
+    rows = perms.view(np.dtype((np.void, perms.itemsize * n))).ravel()  # one byte key per row
+    perms = perms[np.sort(np.unique(rows, return_index=True)[1])]
+    return SymmetryGroup(np.concatenate([perms, perms]), np.repeat([1, -1], len(perms)))
 
 
 def group_by_name(name, n_dim):
@@ -196,27 +151,30 @@ def symmetrized_eval(params, group, x, mode="average", rng=None):
     mode='average' returns (1/|G|) sum_g phi(g x) with the chain rule applied
     to the gradient; mode='sampled' evaluates a single uniformly drawn term.
     """
-    if group is None or len(group) == 0:
-        raise ConfigError("symmetrized evaluation needs a non-empty group")
+    if group is None:
+        raise ConfigError("symmetrized evaluation needs a symmetry group")
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (group.n_dim,):
+        raise ConfigError(f"point has shape {x.shape}, the group acts on {group.n_dim} sites")
     if mode == "sampled":
         if rng is None:
             raise ConfigError("sampled mode needs a random generator")
-        members = [group[int(rng.integers(len(group)))]]
+        members = [int(rng.integers(len(group)))]
     elif mode == "average":
-        members = list(group)
+        members = range(len(group))
     else:
         raise ConfigError(f"unknown mode '{mode}'")
 
     value = 0.0
     grad = np.zeros(group.n_dim)
     lap = 0.0
-    for g in members:
-        ev = eval_potential(params, apply(g, x))
+    for m in members:
+        ev = eval_potential(params, group.act(m, x))
         value += ev.value
-        grad += apply(inverse(g), ev.grad)
+        grad += group.pull(m, ev.grad)
         lap += ev.laplacian
-    m = float(len(members))
-    return PotentialEval(value / m, grad / m, lap / m)
+    k = float(len(members))
+    return PotentialEval(value / k, grad / k, lap / k)
 
 
 class SymmetrizedPotential:
@@ -238,8 +196,8 @@ class SymmetrizedPotential:
     """
 
     def __init__(self, base, group, mode="average", resample="step"):
-        if group is None or len(group) == 0:
-            raise ConfigError("symmetrized potential needs a non-empty group")
+        if group is None:
+            raise ConfigError("symmetrized potential needs a symmetry group")
         if mode not in MODES:
             raise ConfigError(f"unknown symmetrization mode '{mode}'")
         if resample not in RESAMPLES:
@@ -279,21 +237,15 @@ class SymmetrizedPotential:
             else:
                 yield from itertools.repeat(int(rng.integers(k)), 4)
 
-    def _transform(self, m, X):
-        return self.group.signs[m] * X[..., self.group.perms[m]]
-
-    def _untransform(self, m, V):
-        return self.group.signs[m] * V[..., self.group.inv_perms[m]]
-
     def grad_lap(self, X, ctx=None):
         if ctx is not None:
-            G, lap = self.base.grad_lap(self._transform(ctx, X))
-            return self._untransform(ctx, G), lap
+            G, lap = self.base.grad_lap(self.group.act(ctx, X))
+            return self.group.pull(ctx, G), lap
         Gs = np.zeros_like(X)
         laps = np.zeros(X.shape[0])
         for m in range(len(self.group)):
-            G, lap = self.base.grad_lap(self._transform(m, X))
-            Gs += self._untransform(m, G)
+            G, lap = self.base.grad_lap(self.group.act(m, X))
+            Gs += self.group.pull(m, G)
             laps += lap
         k = float(len(self.group))
         return Gs / k, laps / k
@@ -304,18 +256,18 @@ class SymmetrizedPotential:
             # benchmark v2 (ROADMAP direction 1)
             raise ValueError("vjp recomputes the activations; aux must be None")
         if ctx is not None:
-            pg, xc = self.base.vjp(self._transform(ctx, X), self._transform(ctx, w_grad), w_lap)
-            return pg, self._untransform(ctx, xc)
+            pg, xc = self.base.vjp(self.group.act(ctx, X), self.group.act(ctx, w_grad), w_lap)
+            return pg, self.group.pull(ctx, xc)
         # a vjp is linear in its cotangents: scale them instead of the |G|-term sums
         k = float(len(self.group))
         w_grad, w_lap = w_grad / k, w_lap / k
         pg_total = None
         xc_total = np.zeros_like(X)
         for m in range(len(self.group)):
-            pg, xc = self.base.vjp(self._transform(m, X), self._transform(m, w_grad), w_lap)
+            pg, xc = self.base.vjp(self.group.act(m, X), self.group.act(m, w_grad), w_lap)
             if pg is not None:
                 pg_total = pg if pg_total is None else pg_total.add(pg)
-            xc_total += self._untransform(m, xc)
+            xc_total += self.group.pull(m, xc)
         return pg_total, xc_total
 
     def fingerprint(self):

@@ -48,6 +48,15 @@ def test_wrongly_typed_value_is_a_config_error(tmp_path, capsys, cfg, key):
     assert f"'{key}'" in err and "(line " in err
 
 
+def test_ising_full_symmetry_on_a_non_square_density_exits_2(tmp_path, capsys):
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
+           "train": {"epochs": 1, "hidden": 3, "steps": 2},
+           "symmetry": {"group": "ising-full"}, "dataset": {"name": "ring", "size": 10}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "square lattice" in err
+
+
 def test_toy_dataset_without_rows_is_a_config_error(tmp_path, capsys):
     cfg = {"task": "density", "out_dir": str(tmp_path / "out"), "dataset": {"size": 0}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
@@ -188,6 +197,29 @@ def test_logprob_tells_idx_from_csv_by_the_magic(tmp_path, capsys):
     assert out[2][0] == 2 and out[2][2].startswith("config error:")     # a directory
 
 
+@pytest.mark.parametrize("command", ["logprob", "train"])
+@pytest.mark.parametrize("count,rows,cols,pixels", [
+    (2 ** 31, 28, 28, 784), (2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1, 16), (0, 28, 28, 0),
+    (5, 0, 0, 0)], ids=["2^31-images", "2^32-1-everything", "no-images", "no-pixels"])
+def test_corrupt_or_empty_idx_exits_4(tmp_path, capsys, command, count, rows, cols, pixels):
+    path = tmp_path / "x.idx"
+    path.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(pixels))
+    if command == "logprob":
+        ckpt = tmp_path / "ck.bin"
+        save_small_checkpoint(ckpt, TrainConfig.for_density(hidden=3, steps=2))
+        argv = ["logprob", "--ckpt", str(ckpt), "--data", str(path),
+                "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = ["train", "--config", write_config(tmp_path, {
+            "task": "density", "out_dir": str(tmp_path / "out"),
+            "train": {"epochs": 1, "hidden": 3, "steps": 2},
+            "dataset": {"name": "idx", "path": str(path)}})]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and str(path) in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
+
 def test_resume_with_other_hidden_exits_2(tmp_path, capsys):
     cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
            "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
@@ -318,6 +350,8 @@ def test_sampled_symmetry_evaluation_notes_the_seed(tmp_path, capsys):
     (["logprob", "--data", "x.csv", "--steps", "0"], "--steps"),
     (["logprob", "--data", "x.csv", "--epsilon", "inf"], "--epsilon"),
     (["train", "--config", "run.json", "--seed", "-1"], "--seed"),
+    (["ising-oracle", "--L", "1000"], "--L"),
+    (["ising-oracle", "--L", "-2"], "--L"),
 ])
 def test_bad_flag_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)

@@ -311,7 +311,7 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
             continue
         k = len(sym.group)
         for m in range(k):
-            ref += eng.vjp(sym._transform(m, X), sym._transform(m, WG), WL)[0].to_vector() / k
+            ref += eng.vjp(sym.group.act(m, X), sym.group.act(m, WG), WL)[0].to_vector() / k
     vec = total.to_vector()
     assert np.abs(vec - ref).max() <= 1e-12 * np.abs(ref).max()
     assert total.to_vector() is vec

@@ -1,14 +1,13 @@
-"""Group construction, element algebra and symmetrized potentials."""
+"""Group tables, their action and symmetrized potentials."""
 
 import numpy as np
 import pytest
 
-from maflow import (ConfigError, GroupElement, IntegratorConfig, IsingEnergy, MLPPotential,
-                    PotentialParams, SymmetrizedPotential, apply, build_potential, compose,
-                    d4_group, eval_potential, gaussian_base, identity, init_params,
-                    integrate, inverse, ising_energy, ising_group, ising_spec, log_prob,
-                    replay, sample, symmetrized_eval, trivial_group, variational_loss,
-                    z2_group)
+from maflow import (ConfigError, IntegratorConfig, IsingEnergy, MLPPotential,
+                    PotentialParams, SymmetrizedPotential, SymmetryGroup, build_potential,
+                    d4_group, eval_potential, gaussian_base, init_params, integrate,
+                    ising_energy, ising_group, ising_spec, log_prob, replay, sample,
+                    symmetrized_eval, trivial_group, variational_loss, z2_group)
 from maflow.gradcheck import REL_TOL, compare_gradient
 
 
@@ -18,69 +17,127 @@ def random_params(n, h, seed=0):
     return PotentialParams(p.W, rng.standard_normal(h) * 0.3, p.a * 4.0, 0.1)
 
 
+def reference_ising_tables(L):
+    """ising_group's rows by an independent loop: sign, then translation, then the 8 square
+    maps written out as coordinate functions, keeping the first occurrence of each row."""
+    m = L - 1
+    maps = [lambda r, c: (r, c), lambda r, c: (c, m - r), lambda r, c: (m - r, m - c),
+            lambda r, c: (m - c, r), lambda r, c: (r, m - c), lambda r, c: (m - r, c),
+            lambda r, c: (c, r), lambda r, c: (m - c, m - r)]
+    seen, perms, signs = set(), [], []
+    for sign in (1, -1):
+        for tr in range(L):
+            for tc in range(L):
+                for f in maps:
+                    perm = []
+                    for r in range(L):
+                        for c in range(L):
+                            sr, sc = f((r + tr) % L, (c + tc) % L)
+                            perm.append(sr * L + sc)
+                    if (sign, tuple(perm)) not in seen:
+                        seen.add((sign, tuple(perm)))
+                        perms.append(perm)
+                        signs.append(sign)
+    return np.array(perms, dtype=np.int64), np.array(signs, dtype=np.int64)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 6])
+def test_ising_group_tables_match_reference_loop(L):
+    group = ising_group(L)
+    perms, signs = reference_ising_tables(L)
+    assert group.perms.dtype == perms.dtype and group.signs.dtype == signs.dtype
+    assert np.array_equal(group.perms, perms) and np.array_equal(group.signs, signs)
+    assert np.array_equal(group.inv_perms, np.argsort(perms, axis=1))
+    assert len(group) == len(perms) and group.n_dim == L * L
+    assert not any(a.flags.writeable for a in (group.perms, group.inv_perms, group.signs))
+
+
 def test_identity_element():
     x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(apply(identity(3), x), x)
+    assert np.array_equal(trivial_group(3).act(0, x), x)
+    g = ising_group(4)
+    assert np.array_equal(g.perms[0], np.arange(16)) and g.signs[0] == 1
 
 
 def test_spin_inversion():
-    flip = GroupElement(np.arange(2), -1)
-    assert np.array_equal(apply(flip, np.array([1.0, -2.0])), np.array([-1.0, 2.0]))
+    flip = z2_group(2)
+    assert np.array_equal(flip.act(1, np.array([1.0, -2.0])), np.array([-1.0, 2.0]))
 
 
 def test_rot90_four_times_is_identity():
-    r90 = d4_group(4)[1]
+    d4 = d4_group(4)
+    assert isinstance(d4, SymmetryGroup) and len(d4) == 8
+    r90 = d4.perms[1]
     e = r90
     for _ in range(3):
-        e = compose(e, r90)
-    assert np.array_equal(e.perm, np.arange(16)) and e.sign == 1
+        e = r90[e]  # the row doing e first, then r90
+    assert np.array_equal(e, np.arange(16)) and d4.signs[1] == 1
 
 
 def test_apply_preserves_magnitude_multiset():
-    g = ising_group(4)[123]
     x = np.random.default_rng(0).standard_normal(16)
-    assert np.allclose(np.sort(np.abs(apply(g, x))), np.sort(np.abs(x)), rtol=0, atol=0)
+    y = ising_group(4).act(123, x)
+    assert np.array_equal(np.sort(np.abs(y)), np.sort(np.abs(x)))
 
 
 def test_inverse_composition_is_identity():
-    for g in ising_group(2):
-        gi = inverse(g)
-        c = compose(gi, g)
-        assert np.array_equal(c.perm, np.arange(4)) and c.sign == 1
+    # pull(m, act(m, X)) is X bitwise, and inv_perms[m] composed with perms[m] is the identity
+    g = ising_group(2)
+    X = np.random.default_rng(1).standard_normal((5, 4))
+    for m in range(len(g)):
+        assert np.array_equal(g.pull(m, g.act(m, X)), X)
+        assert np.array_equal(g.pull(m, g.act(m, X[2])), X[2])
+        assert np.array_equal(g.inv_perms[m][g.perms[m]], np.arange(4))
 
 
 def test_bad_permutation_rejected():
-    with pytest.raises(ConfigError):
-        GroupElement(np.array([0, 0, 1]), 1)
-    with pytest.raises(ConfigError):
-        GroupElement(np.array([0, 1, 3]), 1)
+    for bad_row in ([0, 0, 1], [0, 1, 3], [-1, 1, 2]):
+        with pytest.raises(ConfigError, match="row 1 is not a bijection"):
+            SymmetryGroup([[0, 1, 2], bad_row], [1, 1])
+
+
+@pytest.mark.parametrize("perms,signs,match", [
+    ([[0, 1], [1, 0]], [1, 2], "row 1 has sign 2"),
+    ([[0, 1], [1, 0]], [1, 0.5], "row 1 has sign 0.5"),
+    ([[1, 0]], [1], "identity"),
+    ([[0, 1], [1, 0]], [-1, 1], "identity"),
+    (np.zeros((0, 3), dtype=np.int64), [], "non-empty"),
+    (np.zeros((1, 0), dtype=np.int64), [1], "non-empty"),
+    ([0, 1, 2], [1], "non-empty"),
+    ([[0, 1]], [1, 1], "non-empty"),
+    ([[0.0, 1.0]], [1], "integer"),
+], ids=["sign-2", "sign-0.5", "no-identity", "identity-only-with-sign-minus-1", "no-rows",
+        "no-columns", "one-dimensional", "sign-count", "float-table"])
+def test_group_table_refusals(perms, signs, match):
+    with pytest.raises(ConfigError, match=match):
+        SymmetryGroup(perms, signs)
 
 
 def test_ising_group_sizes_deduplicated():
     # naive product is 2 * L^2 * 8; overlaps collapse it for L=2
     assert len(ising_group(2)) == 16
     assert len(ising_group(4)) == 256
-    # no duplicate (perm, sign) pairs survive
+    # no duplicate (perm, sign) rows survive
     g4 = ising_group(4)
-    keys = {e.key() for e in g4}
+    keys = {(int(s), p.tobytes()) for p, s in zip(g4.perms, g4.signs)}
     assert len(keys) == len(g4)
 
 
 def test_group_closure_on_samples():
     g = ising_group(2)
-    keys = {e.key() for e in g}
+    keys = {(int(s), p.tobytes()) for p, s in zip(g.perms, g.signs)}
     rng = np.random.default_rng(1)
     for _ in range(30):
-        a = g[int(rng.integers(len(g)))]
-        b = g[int(rng.integers(len(g)))]
-        assert compose(a, b).key() in keys
+        a, b = (int(rng.integers(len(g))) for _ in range(2))
+        # b first, then a
+        assert (int(g.signs[a] * g.signs[b]), g.perms[b][g.perms[a]].tobytes()) in keys
 
 
 def test_uniform_configuration_maps_to_plus_minus_one():
     g = ising_group(4)
     ones = np.ones(16)
-    for e in g:
-        y = apply(e, ones)
+    for m in range(len(g)):
+        y = g.act(m, ones)
         assert np.array_equal(y, ones) or np.array_equal(y, -ones)
 
 
@@ -89,8 +146,8 @@ def test_ising_energy_invariant_under_group():
     g = ising_group(4)
     x = np.random.default_rng(2).standard_normal(16)
     e0 = ising_energy(spec, x)
-    for elem in g:
-        assert abs(ising_energy(spec, apply(elem, x)) - e0) <= 1e-12 * abs(e0)
+    for m in range(len(g)):
+        assert abs(ising_energy(spec, g.act(m, x)) - e0) <= 1e-12 * abs(e0)
 
 
 def test_trivial_group_eval_identical():
@@ -108,8 +165,8 @@ def test_full_average_value_invariant():
     group = ising_group(2)
     x = np.random.default_rng(4).standard_normal(4)
     v0 = symmetrized_eval(p, group, x).value
-    for g in group:
-        v = symmetrized_eval(p, group, apply(g, x)).value
+    for m in range(len(group)):
+        v = symmetrized_eval(p, group, group.act(m, x)).value
         assert abs(v - v0) < 1e-12
 
 
@@ -118,7 +175,8 @@ def test_full_average_invariance_z2_and_l4():
     group = ising_group(4)
     x = np.random.default_rng(5).standard_normal(16)
     v0 = symmetrized_eval(p, group, x).value
-    worst = max(abs(symmetrized_eval(p, group, apply(g, x)).value - v0) for g in group)
+    worst = max(abs(symmetrized_eval(p, group, group.act(m, x)).value - v0)
+                for m in range(len(group)))
     assert worst < 1e-10
 
 
@@ -168,6 +226,12 @@ def test_empty_or_missing_group_rejected():
         SymmetrizedPotential(MLPPotential(p), None)
 
 
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(5), np.zeros((2, 4)), np.float64(0.0)])
+def test_symmetrized_eval_refuses_a_point_of_the_wrong_width(x):
+    with pytest.raises(ConfigError, match="acts on 4 sites"):
+        symmetrized_eval(random_params(4, 8), ising_group(2), x)
+
+
 def test_drift_linearity_per_step():
     # averaging single-element drifts at fixed x equals the averaged-potential drift
     p = random_params(4, 8, seed=8)
@@ -191,7 +255,7 @@ def test_z2_group():
     g = z2_group(3)
     assert len(g) == 2
     x = np.array([1.0, 2.0, -3.0])
-    ys = sorted(tuple(apply(e, x)) for e in g)
+    ys = sorted(tuple(g.act(m, x)) for m in range(len(g)))
     assert ys == sorted([tuple(x), tuple(-x)])
 
 
