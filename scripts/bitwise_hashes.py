@@ -8,9 +8,13 @@ hashes.  Every case is small.
 
 Cases: a 2-epoch ``train`` on the toy ring (nll); 2-epoch variational
 ``train`` runs at L=2 with six symmetry settings; ``sample`` followed
-by ``log_prob`` with a sampled L=4 evaluator; and the ``perms`` and
+by ``log_prob`` with a sampled L=4 evaluator; the ``perms`` and
 ``signs`` tables of ``ising_group`` at L=2, 3, 4 and 8, whose row order
-decides which element every sampled index picks.
+decides which element every sampled index picks; and ``log_prob`` and the
+``nll_loss`` gradient at n=784, h=1024, B=100, the one case large enough
+for ``grad_lap`` to split its rows with the worker thread.  OpenBLAS
+threads that case's products, so its hash depends on the BLAS thread
+count: compare runs made with the same ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import tempfile
 import numpy as np
 
 from maflow import (IntegratorConfig, IsingEnergy, TrainConfig, build_potential, init_params,
-                    ising_group, ising_spec, log_prob, sample, train)
+                    ising_group, ising_spec, log_prob, nll_loss, sample, train)
 from maflow import data as data_mod
 
 ISING_CASES = (
@@ -71,6 +75,15 @@ def main():
         md.update(group.perms.tobytes())
         md.update(group.signs.tobytes())
     out.append(("ising_group tables L=2,3,4,8", md.hexdigest()))
+
+    rng = np.random.default_rng(11)
+    pot = build_potential(init_params(784, 1024, rng))
+    X = rng.standard_normal((100, 784))
+    icfg = IntegratorConfig(0.1, 2)
+    md = hashlib.sha1()
+    md.update(log_prob(pot, X, icfg).tobytes())
+    md.update(nll_loss(pot, X, icfg).grad.to_vector().tobytes())
+    out.append(("n=784 h=1024 B=100 log_prob+nll grad", md.hexdigest()))
 
     for name, digest in out:
         print(f"{digest}  {name}")

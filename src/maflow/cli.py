@@ -84,7 +84,7 @@ def load_run_config(path):
     if "task" not in raw:
         raise ConfigError("config key 'task' is required: 'density' or 'ising'")
 
-    ds = {"name": "mixture-of-8", "path": None, "size": 10000, **raw.get("dataset", {})}
+    ds = {"name": "mixture-of-8", "path": None, **raw.get("dataset", {})}
     ising = {"L": 4, "beta": CRITICAL_COUPLING, **raw.get("ising", {})}
     make = TrainConfig.for_density if raw["task"] == "density" else TrainConfig.for_ising
     return {"task": raw["task"], "config": make(**overrides), "dataset": ds, "ising": ising,
@@ -98,14 +98,15 @@ def _build_target(run):
     ds = run["dataset"]
     rng = np.random.default_rng(run["config"].seed + 1)  # data stream separate from training
     if ds["name"] in data_mod.TOY_NAMES:
-        if ds["size"] < 1:
-            raise ConfigError(f"'dataset.size' must be >= 1 for toy sets, got {ds['size']}")
-        return data_mod.toy_density(ds["name"], ds["size"], rng)
+        size = ds.get("size", 10000)     # a data file keeps every row unless "size" is set
+        if size < 1:
+            raise ConfigError(f"'dataset.size' must be >= 1 for toy sets, got {size}")
+        return data_mod.toy_density(ds["name"], size, rng)
     if ds["name"] == "idx":
         if not ds["path"]:
             raise ConfigError("dataset.name 'idx' needs dataset.path")
         loaded = data_mod.load_idx(ds["path"])
-        if ds["size"] and ds["size"] < len(loaded):
+        if ds.get("size") and ds["size"] < len(loaded):
             loaded = data_mod.Dataset(loaded.X[: ds["size"]].copy(), loaded.space)
         return loaded
     if ds["name"] == "csv":

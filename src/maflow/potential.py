@@ -33,8 +33,11 @@ array and the recomputed S is bitwise the forward pass's.
 (h, n) block dW stays factored as L^T R plus a term linear in W until
 ``to_vector``, so the reverse pass sums one dense dW over a whole trajectory
 instead of building one per RK4 stage.  Large products L^T R run on one worker
-thread beside the cotangent chain; it starts on the first such product, so
-importing the package or integrating forward starts no thread.
+thread beside the cotangent chain.  The same worker evaluates part of the rows
+of each large ``grad_lap`` while the caller evaluates the rest.  The thread
+starts on the first task of either kind, so importing the package starts no
+thread, and neither does a forward or reverse pass whose products stay below
+``_WORKER_MIN_SIZE``.
 """
 
 from __future__ import annotations
@@ -55,15 +58,23 @@ from .errors import NumericError
 # n = 64 and 784.
 _TERM_BLOCK = 1 << 15
 
-# A product L^T R of at least this many multiply-adds (2B h n) folds into a sum
-# of ParamGrads on the worker thread, beside the cotangent chain; a smaller one
-# folds inline, where the hand-off costs more than the overlap gains.  Timed on
-# a whole backprop with one BLAS thread on 2 cores: the worker breaks even at
-# 13M (n = 64, h = 1024, B = 100), saves 22% at 26M and 33% at 161M, and costs
-# 50% at 4.2M (n = 64, h = 512, B = 64).
+# Work of at least this many multiply-adds (2B h n) uses the worker thread; less
+# runs inline, where the hand-off costs more than the overlap gains.  It serves
+# two jobs, both timed with one BLAS thread on 2 cores:
+# - a product L^T R folds into a sum of ParamGrads on the worker, beside the
+#   cotangent chain.  On a whole backprop the worker breaks even at 13M
+#   (n = 64, h = 1024, B = 100), saves 22% at 26M and 33% at 161M, and costs
+#   50% at 4.2M (n = 64, h = 512, B = 64);
+# - grad_lap splits its rows with the worker.  Per call, one part -> split,
+#   over 6 alternating medians: x1.17-1.50 at 13M, x1.26-1.62 at 26M and
+#   x1.40-1.68 at 161M (n = 784, h = 1024, B = 100); at 4.2M it ranged from
+#   x0.78 to x1.37 from day to day on a shared VM, so that shape stays inline.
 _WORKER_MIN_SIZE = 1 << 24
 # products of one sum queued on the worker at a time; each holds its L and R alive
 _MAX_IN_FLIGHT = 2
+# error settings of a product on the worker: overflow shows as a non-finite
+# gradient, which backprop reports
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def softplus(z):
@@ -306,12 +317,41 @@ class MLPPotential:
 
         Nothing is kept for the reverse pass: ``vjp`` recomputes the
         activations from X.
+
+        When 2 B h n reaches ``_WORKER_MIN_SIZE`` and B >= 32, the rows are
+        evaluated in two parts at once: the first k = 16 floor(B / 32) on
+        the worker thread, under the caller's ``np.geterr()``, the other
+        B - k on the caller.  Each part is ``_grad_lap_rows`` of its rows.
+        OpenBLAS picks its kernels by size, so a row's bits may depend on
+        how many rows share its product; this k kept G and the Laplacian
+        bitwise equal to the one-part evaluation at n = 784, h = 1024 for
+        B in {33, 64, 99, 100, 128, 200, 256, 1000}, where a 50/50 split at
+        B = 100 was not.  An exception raised in either part comes out of
+        this call.
         """
+        B, n = X.shape
+        k = 16 * (B // 32)
+        if not k or 2 * B * self.params.n_hidden * n < _WORKER_MIN_SIZE:
+            S = self._activations(X)
+            G = S @ self._aW
+            Sp = S * S
+            np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)
+            return G, Sp @ self._a_rowsq
+        G, lap = np.empty((B, n)), np.empty(B)
+        part = _submit(np.geterr(), self._grad_lap_rows, X[:k], G[:k], lap[:k])
+        try:
+            self._grad_lap_rows(X[k:], G[k:], lap[k:])
+        finally:
+            part.result()
+        return G, lap
+
+    def _grad_lap_rows(self, X, G, lap):
+        """``grad_lap``'s expressions for the rows of X, written into G (B, n) and lap (B,)."""
         S = self._activations(X)
-        G = S @ self._aW
+        np.matmul(S, self._aW, out=G)
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)
-        return G, Sp @ self._a_rowsq
+        np.matmul(Sp, self._a_rowsq, out=lap)
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """Batch-accumulated derivatives of sum_i [w_grad_i . grad_i + w_lap_i * lap_i].
@@ -465,7 +505,7 @@ class ParamGrad:
         if L.shape[0] * L.shape[1] * R.shape[1] >= _WORKER_MIN_SIZE:
             while len(self._pending) >= _MAX_IN_FLIGHT:
                 self._pending.popleft().result()
-            self._pending.append(_submit(_product, *args))
+            self._pending.append(_submit(_QUIET, _product, *args))
         else:
             self._wait()
             _product(*args)
@@ -488,21 +528,24 @@ _worker = None
 _worker_lock = threading.Lock()
 
 
-def _submit(fn, *args):
-    """Run ``fn(*args)`` on the worker thread, started on the first call."""
+def _submit(errors, fn, *args):
+    """Run ``fn(*args)`` under ``np.errstate(**errors)`` on the worker thread.
+
+    The thread starts on the first call; the returned future holds the
+    result or the exception.
+    """
     global _worker
     with _worker_lock:
         if _worker is None:
             # imported here: it costs 10 ms and 0.6 MB, which only the worker needs
             from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-dW")
-        return _worker.submit(_quietly, fn, *args)
+        return _worker.submit(_under, errors, fn, *args)
 
 
-def _quietly(fn, *args):
-    # overflow shows as a non-finite gradient, which backprop reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        fn(*args)
+def _under(errors, fn, *args):
+    with np.errstate(**errors):
+        return fn(*args)
 
 
 def _forget_worker():

@@ -179,6 +179,19 @@ def test_idx_logprob_of_identity_flow_is_closed_form_bits_per_dim(tmp_path, caps
     assert abs(float(printed[2]) - bits_per_dim) <= 1e-12
 
 
+@pytest.mark.parametrize("size,steps", [(None, 201), (100, 2)])
+def test_idx_training_set_is_cut_only_by_an_explicit_size(tmp_path, capsys, size, steps):
+    path = tmp_path / "x.idx"
+    data_mod.write_idx(str(path), np.random.default_rng(2).integers(0, 256, size=(10_050, 1, 1)))
+    dataset = {"name": "idx", "path": str(path)}
+    if size is not None:
+        dataset["size"] = size
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"), "dataset": dataset,
+           "train": {"epochs": 1, "batch_size": 50, "hidden": 3, "steps": 2}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.startswith(f"trained {steps} steps, ")
+
+
 def test_logprob_tells_idx_from_csv_by_the_magic(tmp_path, capsys):
     n, h = 4, 8
     rng = np.random.default_rng(2)

@@ -310,24 +310,29 @@ def test_concurrent_reverse_passes_share_the_worker(monkeypatch):
         assert np.array_equal(w, g)
 
 
-def test_one_worker_thread_started_by_the_reverse_pass_only():
-    code = """
+@pytest.mark.parametrize("below,counts", [(1, "[0, 0, 0]"), (0, "[1, 1, 1]")],
+                         ids=["below-the-constant", "at-the-constant"])
+def test_worker_thread_started_once_by_the_first_product_at_the_size_constant(below, counts):
+    # counts after sample, after log_prob and after two nll_loss calls: at the
+    # constant the first forward stage starts the one worker, and nothing adds another
+    code = f"""
 import threading
 n0 = threading.active_count()
 import numpy as np
 import maflow
 from maflow import IntegratorConfig, build_potential, init_params, log_prob, nll_loss, sample
 B, n = 100, 784
-h = -(-maflow.potential._WORKER_MIN_SIZE // (2 * B * n))   # products just big enough
+h = -(-maflow.potential._WORKER_MIN_SIZE // (2 * B * n)) - {below}
 rng = np.random.default_rng(0)
 pot = build_potential(init_params(n, h, rng))
 cfg = IntegratorConfig(0.1, 2)
 X = sample(pot, B, cfg, rng).X
-log_prob(pot, X, cfg)
 counts = [threading.active_count() - n0]
+log_prob(pot, X, cfg)
+counts.append(threading.active_count() - n0)
 for _ in range(2):
     nll_loss(pot, X, cfg)
-    counts.append(threading.active_count() - n0)
+counts.append(threading.active_count() - n0)
 print(counts)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -335,7 +340,7 @@ print(counts)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 1, 1]"
+    assert out.stdout.strip() == counts
 
 
 class RecordingPotential:

@@ -1,6 +1,8 @@
 """Potential evaluation against finite-difference oracles and trivial cases."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -9,8 +11,9 @@ import pytest
 from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
-from maflow import (MLPPotential, PotentialParams, SymmetrizedPotential, eval_batch,
-                    eval_potential, init_params, param_vjp, z2_group)
+from maflow import potential
+from maflow import (IntegratorConfig, MLPPotential, PotentialParams, SymmetrizedPotential,
+                    eval_batch, eval_potential, init_params, log_prob, param_vjp, z2_group)
 from maflow.potential import logistic
 
 LN2 = 0.6931471805599453
@@ -441,3 +444,129 @@ def test_fingerprint_is_cached_and_tracks_the_weights():
     assert pot.fingerprint() == MLPPotential(p.copy()).fingerprint()
     other = PotentialParams(p.W, p.b, p.a * 1.001, p.c)
     assert MLPPotential(other).fingerprint() != pot.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# grad_lap rows split with the worker thread, at the mnist-shape width
+
+N_MNIST, H_MNIST = 784, 1024
+
+
+@pytest.fixture(scope="module")
+def wide_engine():
+    return MLPPotential(random_params(N_MNIST, H_MNIST, seed=30))
+
+
+def spy_on_worker(monkeypatch):
+    """Record the function of each task handed to the worker; the tasks still run."""
+    tasks, submit = [], potential._submit
+
+    def spy(errors, fn, *args):
+        tasks.append(fn)
+        return submit(errors, fn, *args)
+
+    monkeypatch.setattr(potential, "_submit", spy)
+    return tasks
+
+
+def in_thread(fn):
+    """fn() on a thread joined with a timeout, so a deadlock fails instead of hanging."""
+    out = []
+
+    def run():
+        try:
+            out.append(fn())
+        except Exception as e:      # handed to the test, which checks its type
+            out.append(e)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(60)
+    assert not t.is_alive()
+    return out[0]
+
+
+@pytest.mark.parametrize("B", [31, 32, 33, 99, 100, 128])
+def test_split_grad_lap_is_bitwise_the_one_part_rows(monkeypatch, wide_engine, B):
+    tasks = spy_on_worker(monkeypatch)
+    X = np.random.default_rng(B).standard_normal((B, N_MNIST))
+    G, lap = wide_engine.grad_lap(X)
+    assert len(tasks) == (1 if B >= 32 else 0)      # 16 floor(B / 32) rows go to the worker
+    want_G, want_lap = np.empty_like(G), np.empty_like(lap)
+    wide_engine._grad_lap_rows(X, want_G, want_lap)
+    assert np.array_equal(G, want_G) and np.array_equal(lap, want_lap)
+
+
+def test_worker_gets_no_grad_lap_task_below_the_size_constant(monkeypatch, wide_engine):
+    B = 100
+    size = 2 * B * H_MNIST * N_MNIST
+    X = np.random.default_rng(34).standard_normal((B, N_MNIST))
+    tasks = spy_on_worker(monkeypatch)
+    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size + 1)
+    G, lap = wide_engine.grad_lap(X)
+    assert tasks == []
+    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size)
+    split = wide_engine.grad_lap(X)
+    assert len(tasks) == 1
+    assert np.array_equal(split[0], G) and np.array_equal(split[1], lap)
+
+
+def test_exception_in_the_worker_part_comes_out_of_grad_lap(monkeypatch, wide_engine):
+    rows, threads = MLPPotential._grad_lap_rows, []
+
+    def failing(self, X, G, lap):
+        threads.append(threading.current_thread().name)
+        if threads[-1].startswith("maflow-dW"):
+            raise RuntimeError("rows failed")
+        rows(self, X, G, lap)
+
+    X = np.random.default_rng(31).standard_normal((100, N_MNIST))
+    want = wide_engine.grad_lap(X)
+    monkeypatch.setattr(MLPPotential, "_grad_lap_rows", failing)
+    err = in_thread(lambda: wide_engine.grad_lap(X))
+    assert isinstance(err, RuntimeError) and str(err) == "rows failed"
+    assert len(threads) == 2 and sum(t.startswith("maflow-dW") for t in threads) == 1
+    # the worker survives a failed task
+    monkeypatch.setattr(MLPPotential, "_grad_lap_rows", rows)
+    got = in_thread(lambda: wide_engine.grad_lap(X))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("row", [0, 99], ids=["worker-part", "caller-part"])
+def test_floating_point_errors_follow_the_callers_settings_in_either_part(wide_engine, row):
+    X = np.random.default_rng(32).standard_normal((100, N_MNIST))
+    X[row] = np.inf         # inf - inf inside X W^T
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        wide_engine.grad_lap(X)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G, lap = wide_engine.grad_lap(X)
+    assert np.isnan(lap[row]) and np.isfinite(np.delete(lap, row)).all()
+
+
+def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monkeypatch,
+                                                                           wide_engine):
+    tasks = spy_on_worker(monkeypatch)
+    cfg = IntegratorConfig(0.1, 2)
+    rng = np.random.default_rng(33)
+    Xs = [rng.standard_normal((100, N_MNIST)) for _ in range(4)]
+    want = [log_prob(wide_engine, X, cfg) for X in Xs]
+    assert len(tasks) == len(Xs) * cfg.steps * 4      # every stage split its rows
+    got = [None] * len(Xs)
+
+    def run(j):
+        got[j] = log_prob(wide_engine, Xs[j], cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,), daemon=True) for j in range(len(Xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
