@@ -7,10 +7,9 @@ exactly, against a maximum-likelihood or variational free-energy objective,
 optionally with a symmetrized potential.
 """
 
-from .difftape import BackpropResult, Trajectory, backprop, replay
 from .errors import ConfigError, FormatError, MaflowError, NumericError, StaleTapeError
-from .flow import (FlowState, IntegratorConfig, gaussian_base, gaussian_log_density,
-                   integrate, log_prob, rk4_step, sample)
+from .flow import (BackpropResult, FlowState, IntegratorConfig, Trajectory, backprop,
+                   gaussian_base, gaussian_log_density, integrate, log_prob, replay, sample)
 from .potential import (MLPPotential, ParamGrad, PotentialEval, PotentialParams, as_potential,
                         eval_batch, eval_potential, init_params, param_vjp)
 from .symmetry import (SymmetrizedPotential, SymmetryGroup, build_potential, d4_group,

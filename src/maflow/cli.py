@@ -102,17 +102,14 @@ def _build_target(run):
         if size < 1:
             raise ConfigError(f"'dataset.size' must be >= 1 for toy sets, got {size}")
         return data_mod.toy_density(ds["name"], size, rng)
-    if ds["name"] == "idx":
+    if ds["name"] in ("idx", "csv"):
         if not ds["path"]:
-            raise ConfigError("dataset.name 'idx' needs dataset.path")
-        loaded = data_mod.load_idx(ds["path"])
+            raise ConfigError(f"dataset.name '{ds['name']}' needs dataset.path")
+        loaded = (data_mod.load_idx(ds["path"]) if ds["name"] == "idx"
+                  else data_mod.Dataset(data_mod.load_csv(ds["path"])))
         if ds.get("size") and ds["size"] < len(loaded):
             loaded = data_mod.Dataset(loaded.X[: ds["size"]].copy(), loaded.space)
         return loaded
-    if ds["name"] == "csv":
-        if not ds["path"]:
-            raise ConfigError("dataset.name 'csv' needs dataset.path")
-        return data_mod.Dataset(data_mod.load_csv(ds["path"]))
     raise ConfigError(f"unknown dataset name '{ds['name']}'")
 
 

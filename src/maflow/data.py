@@ -56,7 +56,8 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _read_exact(f, n, path, what):
+def read_exact(f, n, path, what):
+    """The next n bytes of binary file f; fewer left is a FormatError naming ``what``."""
     # a corrupt size must not make read() allocate far past the end of the file
     buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(buf) != n:
@@ -79,14 +80,14 @@ def load_idx(images_path):
     FormatError.
     """
     with open(images_path, "rb") as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, images_path, "magic"))[0]
+        magic = struct.unpack(">I", read_exact(f, 4, images_path, "magic"))[0]
         if magic != _IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic 0x{magic:08x} at byte offset 0, "
                               f"expected 0x{_IDX_IMAGES_MAGIC:08x}")
-        count, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path, "header"))
+        count, rows, cols = struct.unpack(">III", read_exact(f, 12, images_path, "header"))
         if count * rows * cols == 0:
             raise FormatError(f"{images_path}: no image data ({count} images of {rows}x{cols})")
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
+        raw = read_exact(f, count * rows * cols, images_path, "pixel data")
         extra = f.read(1)
         if extra:
             raise FormatError(f"{images_path}: trailing bytes at offset {f.tell() - 1}")

@@ -1,4 +1,5 @@
-"""Fixed-step RK4 integration of the coupled position / log-density system.
+"""Fixed-step RK4 integration of the coupled position / log-density system,
+and its exact reverse pass.
 
 The joint ODE is
 
@@ -7,7 +8,7 @@ The joint ODE is
 
 integrated forward (sampling: noise -> data) or backward (inference:
 data -> noise) with the classical fourth-order Runge-Kutta scheme at a
-fixed step.  Backward integration reuses the same stepper with a negated
+fixed step.  Backward integration runs the same stages with a negated
 increment, so both directions cost the same.  Each direction has one
 integration, ``_forward`` or ``_backward``: ``sample`` and ``log_prob`` call
 them, and so do the losses in ``targets``, which also record the tape.
@@ -15,24 +16,50 @@ them, and so do the losses in ``targets``, which also record the tape.
 Batch rows are independent; everything is float64 and deterministic for a
 given seed.  Non-finite intermediates abort with diagnostics instead of
 being clamped, because clamping would silently corrupt log-densities.
+
+The tape (``integrate(..., record=True)``) stores, for every step, the entry
+state (x0, l0), the signed step, and the four stage evaluations: gradients
+(B, n), Laplacians (B,) and the evaluator contexts.  That is B*(5n + 5)*8
+bytes per step, whatever the evaluator's hidden width: ``vjp`` recomputes
+the hidden-layer activations from the stage input.  The stage inputs are
+not stored either: stage i+1 starts at x0 + c_i*eta*g_i, so
+``StepRecord.stage_x`` rebuilds them from x0 and the stored gradients with
+the integrator's own expression, bit for bit.
+
+``backprop`` differentiates the *discrete* RK4 map, so gradients are exact
+at any step size; they approximate the continuous adjoint only in the limit
+of small steps, which is irrelevant here because the loss is defined on the
+discrete map itself.  Memory is O(steps * batch * dim): every step is kept,
+and only the activations inside a stage are recomputed, not whole steps.
+
+The parameter gradient is one ``ParamGrad`` for the whole trajectory.  Each
+stage's ``vjp`` adds its db, da and t2 at once and its dW product L^T R into
+one dense dW, in reverse step order and stages 4..1 inside each step; the
+2 a (sum t2) W term of dW comes last, once.  Large products run on a worker
+thread beside the cotangent chain, in the same order, so the result does not
+depend on which thread ran them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .difftape import StepRecord, Trajectory, combine_stages, next_stage_input
-from .errors import NumericError
+from .errors import NumericError, StaleTapeError
 from .potential import as_potential
 
 FORWARD = "forward"
 BACKWARD = "backward"
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# classical RK4 combination weights for stages 1..4
+_RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
+# stage i+1 starts at x0 + _STAGE_OFFSETS[i] * eta * g_i, for stages i = 0..2
+_STAGE_OFFSETS = (0.5, 0.5, 1.0)
 
 
 @dataclass
@@ -99,6 +126,67 @@ def gaussian_base(n_dim, n_samples, rng):
     return FlowState(z, gaussian_log_density(z), 0.0)
 
 
+def _next_stage_input(x0, eta, i, g):
+    """Input of stage i+1 from the entry positions and stage i's gradient."""
+    return x0 + (_STAGE_OFFSETS[i] * eta) * g
+
+
+def _combine_stages(x0, l0, eta, grads, laps):
+    """One RK4 update of the joint (position, log-density) system.
+
+    Shared by the integrator and ``replay`` so both produce bitwise identical
+    arithmetic.  ``eta`` is the signed step.
+    """
+    g1, g2, g3, g4 = grads
+    l1, l2, l3, l4 = laps
+    x1 = x0 + (eta / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+    # d(log p)/dt = -lap, hence the minus sign
+    l1_ = l0 - (eta / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+    return x1, l1_
+
+
+@dataclass
+class StepRecord:
+    """Everything needed to replay and to reverse one RK4 step.
+
+    Holds B*(5n + 5)*8 bytes (x0, l0, four gradients, four Laplacians) for
+    any evaluator.  The stage inputs are not stored; ``stage_x`` rebuilds
+    them bit for bit.
+    """
+
+    x0: np.ndarray          # entry positions (B, n)
+    l0: np.ndarray          # entry log-densities (B,)
+    eta: float              # signed step actually taken
+    stage_grad: tuple       # 4 gradient-field evaluations
+    stage_lap: tuple        # 4 Laplacian evaluations
+    stage_ctx: tuple        # 4 evaluator contexts (e.g. sampled group element)
+
+    @property
+    def stage_aux(self):
+        # compatibility name: perfbench's tape_bytes iterates it; removed with
+        # benchmark v2 (ROADMAP direction 1)
+        return (None,) * 4
+
+    @property
+    def stage_x(self):
+        """The 4 stage input positions; stage_x[0] is x0, the others are new arrays."""
+        xs = [self.x0]
+        for i in range(3):
+            xs.append(_next_stage_input(self.x0, self.eta, i, self.stage_grad[i]))
+        return tuple(xs)
+
+
+@dataclass
+class Trajectory:
+    """Recorded forward pass of ``integrate``; input to ``backprop``."""
+
+    steps: list = field(default_factory=list)
+    fingerprint: bytes = b""
+
+    def __len__(self):
+        return len(self.steps)
+
+
 def _first_bad_row(*arrays):
     for arr in arrays:
         bad = ~np.isfinite(arr)
@@ -108,93 +196,133 @@ def _first_bad_row(*arrays):
     return None
 
 
-def rk4_step(potential, state, epsilon, direction=FORWARD, ctx=None, record=False,
-             step_index=None):
-    """Advance the joint system by one RK4 step of size epsilon.
-
-    ``direction='backward'`` integrates the same field with a negated time
-    increment.  ``ctx`` holds the evaluator context of each of the four
-    stages, as drawn by ``integrate`` from ``potential.begin_trajectory``;
-    None evaluates every stage with context None (for a symmetrized
-    potential, the whole group).  With ``record=True`` additionally returns
-    a StepRecord for the reverse-mode pass, else None.
-    """
-    pot = as_potential(potential)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive; use direction='backward' to go back in time")
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
-    eta = epsilon if direction == FORWARD else -epsilon
-    ctx = (None,) * 4 if ctx is None else tuple(ctx)
-
-    x0, l0 = state.X, state.L
-
-    grads, laps = [], []
-    xi = x0
-    # overflow surfaces as a non-finite value, reported below with its row
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(4):
-            g, lap = pot.grad_lap(xi, ctx[i])
-            grads.append(g)
-            laps.append(lap)
-            if i < 3:
-                xi = next_stage_input(x0, eta, i, g)
-
-        x1, l1 = combine_stages(x0, l0, eta, grads, laps)
-
-    bad = _first_bad_row(x1, l1, *grads)
-    if bad is not None:
-        where = f"step {step_index}" if step_index is not None else "integration step"
-        raise NumericError(f"non-finite value during {where}, batch row {bad}")
-
-    new_state = FlowState(x1, l1, state.t + eta)
-    rec = None
-    if record:
-        rec = StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx)
-    return new_state, rec
-
-
 def integrate(potential, state, config, rng=None, record=False, callback=None):
     """Run ``config.steps`` RK4 steps; returns (final state, Trajectory or None).
 
     Calls ``potential.begin_trajectory(rng)`` once: it returns an iterator
     over the context of every stage of the trajectory (for a sampled
     symmetrized potential, the group element indices, drawn lazily from
-    ``rng``), or None when every stage has context None.  Each step takes
-    the next four contexts.  ``callback(step_index, state)`` fires after
-    every step (used for frame dumps).  With ``record=True`` the returned
-    Trajectory holds every step's entry state and all four stage
-    evaluations with their contexts (the stage inputs are rebuilt from
-    these, see ``StepRecord.stage_x``).
+    ``rng``), or None when every stage has context None (for a symmetrized
+    potential, the whole group).  Each step takes the next four contexts.
+    ``callback(step_index, state)`` fires after every step (used for frame
+    dumps).  A non-finite position or log-density raises NumericError naming
+    the step and the first bad batch row.  With ``record=True`` the returned
+    Trajectory holds every step's ``StepRecord`` (see the module docstring).
     """
     pot = as_potential(potential)
     if state.n_dim != pot.n_dim:
         raise ValueError(f"state dimension {state.n_dim} does not match potential {pot.n_dim}")
+    eta = config.epsilon if config.direction == FORWARD else -config.epsilon
     contexts = pot.begin_trajectory(rng)
     traj = Trajectory(fingerprint=pot.fingerprint()) if record else None
+    x0, l0, t = state.X, state.L, state.t
     for k in range(config.steps):
-        ctx = None if contexts is None else tuple(itertools.islice(contexts, 4))
-        state, rec = rk4_step(pot, state, config.epsilon, config.direction,
-                              ctx=ctx, record=record, step_index=k)
+        ctx = (None,) * 4 if contexts is None else tuple(itertools.islice(contexts, 4))
+        grads, laps = [], []
+        xi = x0
+        # overflow surfaces as a non-finite value, reported below with its row
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(4):
+                g, lap = pot.grad_lap(xi, ctx[i])
+                grads.append(g)
+                laps.append(lap)
+                if i < 3:
+                    xi = _next_stage_input(x0, eta, i, g)
+            x1, l1 = _combine_stages(x0, l0, eta, grads, laps)
+        # a non-finite stage gradient makes x1 non-finite in the same row
+        bad = _first_bad_row(x1, l1)
+        if bad is not None:
+            raise NumericError(f"non-finite value during step {k}, batch row {bad}")
         if record:
-            traj.steps.append(rec)
+            traj.steps.append(StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx))
+        x0, l0, t = x1, l1, t + eta
         if callback is not None:
-            callback(k + 1, state)
-    return state, traj
+            callback(k + 1, FlowState(x0, l0, t))
+    return FlowState(x0, l0, t), traj
 
 
-def _forward(potential, n_samples, config, rng, record=False, callback=None):
+def replay(traj):
+    """Recompute the terminal state from the recorded stage evaluations.
+
+    Returns (X, L), the last step's update of its recorded entry state.
+    Bitwise equality with the integrator output is a correctness check on
+    the tape contents.
+    """
+    if not traj.steps:
+        raise ValueError("empty trajectory")
+    rec = traj.steps[-1]
+    return _combine_stages(rec.x0, rec.l0, rec.eta, rec.stage_grad, rec.stage_lap)
+
+
+@dataclass
+class BackpropResult:
+    param_grad: object        # materialized ParamGrad, or None for fixed fields
+    d_x0: np.ndarray          # cotangent w.r.t. the entry positions
+
+
+def backprop(traj, potential, d_x_final, d_l_final):
+    """Pull terminal cotangents back through the recorded trajectory.
+
+    ``potential`` must be the evaluator (or its parameters wrapped in one)
+    that produced the tape; a fingerprint mismatch raises StaleTapeError.
+    The log-density cotangent passes through unchanged, because nothing
+    depends on l0, so only the entry positions' cotangent is returned.
+    ``param_grad`` is the trajectory's one ``ParamGrad``, already
+    materialized, summed in the order the module docstring gives, so results
+    are reproducible bit for bit.  A non-finite position cotangent or
+    parameter gradient raises NumericError.
+    """
+    pot = as_potential(potential)
+    if traj.fingerprint != pot.fingerprint():
+        raise StaleTapeError("trajectory was recorded under different potential parameters")
+    if not traj.steps:
+        raise ValueError("empty trajectory")
+
+    B, n = traj.steps[0].x0.shape
+    d_x = np.array(d_x_final, dtype=np.float64, copy=True)
+    d_l = np.asarray(d_l_final, dtype=np.float64)
+    if d_x.shape != (B, n) or d_l.shape != (B,):
+        raise ValueError("cotangent shapes do not match the recorded batch")
+
+    grad = None     # ParamGrad summed over every stage, or None for fixed fields
+
+    # overflow surfaces as a non-finite cotangent, reported below with its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(traj.steps) - 1, -1, -1):
+            rec = traj.steps[k]
+            eta = rec.eta
+            xs = rec.stage_x
+            # base cotangents on the four stage outputs from the combination rule
+            kbar = [d_x * (eta * w / 6.0) for w in _RK4_WEIGHTS]
+            lbar = [(eta * w / 6.0) * d_l for w in _RK4_WEIGHTS]
+            d_x_new = d_x.copy()
+            for i in (3, 2, 1, 0):
+                pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i], ctx=rec.stage_ctx[i])
+                if pg is not None:
+                    grad = pg if grad is None else grad.add(pg)
+                d_x_new += xcot
+                if i > 0:
+                    # stage i's input is x0 + _STAGE_OFFSETS[i-1] * eta * g_{i-1}
+                    kbar[i - 1] = kbar[i - 1] + (_STAGE_OFFSETS[i - 1] * eta) * xcot
+            d_x = d_x_new
+            if not np.isfinite(d_x).all():
+                raise NumericError(f"non-finite position cotangent in the reverse pass "
+                                   f"at step {k}")
+        if grad is not None and not np.isfinite(grad.to_vector()).all():
+            raise NumericError("non-finite parameter gradient in the reverse pass")
+    return BackpropResult(grad, d_x)
+
+
+def _forward(pot, n_samples, config, rng, record=False, callback=None):
     """The base Gaussian pushed forward: (final state, Trajectory or None)."""
     if config.direction != FORWARD:
         raise ValueError("sampling integrates forward; got a backward config")
-    pot = as_potential(potential)
     state = gaussian_base(pot.n_dim, n_samples, rng)
     return integrate(pot, state, config, rng=rng, record=record, callback=callback)
 
 
-def _backward(potential, X, config, rng=None, record=False, callback=None):
+def _backward(pot, X, config, rng=None, record=False, callback=None):
     """Rows of X integrated back to the base: (log-densities, base points, Trajectory or None)."""
-    pot = as_potential(potential)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != pot.n_dim:
         raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
@@ -211,7 +339,7 @@ def sample(potential, n_samples, config, rng, callback=None):
     The returned state carries the exact model log-density of each sample
     (up to integrator truncation error) in ``L``.
     """
-    return _forward(potential, n_samples, config, rng, callback=callback)[0]
+    return _forward(as_potential(potential), n_samples, config, rng, callback=callback)[0]
 
 
 def log_prob(potential, X, config, rng=None, callback=None):
@@ -220,4 +348,4 @@ def log_prob(potential, X, config, rng=None, callback=None):
     Integrates backward to the base, accumulating the Laplacian along the
     path:  ln p(x, T) = ln N(z) - integral of lap phi over the trajectory.
     """
-    return _backward(potential, X, config, rng, callback=callback)[0]
+    return _backward(as_potential(potential), X, config, rng, callback=callback)[0]

@@ -72,9 +72,6 @@ _TERM_BLOCK = 1 << 15
 _WORKER_MIN_SIZE = 1 << 24
 # products of one sum queued on the worker at a time; each holds its L and R alive
 _MAX_IN_FLIGHT = 2
-# error settings of a product on the worker: overflow shows as a non-finite
-# gradient, which backprop reports
-_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 def softplus(z):
@@ -321,8 +318,9 @@ class MLPPotential:
         When 2 B h n reaches ``_WORKER_MIN_SIZE`` and B >= 32, the rows are
         evaluated in two parts at once: the first k = 16 floor(B / 32) on
         the worker thread, under the caller's ``np.geterr()``, the other
-        B - k on the caller.  Each part is ``_grad_lap_rows`` of its rows.
-        OpenBLAS picks its kernels by size, so a row's bits may depend on
+        B - k on the caller.  Each part is ``_grad_lap_rows`` of its rows;
+        below the constant, or when B < 32, k = 0 and the caller's part is
+        every row.  OpenBLAS picks its kernels by size, so a row's bits may depend on
         how many rows share its product; this k kept G and the Laplacian
         bitwise equal to the one-part evaluation at n = 784, h = 1024 for
         B in {33, 64, 99, 100, 128, 200, 256, 1000}, where a 50/50 split at
@@ -330,19 +328,14 @@ class MLPPotential:
         this call.
         """
         B, n = X.shape
-        k = 16 * (B // 32)
-        if not k or 2 * B * self.params.n_hidden * n < _WORKER_MIN_SIZE:
-            S = self._activations(X)
-            G = S @ self._aW
-            Sp = S * S
-            np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)
-            return G, Sp @ self._a_rowsq
+        k = 16 * (B // 32) if 2 * B * self.params.n_hidden * n >= _WORKER_MIN_SIZE else 0
         G, lap = np.empty((B, n)), np.empty(B)
-        part = _submit(np.geterr(), self._grad_lap_rows, X[:k], G[:k], lap[:k])
+        part = _submit(self._grad_lap_rows, X[:k], G[:k], lap[:k]) if k else None
         try:
             self._grad_lap_rows(X[k:], G[k:], lap[k:])
         finally:
-            part.result()
+            if part is not None:
+                part.result()
         return G, lap
 
     def _grad_lap_rows(self, X, G, lap):
@@ -505,7 +498,7 @@ class ParamGrad:
         if L.shape[0] * L.shape[1] * R.shape[1] >= _WORKER_MIN_SIZE:
             while len(self._pending) >= _MAX_IN_FLIGHT:
                 self._pending.popleft().result()
-            self._pending.append(_submit(_QUIET, _product, *args))
+            self._pending.append(_submit(_product, *args))
         else:
             self._wait()
             _product(*args)
@@ -528,11 +521,12 @@ _worker = None
 _worker_lock = threading.Lock()
 
 
-def _submit(errors, fn, *args):
-    """Run ``fn(*args)`` under ``np.errstate(**errors)`` on the worker thread.
+def _submit(fn, *args):
+    """Run ``fn(*args)`` on the worker thread under the caller's ``np.geterr()``.
 
-    The thread starts on the first call; the returned future holds the
-    result or the exception.
+    So a floating-point error is raised, warned about or ignored the same
+    way whichever thread computes.  The thread starts on the first call; the
+    returned future holds the result or the exception.
     """
     global _worker
     with _worker_lock:
@@ -540,7 +534,7 @@ def _submit(errors, fn, *args):
             # imported here: it costs 10 ms and 0.6 MB, which only the worker needs
             from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-dW")
-        return _worker.submit(_under, errors, fn, *args)
+        return _worker.submit(_under, np.geterr(), fn, *args)
 
 
 def _under(errors, fn, *args):

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .difftape import backprop
 from .errors import ConfigError, NumericError
-from .flow import LOG_2PI, _backward, _forward
+from .flow import LOG_2PI, _backward, _forward, backprop
 from .potential import as_potential, logistic
 
 # standard square-lattice critical coupling, log(1 + sqrt(2)) / 2

@@ -209,10 +209,7 @@ def _write_checkpoint(f, ckpt):
 
 def _read(f, n, path, what, decode=bytes):
     """The next n bytes through ``decode``; a short or undecodable section is a FormatError."""
-    # a corrupt length must not make read() allocate far past the end of the file
-    buf = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated checkpoint ({what})")
+    buf = data_mod.read_exact(f, n, path, what)
     try:
         return decode(buf)
     except (ValueError, TypeError, ConfigError) as e:  # TypeError: config not a JSON object

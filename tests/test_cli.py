@@ -179,11 +179,17 @@ def test_idx_logprob_of_identity_flow_is_closed_form_bits_per_dim(tmp_path, caps
     assert abs(float(printed[2]) - bits_per_dim) <= 1e-12
 
 
-@pytest.mark.parametrize("size,steps", [(None, 201), (100, 2)])
-def test_idx_training_set_is_cut_only_by_an_explicit_size(tmp_path, capsys, size, steps):
-    path = tmp_path / "x.idx"
-    data_mod.write_idx(str(path), np.random.default_rng(2).integers(0, 256, size=(10_050, 1, 1)))
-    dataset = {"name": "idx", "path": str(path)}
+@pytest.mark.parametrize("fmt,size,steps", [("idx", None, 201), ("idx", 100, 2),
+                                             ("csv", None, 4), ("csv", 100, 2)])
+def test_data_file_training_set_is_cut_only_by_an_explicit_size(tmp_path, capsys, fmt, size, steps):
+    # 10,050 one-pixel images or 200 two-column rows, 50 rows a step
+    path = tmp_path / f"x.{fmt}"
+    rng = np.random.default_rng(2)
+    if fmt == "idx":
+        data_mod.write_idx(str(path), rng.integers(0, 256, size=(10_050, 1, 1)))
+    else:
+        data_mod.save_csv(str(path), rng.standard_normal((200, 2)))
+    dataset = {"name": fmt, "path": str(path)}
     if size is not None:
         dataset["size"] = size
     cfg = {"task": "density", "out_dir": str(tmp_path / "out"), "dataset": dataset,

@@ -15,7 +15,7 @@ from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, Par
                     PotentialParams, StaleTapeError, SymmetrizedPotential, backprop,
                     gaussian_log_density, init_params, integrate, ising_group, nll_loss, replay,
                     variational_loss)
-from maflow.difftape import StepRecord
+from maflow.flow import StepRecord
 from maflow.gradcheck import central_difference, run_gradcheck
 from maflow.targets import IsingEnergy, ising_spec
 

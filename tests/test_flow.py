@@ -9,7 +9,7 @@ import pytest
 from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError,
                     PotentialParams, QuadraticPotential, gaussian_base,
                     gaussian_flow_oracle, gaussian_log_density, init_params, integrate,
-                    log_prob, rk4_step, sample)
+                    log_prob, sample)
 
 
 def strong_params(n=4, h=32, amp=18.0):
@@ -32,7 +32,7 @@ def test_zero_potential_is_identity_flow():
     pot = QuadraticPotential(0.0, 3)
     X = np.random.default_rng(0).standard_normal((5, 3))
     st = FlowState(X, gaussian_log_density(X), 0.0)
-    out, _ = rk4_step(pot, st, 0.1)
+    out, _ = integrate(pot, st, IntegratorConfig(0.1, 1))
     assert np.array_equal(out.X, X)
     assert np.array_equal(out.L, st.L)
     assert out.t == pytest.approx(0.1)
@@ -43,17 +43,8 @@ def test_zero_potential_is_identity_flow():
 def test_single_quadratic_step_matches_exponential():
     pot = QuadraticPotential(0.5, 1)
     st = FlowState(np.array([[1.0]]), np.zeros(1), 0.0)
-    out, _ = rk4_step(pot, st, 0.1)
+    out, _ = integrate(pot, st, IntegratorConfig(0.1, 1))
     assert abs(out.X[0, 0] - math.exp(0.05)) < 1e-7
-
-
-def test_integrate_one_step_equals_rk4_step():
-    pot = QuadraticPotential(0.3, 2)
-    X = np.random.default_rng(1).standard_normal((4, 2))
-    st = FlowState(X, gaussian_log_density(X), 0.0)
-    a, _ = rk4_step(pot, st, 0.05)
-    b, _ = integrate(pot, st, IntegratorConfig(0.05, 1))
-    assert np.array_equal(a.X, b.X) and np.array_equal(a.L, b.L)
 
 
 def test_quadratic_integrate_matches_oracle():
@@ -90,8 +81,8 @@ def test_single_step_roundtrip_small_eps():
     pot = MLPPotential(strong_params(amp=5.0))
     X0 = np.random.default_rng(10).standard_normal((8, 4))
     st = FlowState(X0, gaussian_log_density(X0), 0.0)
-    mid, _ = rk4_step(pot, st, 0.01)
-    back, _ = rk4_step(pot, mid, 0.01, "backward")
+    mid, _ = integrate(pot, st, IntegratorConfig(0.01, 1))
+    back, _ = integrate(pot, mid, IntegratorConfig(0.01, 1, "backward"))
     assert np.abs(back.X - X0).max() < 1e-10
 
 
@@ -163,6 +154,29 @@ def test_non_finite_aborts_with_row_diagnostics():
     st = FlowState(X, np.zeros(2), 0.0)
     with pytest.raises(NumericError, match="row 1"):
         integrate(pot, st, IntegratorConfig(10.0, 400), rng=None)
+
+
+class NanGradientAt(QuadraticPotential):
+    """A quadratic field whose gradient is NaN in one row of one stage evaluation."""
+
+    def __init__(self, step, stage, row):
+        super().__init__(0.2, 2)
+        self.calls, self.bad_call, self.row = 0, 4 * step + stage - 1, row
+
+    def grad_lap(self, X, ctx=None):
+        G, lap = super().grad_lap(X, ctx)
+        if self.calls == self.bad_call:
+            G[self.row] = np.nan
+        self.calls += 1
+        return G, lap
+
+
+def test_non_finite_stage_gradient_names_its_step_and_row():
+    pot = NanGradientAt(step=3, stage=2, row=2)
+    X = np.random.default_rng(13).standard_normal((5, 2))
+    with pytest.raises(NumericError, match=r"step 3, batch row 2$"):
+        integrate(pot, FlowState(X, np.zeros(5)), IntegratorConfig(0.1, 6))
+    assert pot.calls == 4 * 3 + 4       # the step ran its four stages, and no later step began
 
 
 def test_dimension_mismatch():

@@ -12,8 +12,9 @@ from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
 from maflow import potential
-from maflow import (IntegratorConfig, MLPPotential, PotentialParams, SymmetrizedPotential,
-                    eval_batch, eval_potential, init_params, log_prob, param_vjp, z2_group)
+from maflow import (IntegratorConfig, MLPPotential, ParamGrad, PotentialParams,
+                    SymmetrizedPotential, eval_batch, eval_potential, init_params, log_prob,
+                    param_vjp, z2_group)
 from maflow.potential import logistic
 
 LN2 = 0.6931471805599453
@@ -325,6 +326,22 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
         eng.vjp(X, WG, WL)[0].add(other)
 
 
+def test_overflow_in_a_product_follows_the_callers_settings(fold_on):
+    # finite factors whose product L^T R overflows, folded inline or on the worker
+    p = random_params(2, 3, seed=25)
+    L, R = np.full((4, 3), 1e200), np.full((4, 2), 1e200)
+
+    def overflowing():
+        return ParamGrad(p, L, R, np.zeros(3), np.zeros(3), np.zeros(3))
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        overflowing().to_vector()
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = overflowing().to_vector()
+    assert np.isinf(vec[:6]).all() and np.isfinite(vec[6:]).all()
+
+
 def saturated_params(n, h, seed):
     # every other hidden unit sits at |b| ~ 50, where s(z) rounds to 0 or 1
     p = random_params(n, h, seed=seed)
@@ -461,9 +478,9 @@ def spy_on_worker(monkeypatch):
     """Record the function of each task handed to the worker; the tasks still run."""
     tasks, submit = [], potential._submit
 
-    def spy(errors, fn, *args):
+    def spy(fn, *args):
         tasks.append(fn)
-        return submit(errors, fn, *args)
+        return submit(fn, *args)
 
     monkeypatch.setattr(potential, "_submit", spy)
     return tasks

@@ -174,7 +174,7 @@ def test_checkpoint_cut_at_any_byte_is_a_format_error(tmp_path):
     cut = tmp_path / "cut.bin"
     for k in range(len(raw)):
         cut.write_bytes(raw[:k])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(cut)
 
 
