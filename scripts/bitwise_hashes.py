@@ -14,14 +14,19 @@ decides which element every sampled index picks; and ``log_prob`` and the
 ``nll_loss`` gradient at n=784, h=1024, B=100, the one case large enough
 for ``grad_lap`` to split its rows with the worker thread.  OpenBLAS
 threads that case's products, so its hash depends on the BLAS thread
-count: compare runs made with the same ``OPENBLAS_NUM_THREADS``.
+count.  The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is
+imported unless the environment already sets it, so two runs compare
+by default; a run with another explicit count prints another last line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import tempfile
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy loads OpenBLAS
 
 import numpy as np
 

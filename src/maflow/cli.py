@@ -133,16 +133,19 @@ def _cmd_train(args):
     return 0
 
 
-def _potential_from_checkpoint(path, mode_override=None):
-    ckpt = load_checkpoint(path)
+def _evaluation(args, direction):
+    """(potential, training config, integrator config, rng) of a sample or logprob run."""
+    ckpt = load_checkpoint(args.ckpt)
     cfg = ckpt.config
-    group_name = cfg.symmetry if mode_override != "none" else "none"
-    mode = mode_override if mode_override in MODES else cfg.symmetry_mode
+    group_name = cfg.symmetry if args.symmetry_mode != "none" else "none"
+    mode = args.symmetry_mode if args.symmetry_mode in MODES else cfg.symmetry_mode
     group = group_by_name(group_name, ckpt.params.n_dim)
     if group is not None and mode == "sampled":
         print(f"note: sampled {cfg.symmetry} symmetry (resample={cfg.resample}): per-row results "
               "depend on --seed; --symmetry-mode average is exact", file=sys.stderr)
-    return build_potential(ckpt.params, group, mode, cfg.resample), cfg
+    icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps, direction)
+    return (build_potential(ckpt.params, group, mode, cfg.resample), cfg, icfg,
+            np.random.default_rng(args.seed))
 
 
 def _frames_writer(out_path, every):
@@ -155,18 +158,14 @@ def _frames_writer(out_path, every):
 
 
 def _cmd_sample(args):
-    pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
-    icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps)
-    rng = np.random.default_rng(args.seed)
+    pot, _, icfg, rng = _evaluation(args, FORWARD)
+    if args.spins and math.isqrt(pot.n_dim) ** 2 != pot.n_dim:
+        raise ConfigError(f"--spins needs a square-lattice checkpoint, got dimension {pot.n_dim}")
     state = sample(pot, args.n, icfg, rng, callback=_frames_writer(args.out, args.dump_every))
     data_mod.save_csv(args.out, state.X)
     print(f"wrote {args.n} samples to {args.out}")
     if args.spins:
         from .targets import spin_sampler
-        side = math.isqrt(state.n_dim)
-        if side * side != state.n_dim:
-            raise ConfigError(f"--spins needs a square-lattice checkpoint, got dimension "
-                              f"{state.n_dim}")
         spins_path = os.path.splitext(args.out)[0] + "_spins.csv"
         data_mod.save_csv(spins_path, spin_sampler(state.X, rng))
         print(f"wrote spin configurations to {spins_path}")
@@ -182,14 +181,12 @@ def _cmd_logprob(args):
     ``data.model_space``; bits/dim is the mean NLL over n ln 2, the
     convention of RealNVP (Dinh et al. 2016).
     """
-    pot, cfg = _potential_from_checkpoint(args.ckpt, args.symmetry_mode)
-    rng = np.random.default_rng(args.seed)
+    pot, cfg, icfg, rng = _evaluation(args, BACKWARD)
     ds = (data_mod.load_idx(args.data) if data_mod.is_idx(args.data)
           else data_mod.Dataset(data_mod.load_csv(args.data)))
     X, logdet = data_mod.model_space(ds, rng, cfg.logit_lambda)
     if X.shape[1] != pot.n_dim:
         raise ConfigError(f"data dimension {X.shape[1]} does not match checkpoint {pot.n_dim}")
-    icfg = IntegratorConfig(args.epsilon or cfg.epsilon, args.steps or cfg.steps, BACKWARD)
     lp = log_prob(pot, X, icfg, rng=rng) + logdet
     bpd = (f", bits/dim {float(-lp.mean() / (X.shape[1] * math.log(2.0)))!r}"
            if ds.space == data_mod.RAW else "")
@@ -265,32 +262,32 @@ def build_parser():
                    help="override the config seed")
     t.set_defaults(fn=_cmd_train)
 
-    s = sub.add_parser("sample", help="draw samples from a trained checkpoint")
-    s.add_argument("--ckpt", required=True)
+    # the checkpoint evaluation flags that sample and logprob share
+    ev = argparse.ArgumentParser(add_help=False)
+    ev.add_argument("--ckpt", required=True, help="trained checkpoint")
+    ev.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0,
+                    help="seed of every random draw of the run")
+    ev.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None,
+                    help="override step size")
+    ev.add_argument("--steps", type=_flag(int, "[1, inf)"), default=None,
+                    help="override step count")
+    ev.add_argument("--symmetry-mode", choices=MODES + ("none",), default=None,
+                    help="override the checkpoint's symmetrization mode")
+
+    s = sub.add_parser("sample", parents=[ev], help="draw samples from a trained checkpoint")
     s.add_argument("--n", type=_flag(int, "[1, inf)"), required=True, help="number of samples")
     s.add_argument("--out", required=True, help="output CSV")
-    s.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
-    s.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None,
-                   help="override step size")
-    s.add_argument("--steps", type=_flag(int, "[1, inf)"), default=None, help="override step count")
     s.add_argument("--dump-every", type=_flag(int, "[0, inf)"), default=0, metavar="K",
                    help="write intermediate positions every K steps")
     s.add_argument("--spins", action="store_true",
                    help="also write +-1 spin configurations drawn from p(s|x)")
-    s.add_argument("--symmetry-mode", choices=MODES + ("none",), default=None,
-                   help="override the checkpoint's symmetrization mode")
     s.set_defaults(fn=_cmd_sample)
 
-    l = sub.add_parser("logprob", help="model log-density of data rows")
-    l.add_argument("--ckpt", required=True)
+    l = sub.add_parser("logprob", parents=[ev], help="model log-density of data rows")
     l.add_argument("--data", required=True,
                    help="CSV of points, or an IDX image file (recognized by its magic)")
     l.add_argument("--out", required=True,
                    help="output CSV of per-row log-densities (pixel space for IDX images)")
-    l.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
-    l.add_argument("--epsilon", type=_flag(float, "(0, inf)"), default=None)
-    l.add_argument("--steps", type=_flag(int, "[1, inf)"), default=None)
-    l.add_argument("--symmetry-mode", choices=MODES + ("none",), default=None)
     l.set_defaults(fn=_cmd_logprob)
 
     g = sub.add_parser("gaussian1d-demo",

@@ -244,14 +244,22 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
 def replay(traj):
     """Recompute the terminal state from the recorded stage evaluations.
 
-    Returns (X, L), the last step's update of its recorded entry state.
-    Bitwise equality with the integrator output is a correctness check on
-    the tape contents.
+    Starts from the first step's entry state (x0, l0) and applies every
+    step's recorded gradients and Laplacians in turn.  Each chained state
+    must equal the next step's recorded entry state, or StaleTapeError
+    names the step whose update disagrees.  Returns (X, L), the chained
+    terminal state; bitwise equality with the integrator output is a
+    correctness check on the tape contents.
     """
     if not traj.steps:
         raise ValueError("empty trajectory")
-    rec = traj.steps[-1]
-    return _combine_stages(rec.x0, rec.l0, rec.eta, rec.stage_grad, rec.stage_lap)
+    x, l = traj.steps[0].x0, traj.steps[0].l0
+    for k, rec in enumerate(traj.steps):
+        if not (np.array_equal(x, rec.x0) and np.array_equal(l, rec.l0)):
+            raise StaleTapeError(f"step {k - 1}'s recorded stages do not lead to step {k}'s "
+                                 f"entry state")
+        x, l = _combine_stages(x, l, rec.eta, rec.stage_grad, rec.stage_lap)
+    return x, l
 
 
 @dataclass

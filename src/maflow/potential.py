@@ -52,12 +52,6 @@ import numpy as np
 
 from .errors import NumericError
 
-# Entries of dW per row block when ParamGrad.to_vector adds the 2 a t2 W term
-# after the products: 2^15 float64 (256 KB) keep the scratch block and the rows
-# of W and dW it meets in a core's L2 cache.  Chosen by timing 8K to 256K at
-# n = 64 and 784.
-_TERM_BLOCK = 1 << 15
-
 # Work of at least this many multiply-adds (2B h n) uses the worker thread; less
 # runs inline, where the hand-off costs more than the overlap gains.  It serves
 # two jobs, both timed with one BLAS thread on 2 cores:
@@ -120,6 +114,7 @@ class PotentialParams:
         self._vec, parts = vec, _split_vector(vec, n_hidden, n_dim)
         self.W, self.b, self.a, self.c = *parts[:3], float(parts[3][0])
         self.n_hidden, self.n_dim, self.size = n_hidden, n_dim, vec.size
+        self._fingerprint = None
         if not np.isfinite(vec).all():
             k = int(np.flatnonzero(~np.isfinite(vec))[0])
             for name, part in zip("Wbac", parts):
@@ -141,11 +136,13 @@ class PotentialParams:
         return cls._wrap(np.array(vec, dtype=np.float64), n_dim, n_hidden)
 
     def fingerprint(self):
-        """Digest of shape and raw bytes; changes whenever any weight changes."""
-        md = hashlib.sha1()
-        md.update(np.array(self.W.shape, dtype=np.int64).tobytes())
-        md.update(self._vec)
-        return md.digest()
+        """Digest of shape and raw bytes, hashed on the first call only: the vector is read-only."""
+        if self._fingerprint is None:
+            md = hashlib.sha1()
+            md.update(np.array(self.W.shape, dtype=np.int64).tobytes())
+            md.update(self._vec)
+            self._fingerprint = md.digest()
+        return self._fingerprint
 
 
 def vector_size(n_dim, n_hidden):
@@ -272,9 +269,10 @@ class MLPPotential:
     forward pass's.
 
     ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
-    evaluator, and ``fingerprint`` caches its digest on the first call.
-    The wrapped ``PotentialParams`` are read-only, so the caches stay valid
-    and the evaluator is stateless and safe to share.
+    evaluator.  The wrapped ``PotentialParams`` are read-only, so the caches
+    stay valid and the evaluator is stateless and safe to share.
+    ``fingerprint`` is the parameters' digest, which they cache, so the
+    evaluator keeps no digest of its own.
     """
 
     def __init__(self, params):
@@ -282,7 +280,6 @@ class MLPPotential:
         self._rowsq = np.einsum("kj,kj->k", params.W, params.W)
         self._aW = params.a[:, None] * params.W
         self._a_rowsq = params.a * self._rowsq
-        self._fingerprint = None
 
     @property
     def n_dim(self):
@@ -386,10 +383,8 @@ class MLPPotential:
         return ParamGrad(p, L, R, db, da, t2), dX
 
     def fingerprint(self):
-        """Digest of the wrapped parameters, hashed on the first call only."""
-        if self._fingerprint is None:
-            self._fingerprint = b"mlp:" + self.params.fingerprint()
-        return self._fingerprint
+        """Digest of the wrapped parameters, whose own digest is cached."""
+        return b"mlp:" + self.params.fingerprint()
 
 
 def as_potential(obj):
@@ -456,7 +451,9 @@ class ParamGrad:
         """The flat gradient in ``PotentialParams`` order (W row-major, b, a, c), read-only.
 
         Materializes the sum on the first call and returns the same vector
-        on later ones; the gradient then takes no more ``add``.
+        on later ones; the gradient then takes no more ``add``.  The term
+        2 a (sum t2) W is built in one pass, in the sum's (h, n) scratch
+        buffer (a new one for a single call's gradient), and added to dW.
         """
         if self._vector is None:
             self._fold_own()
@@ -464,16 +461,11 @@ class ParamGrad:
             p = self._params
             h, n = p.W.shape
             dW, db, da, dc = _split_vector(self._flat, h, n)
-            # the term after the products, through a cache-sized block: for one call
-            # each entry takes one rounded add of the same two values in either order,
-            # so dW is bitwise what a GEMM that accumulates onto the term gives
-            coef = (2.0 * p.a * self.t2)[:, None]
-            rows = max(1, _TERM_BLOCK // n)
-            term = np.empty((min(rows, h), n))
-            for i in range(0, h, rows):
-                j = min(i + rows, h)
-                np.multiply(p.W[i:j], coef[i:j], out=term[:j - i])
-                dW[i:j] += term[:j - i]
+            # for one call each entry takes one rounded add of the same two values in
+            # either order, so dW is bitwise what a GEMM accumulating onto the term gives
+            term = self._scratch if self._scratch is not None else np.empty((h, n))
+            np.multiply(p.W, (2.0 * p.a * self.t2)[:, None], out=term)
+            dW += term
             db[...], da[...], dc[0] = self.db, self.da, 0.0    # c never enters grad or lap
             self._flat.flags.writeable = False
             # keep only the vector: a caller may hold the gradient past the parameters

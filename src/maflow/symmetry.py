@@ -190,9 +190,9 @@ class SymmetrizedPotential:
 
     The evaluator holds no per-call state: ``grad_lap`` and ``vjp`` are pure
     functions of their arguments and the context, so one evaluator can serve
-    nested or interleaved integrations.  ``fingerprint`` caches its digest
-    on the first call, so base, group, mode and resample must not be
-    reassigned afterwards.
+    nested or interleaved integrations.  ``fingerprint`` hashes mode,
+    resample, the group's key and the base's digest on every call, so a tape
+    recorded before one of them is reassigned is stale.
     """
 
     def __init__(self, base, group, mode="average", resample="step"):
@@ -208,7 +208,6 @@ class SymmetrizedPotential:
         self.group = group
         self.mode = mode
         self.resample = resample
-        self._fingerprint = None
 
     @property
     def n_dim(self):
@@ -238,47 +237,41 @@ class SymmetrizedPotential:
                 yield from itertools.repeat(int(rng.integers(k)), 4)
 
     def grad_lap(self, X, ctx=None):
-        if ctx is not None:
-            G, lap = self.base.grad_lap(self.group.act(ctx, X))
-            return self.group.pull(ctx, G), lap
-        Gs = np.zeros_like(X)
-        laps = np.zeros(X.shape[0])
-        for m in range(len(self.group)):
+        """The base's G and Laplacian averaged over row ``ctx``, or every row if it is None."""
+        rows = range(len(self.group)) if ctx is None else (ctx,)
+        Gs = laps = 0.0     # the first add makes each sum: one row allocates no zero arrays
+        for m in rows:
             G, lap = self.base.grad_lap(self.group.act(m, X))
-            Gs += self.group.pull(m, G)
-            laps += lap
-        k = float(len(self.group))
+            Gs = Gs + self.group.pull(m, G)
+            laps = laps + lap
+        k = float(len(rows))
         return Gs / k, laps / k
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
+        """The base's vjp averaged over the same rows as ``grad_lap``."""
         if aux is not None:
             # compatibility keyword for perfbench's TimingProxy; removed with
             # benchmark v2 (ROADMAP direction 1)
             raise ValueError("vjp recomputes the activations; aux must be None")
-        if ctx is not None:
-            pg, xc = self.base.vjp(self.group.act(ctx, X), self.group.act(ctx, w_grad), w_lap)
-            return pg, self.group.pull(ctx, xc)
-        # a vjp is linear in its cotangents: scale them instead of the |G|-term sums
-        k = float(len(self.group))
+        rows = range(len(self.group)) if ctx is None else (ctx,)
+        # a vjp is linear in its cotangents: scale them instead of the row sums
+        k = float(len(rows))
         w_grad, w_lap = w_grad / k, w_lap / k
-        pg_total = None
-        xc_total = np.zeros_like(X)
-        for m in range(len(self.group)):
+        pg_total, xc_total = None, 0.0
+        for m in rows:
             pg, xc = self.base.vjp(self.group.act(m, X), self.group.act(m, w_grad), w_lap)
             if pg is not None:
                 pg_total = pg if pg_total is None else pg_total.add(pg)
-            xc_total += self.group.pull(m, xc)
+            xc_total = xc_total + self.group.pull(m, xc)
         return pg_total, xc_total
 
     def fingerprint(self):
-        """Digest of mode, group and base evaluator, hashed on the first call only."""
-        if self._fingerprint is None:
-            md = hashlib.sha1()
-            md.update(b"sym:" + self.mode.encode() + b":" + self.resample.encode())
-            md.update(self.group.key())
-            md.update(self.base.fingerprint())
-            self._fingerprint = md.digest()
-        return self._fingerprint
+        """Digest of mode, resample, group and base evaluator, hashed on every call."""
+        md = hashlib.sha1()
+        md.update(b"sym:" + self.mode.encode() + b":" + self.resample.encode())
+        md.update(self.group.key())
+        md.update(self.base.fingerprint())
+        return md.digest()
 
 
 def build_potential(params, group=None, mode="average", resample="step"):

@@ -416,3 +416,24 @@ def test_value_error_from_the_library_is_not_a_config_error(monkeypatch):
     monkeypatch.setattr(cli, "ising_oracle_report", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["ising-oracle", "--L", "2"])
+
+
+def test_sample_spins_of_a_square_checkpoint_are_plus_or_minus_one(tmp_path, capsys):
+    path = tmp_path / "ck.bin"
+    save_small_checkpoint(path, TrainConfig.for_ising(hidden=3, steps=2))   # a 2x2 lattice
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--ckpt", str(path), "--n", "5", "--out", str(out), "--spins"]) == 0
+    assert str(tmp_path / "s_spins.csv") in capsys.readouterr().out
+    spins = data_mod.load_csv(str(tmp_path / "s_spins.csv"))
+    assert spins.shape == (5, 4) and set(np.unique(spins)) <= {-1.0, 1.0}
+
+
+def test_sample_spins_of_a_non_square_checkpoint_exits_2_before_sampling(tmp_path, capsys):
+    path = tmp_path / "ck.bin"
+    save_small_checkpoint(path, TrainConfig.for_density(hidden=3, steps=2))   # the 2-d ring
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--ckpt", str(path), "--n", "5", "--out", str(out),
+                 "--dump-every", "1", "--spins"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: --spins needs a square")
+    assert sorted(tmp_path.iterdir()) == [path]

@@ -41,6 +41,21 @@ def test_replay_reproduces_terminal_state_bitwise():
     assert np.array_equal(rl, fin.L)
 
 
+@pytest.mark.parametrize("step", [0, 2])
+def test_replay_names_the_step_whose_stages_were_corrupted(step):
+    # a stage of an inner step changes that step's update but not the recorded entry
+    # state of the next one, which replay checks for every step
+    p = random_params(3, 16, seed=1)
+    X = np.random.default_rng(1).standard_normal((9, 3))
+    _, traj = make_trajectory(p, X, steps=5)
+    if step == 0:
+        traj.steps[0].stage_grad[1][...] += 1.0
+    else:
+        traj.steps[2].stage_lap[0][...] *= 7.0
+    with pytest.raises(StaleTapeError, match=f"^step {step}'s recorded stages"):
+        replay(traj)
+
+
 def test_zero_cotangents_give_zero_gradient():
     p = random_params(3, 8, seed=2)
     X = np.random.default_rng(2).standard_normal((4, 3))

@@ -457,7 +457,8 @@ def test_init_params_scales():
 def test_fingerprint_is_cached_and_tracks_the_weights():
     p = init_params(3, 5, np.random.default_rng(4))
     pot = MLPPotential(p)
-    assert pot.fingerprint() is pot.fingerprint()
+    assert p.fingerprint() is p.fingerprint()
+    assert pot.fingerprint() == b"mlp:" + p.fingerprint()
     assert pot.fingerprint() == MLPPotential(p.copy()).fingerprint()
     other = PotentialParams(p.W, p.b, p.a * 1.001, p.c)
     assert MLPPotential(other).fingerprint() != pot.fingerprint()

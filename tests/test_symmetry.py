@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from maflow import (ConfigError, IntegratorConfig, IsingEnergy, MLPPotential,
-                    PotentialParams, SymmetrizedPotential, SymmetryGroup, build_potential,
-                    d4_group, eval_potential, gaussian_base, init_params, integrate,
-                    ising_energy, ising_group, ising_spec, log_prob, replay, sample,
-                    symmetrized_eval, trivial_group, variational_loss, z2_group)
+                    PotentialParams, StaleTapeError, SymmetrizedPotential, SymmetryGroup,
+                    backprop, build_potential, d4_group, eval_potential, gaussian_base,
+                    init_params, integrate, ising_energy, ising_group, ising_spec, log_prob,
+                    replay, sample, symmetrized_eval, trivial_group, variational_loss, z2_group)
 from maflow.gradcheck import REL_TOL, compare_gradient
 
 
@@ -335,14 +335,48 @@ def test_nested_reuse_keeps_trajectory_element():
     assert len({c for rec in traj.steps for c in rec.stage_ctx}) == 1
 
 
-def test_symmetrized_fingerprint_is_cached_and_tracks_its_parts():
+def test_symmetrized_fingerprint_tracks_its_parts():
+    # only the read-only parts cache a digest; the evaluator hashes them on every call
     p = random_params(4, 8, seed=20)
     group = ising_group(2)
     pot = build_potential(p, group, "sampled", "step")
     assert group.key() is group.key()
-    assert pot.fingerprint() is pot.fingerprint()
+    assert p.fingerprint() is p.fingerprint()
     assert pot.fingerprint() == build_potential(p, ising_group(2), "sampled", "step").fingerprint()
     for other in (build_potential(p, group, "sampled", "stage"),
                   build_potential(p, z2_group(4), "sampled", "step"),
                   build_potential(PotentialParams(p.W, p.b, p.a * 1.001, p.c), group, "sampled")):
         assert other.fingerprint() != pot.fingerprint()
+
+
+@pytest.mark.parametrize("field", ["base", "mode"])
+def test_reassigned_symmetrized_evaluator_rejects_its_old_tape(field):
+    p = random_params(4, 8, seed=21)
+    pot = build_potential(p, ising_group(2), "sampled", "step")
+    state = gaussian_base(4, 5, np.random.default_rng(22))
+    _, traj = integrate(pot, state, IntegratorConfig(0.1, 3), rng=np.random.default_rng(23),
+                        record=True)
+    if field == "base":
+        pot.base = MLPPotential(random_params(4, 8, seed=24))
+    else:
+        pot.mode = "average"
+    with pytest.raises(StaleTapeError):
+        backprop(traj, pot, np.ones((5, 4)), np.ones(5))
+
+
+def test_sampled_hooks_are_the_base_hooks_around_one_row():
+    group = ising_group(2)
+    base = MLPPotential(random_params(4, 8, seed=25))
+    pot = SymmetrizedPotential(base, group, "sampled")
+    rng = np.random.default_rng(26)
+    X, w_grad = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    w_lap = rng.standard_normal(6)
+    for m in range(len(group)):
+        G, lap = pot.grad_lap(X, m)
+        G_base, lap_base = base.grad_lap(group.act(m, X))
+        assert np.array_equal(G, group.pull(m, G_base)) and np.array_equal(lap, lap_base)
+
+        pg, xc = pot.vjp(X, w_grad, w_lap, ctx=m)
+        pg_base, xc_base = base.vjp(group.act(m, X), group.act(m, w_grad), w_lap)
+        assert np.array_equal(pg.to_vector(), pg_base.to_vector())
+        assert np.array_equal(xc, group.pull(m, xc_base))
