@@ -11,10 +11,10 @@ Cases: a 2-epoch ``train`` on the toy ring (nll); 2-epoch variational
 by ``log_prob`` with a sampled L=4 evaluator; the ``perms`` and
 ``signs`` tables of ``ising_group`` at L=2, 3, 4 and 8, whose row order
 decides which element every sampled index picks; and ``log_prob`` and the
-``nll_loss`` gradient at n=784, h=1024, B=100, the one case large enough
-for ``grad_lap`` to split its rows with the worker thread.  OpenBLAS
-threads that case's products, so its hash depends on the BLAS thread
-count.  The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is
+``nll_loss`` gradient at n=784, h=1024, B=100.  The toy, L=4 and n=784
+cases have at least 32 rows, so they run as two row parts, one on the
+worker thread.  OpenBLAS threads the n=784 case's products, so its hash
+depends on the BLAS thread count.  The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is
 imported unless the environment already sets it, so two runs compare
 by default; a run with another explicit count prints another last line.
 """

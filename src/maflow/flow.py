@@ -35,15 +35,23 @@ and only the activations inside a stage are recomputed, not whole steps.
 The parameter gradient is one ``ParamGrad`` for the whole trajectory.  Each
 stage's ``vjp`` adds its db, da and t2 at once and its dW product L^T R into
 one dense dW, in reverse step order and stages 4..1 inside each step; the
-2 a (sum t2) W term of dW comes last, once.  Large products run on a worker
-thread beside the cotangent chain, in the same order, so the result does not
-depend on which thread ran them.
+2 a (sum t2) W term of dW comes last, once.
+
+Every row follows its own trajectory, so ``sample``, ``log_prob`` and the
+losses in ``targets`` run a batch of 32 rows or more as two row parts at
+once, one on a worker thread: the one place that uses it.  The parts share
+the stage contexts, drawn once before they start, and join before anything
+reads the whole batch.  Each part's tape is then reversed on its own, and
+part 1's ``ParamGrad`` folds into part 0's, so no result depends on which
+thread ran a part.  ``integrate`` and ``backprop`` run one part.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -201,23 +209,35 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
 
     Calls ``potential.begin_trajectory(rng)`` once: it returns an iterator
     over the context of every stage of the trajectory (for a sampled
-    symmetrized potential, the group element indices, drawn lazily from
-    ``rng``), or None when every stage has context None (for a symmetrized
-    potential, the whole group).  Each step takes the next four contexts.
+    symmetrized potential, the group element indices, drawn from ``rng``),
+    or None when every stage has context None (for a symmetrized potential,
+    the whole group).  Every step's four are drawn before the first step.
     ``callback(step_index, state)`` fires after every step (used for frame
     dumps).  A non-finite position or log-density raises NumericError naming
     the step and the first bad batch row.  With ``record=True`` the returned
     Trajectory holds every step's ``StepRecord`` (see the module docstring).
     """
     pot = as_potential(potential)
+    contexts = _stage_contexts(pot, rng, config.steps)
+    return _integrate(pot, state, config, contexts, record, callback)
+
+
+def _stage_contexts(pot, rng, steps):
+    """The four stage contexts of each of ``steps`` steps, drawn from ``rng`` now."""
+    contexts = pot.begin_trajectory(rng)
+    return [(None,) * 4 if contexts is None else tuple(itertools.islice(contexts, 4))
+            for _ in range(steps)]
+
+
+def _integrate(pot, state, config, contexts, record=False, callback=None, rows=slice(0, None)):
+    """``integrate`` of the state's ``rows``, with the ``_stage_contexts`` given."""
     if state.n_dim != pot.n_dim:
         raise ValueError(f"state dimension {state.n_dim} does not match potential {pot.n_dim}")
     eta = config.epsilon if config.direction == FORWARD else -config.epsilon
-    contexts = pot.begin_trajectory(rng)
     traj = Trajectory(fingerprint=pot.fingerprint()) if record else None
-    x0, l0, t = state.X, state.L, state.t
+    x0, l0, t = state.X[rows], state.L[rows], state.t
     for k in range(config.steps):
-        ctx = (None,) * 4 if contexts is None else tuple(itertools.islice(contexts, 4))
+        ctx = contexts[k]
         grads, laps = [], []
         xi = x0
         # overflow surfaces as a non-finite value, reported below with its row
@@ -232,7 +252,7 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
         # a non-finite stage gradient makes x1 non-finite in the same row
         bad = _first_bad_row(x1, l1)
         if bad is not None:
-            raise NumericError(f"non-finite value during step {k}, batch row {bad}")
+            raise NumericError(f"non-finite value during step {k}, batch row {rows.start + bad}")
         if record:
             traj.steps.append(StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx))
         x0, l0, t = x1, l1, t + eta
@@ -280,7 +300,13 @@ def backprop(traj, potential, d_x_final, d_l_final):
     are reproducible bit for bit.  A non-finite position cotangent or
     parameter gradient raises NumericError.
     """
-    pot = as_potential(potential)
+    grad, d_x0 = _reverse_parts([(slice(0, None), traj)], as_potential(potential), d_x_final,
+                                d_l_final)
+    return BackpropResult(grad, d_x0[0])
+
+
+def _reverse(traj, pot, d_x_final, d_l_final):
+    """``backprop`` of one tape, its ParamGrad (or None) left unmaterialized: (ParamGrad, d_x0)."""
     if traj.fingerprint != pot.fingerprint():
         raise StaleTapeError("trajectory was recorded under different potential parameters")
     if not traj.steps:
@@ -316,29 +342,76 @@ def backprop(traj, potential, d_x_final, d_l_final):
             if not np.isfinite(d_x).all():
                 raise NumericError(f"non-finite position cotangent in the reverse pass "
                                    f"at step {k}")
-        if grad is not None and not np.isfinite(grad.to_vector()).all():
-            raise NumericError("non-finite parameter gradient in the reverse pass")
-    return BackpropResult(grad, d_x)
+    return grad, d_x
+
+
+def _in_parts(fn, parts):
+    """``[fn(part) for part in parts]``, the first of two on the worker at once; a part never
+    splits again.  An exception from either part comes out once both are done."""
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    first = _submit(fn, parts[0])
+    try:
+        last = fn(parts[1])
+    finally:
+        head = first.result()
+    return [head, last]
+
+
+# Rows :k of a batch of B run on the worker and rows k: on the caller, k = 16 floor(B / 32);
+# one part holds every row if k = 0 or a callback must see whole states.  OpenBLAS picks
+# kernels by size, so a row's bits may depend on how many rows share its products; this
+# k keeps every forward result bitwise the one-part one at n = 784, h = 1024, B = 100 and
+# n = 64, h = 512, B = 64, where a 50/50 split at B = 100 is not.  Seconds per loss+grad
+# call, one part -> two, 7 alternating rounds, one BLAS thread on 2 vCPUs: 0.830 -> 0.535
+# at n = 2, h = 1024, B = 100, 100 steps; 0.323 -> 0.258 at n = 64, h = 512, B = 64, 50
+# steps, sampled; 0.794 -> 0.589 at n = 256, same h, B and steps; 1.968 -> 1.190 at
+# n = 784, h = 1024, B = 100, 20 steps.  On a host whose second vCPU is busy, any split
+# is a loss: the parts then take turns on one core.
+def _integrate_parts(pot, state, config, rng, record=False, callback=None):
+    """``integrate`` of the batch in its row parts: (final state, [(rows, Trajectory or None)])."""
+    k = 0 if callback is not None else 16 * (state.batch_size // 32)
+    parts = (slice(0, k), slice(k, None)) if k else (slice(0, None),)
+    contexts = _stage_contexts(pot, rng, config.steps)  # drawn once, as one part draws them
+    outs = _in_parts(lambda rows: _integrate(pot, state, config, contexts, record, callback, rows),
+                     parts)
+    final = FlowState(np.concatenate([f.X for f, _ in outs]),
+                      np.concatenate([f.L for f, _ in outs]), outs[0][0].t)
+    return final, [(rows, traj) for rows, (_, traj) in zip(parts, outs)]
+
+
+def _reverse_parts(tapes, pot, d_x, d_l):
+    """(ParamGrad or None, each part's d_x0) of ``_integrate_parts``'s tapes, reversed at once
+    against their rows; part 1's sum folds into part 0's before one checked ``to_vector``."""
+    outs = _in_parts(lambda tape: _reverse(tape[1], pot, d_x[tape[0]], d_l[tape[0]]), tapes)
+    grad = outs[0][0]
+    if grad is not None:
+        for other, _ in outs[1:]:
+            grad.add(other)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(grad.to_vector()).all():
+                raise NumericError("non-finite parameter gradient in the reverse pass")
+    return grad, [d for _, d in outs]
 
 
 def _forward(pot, n_samples, config, rng, record=False, callback=None):
-    """The base Gaussian pushed forward: (final state, Trajectory or None)."""
+    """The base Gaussian pushed forward: (final state, ``_integrate_parts``'s tapes)."""
     if config.direction != FORWARD:
         raise ValueError("sampling integrates forward; got a backward config")
     state = gaussian_base(pot.n_dim, n_samples, rng)
-    return integrate(pot, state, config, rng=rng, record=record, callback=callback)
+    return _integrate_parts(pot, state, config, rng, record, callback)
 
 
 def _backward(pot, X, config, rng=None, record=False, callback=None):
-    """Rows of X integrated back to the base: (log-densities, base points, Trajectory or None)."""
+    """Rows of X integrated back to the base: (log-densities, base points, tapes)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != pot.n_dim:
         raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
     cfg = config if config.direction == BACKWARD else config.reversed()
     state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
-    final, traj = integrate(pot, state, cfg, rng=rng, record=record, callback=callback)
+    final, tapes = _integrate_parts(pot, state, cfg, rng, record, callback)
     # backward accumulation leaves +integral(lap) in L
-    return gaussian_log_density(final.X) - final.L, final.X, traj
+    return gaussian_log_density(final.X) - final.L, final.X, tapes
 
 
 def sample(potential, n_samples, config, rng, callback=None):
@@ -357,3 +430,30 @@ def log_prob(potential, X, config, rng=None, callback=None):
     path:  ln p(x, T) = ln N(z) - integral of lap phi over the trajectory.
     """
     return _backward(as_potential(potential), X, config, rng, callback=callback)[0]
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _submit(fn, *args):
+    """A future of ``fn(*args)`` on the worker thread, which starts on the first call.
+
+    It runs under the caller's ``np.geterr()``, so floating-point errors are
+    handled alike on either thread."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            # imported here: it costs 10 ms and 0.6 MB, which only the worker needs
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-part")
+        return _worker.submit(np.errstate(**np.geterr())(fn), *args)
+
+
+def _forget_worker():
+    # a forked child has no copy of the parent's worker thread
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)

@@ -32,41 +32,21 @@ array and the recomputed S is bitwise the forward pass's.
 ``MLPPotential.vjp`` returns its parameter gradient as a ``ParamGrad``: the
 (h, n) block dW stays factored as L^T R plus a term linear in W until
 ``to_vector``, so the reverse pass sums one dense dW over a whole trajectory
-instead of building one per RK4 stage.  Large products L^T R run on one worker
-thread beside the cotangent chain.  The same worker evaluates part of the rows
-of each large ``grad_lap`` while the caller evaluates the rest.  The thread
-starts on the first task of either kind, so importing the package starts no
-thread, and neither does a forward or reverse pass whose products stay below
-``_WORKER_MIN_SIZE``.
+instead of building one per RK4 stage.
+
+Every kernel here runs whole on the thread that calls it.  The one place
+that uses a second thread is ``flow``, which runs a batch's row parts as
+separate trajectories.
 """
 
 from __future__ import annotations
 
-import collections
 import hashlib
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
-
-# Work of at least this many multiply-adds (2B h n) uses the worker thread; less
-# runs inline, where the hand-off costs more than the overlap gains.  It serves
-# two jobs, both timed with one BLAS thread on 2 cores:
-# - a product L^T R folds into a sum of ParamGrads on the worker, beside the
-#   cotangent chain.  On a whole backprop the worker breaks even at 13M
-#   (n = 64, h = 1024, B = 100), saves 22% at 26M and 33% at 161M, and costs
-#   50% at 4.2M (n = 64, h = 512, B = 64);
-# - grad_lap splits its rows with the worker.  Per call, one part -> split,
-#   over 6 alternating medians: x1.17-1.50 at 13M, x1.26-1.62 at 26M and
-#   x1.40-1.68 at 161M (n = 784, h = 1024, B = 100); at 4.2M it ranged from
-#   x0.78 to x1.37 from day to day on a shared VM, so that shape stays inline.
-_WORKER_MIN_SIZE = 1 << 24
-# products of one sum queued on the worker at a time; each holds its L and R alive
-_MAX_IN_FLIGHT = 2
-
 
 def softplus(z):
     """log(1 + exp(z)), overflow-safe for large |z|."""
@@ -311,37 +291,12 @@ class MLPPotential:
 
         Nothing is kept for the reverse pass: ``vjp`` recomputes the
         activations from X.
-
-        When 2 B h n reaches ``_WORKER_MIN_SIZE`` and B >= 32, the rows are
-        evaluated in two parts at once: the first k = 16 floor(B / 32) on
-        the worker thread, under the caller's ``np.geterr()``, the other
-        B - k on the caller.  Each part is ``_grad_lap_rows`` of its rows;
-        below the constant, or when B < 32, k = 0 and the caller's part is
-        every row.  OpenBLAS picks its kernels by size, so a row's bits may depend on
-        how many rows share its product; this k kept G and the Laplacian
-        bitwise equal to the one-part evaluation at n = 784, h = 1024 for
-        B in {33, 64, 99, 100, 128, 200, 256, 1000}, where a 50/50 split at
-        B = 100 was not.  An exception raised in either part comes out of
-        this call.
         """
-        B, n = X.shape
-        k = 16 * (B // 32) if 2 * B * self.params.n_hidden * n >= _WORKER_MIN_SIZE else 0
-        G, lap = np.empty((B, n)), np.empty(B)
-        part = _submit(self._grad_lap_rows, X[:k], G[:k], lap[:k]) if k else None
-        try:
-            self._grad_lap_rows(X[k:], G[k:], lap[k:])
-        finally:
-            if part is not None:
-                part.result()
-        return G, lap
-
-    def _grad_lap_rows(self, X, G, lap):
-        """``grad_lap``'s expressions for the rows of X, written into G (B, n) and lap (B,)."""
         S = self._activations(X)
-        np.matmul(S, self._aW, out=G)
+        G = S @ self._aW
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)
-        np.matmul(Sp, self._a_rowsq, out=lap)
+        return G, Sp @ self._a_rowsq
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """Batch-accumulated derivatives of sum_i [w_grad_i . grad_i + w_lap_i * lap_i].
@@ -408,15 +363,10 @@ class ParamGrad:
     ParamGrad holds L, R, db, da and t2, and no (h, n) array.
 
     ``add`` sums db, da and t2 at once and folds each product L^T R into one
-    dense dW.  The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W
-    once, after every product.  A product of at least ``_WORKER_MIN_SIZE``
-    multiply-adds folds on one worker thread, first in first out, with at
-    most ``_MAX_IN_FLIGHT`` of a sum queued; a smaller one folds inline once
-    the worker has finished the sum's earlier folds.  Both paths call
-    ``_product`` in the order of the ``add`` calls, so a sum is bitwise the
-    same whichever thread ran it, and a single call's ``to_vector`` is bitwise
-    the GEMM followed by the term.  Exceptions from the worker surface from
-    ``add`` or ``to_vector``.
+    dense dW, in the order of the ``add`` calls; adding a sum folds its dW
+    in place.  The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W
+    once, after every product.  A single call's ``to_vector`` is bitwise the
+    GEMM followed by the term.
     """
 
     def __init__(self, params, L, R, db, da, t2):
@@ -425,7 +375,6 @@ class ParamGrad:
         self._flat = None           # the result vector, allocated by the first fold
         self._dW = None             # its (h, n) view, which sums the folded products
         self._scratch = None        # (h, n) buffer for every product after the first
-        self._pending = collections.deque()
         self._vector = None
         self.db, self.da, self.t2 = db, da, t2
 
@@ -442,8 +391,6 @@ class ParamGrad:
         if other._factors is not None:
             self._fold(*other._factors)
         else:
-            other._wait()
-            self._wait()
             self._dW += other._dW
         return self
 
@@ -457,7 +404,6 @@ class ParamGrad:
         """
         if self._vector is None:
             self._fold_own()
-            self._wait()
             p = self._params
             h, n = p.W.shape
             dW, db, da, dc = _split_vector(self._flat, h, n)
@@ -478,66 +424,13 @@ class ParamGrad:
             self._fold(*factors)
 
     def _fold(self, L, R):
-        scratch = None
+        """dW = L^T R for the sum's first product, else dW += L^T R through the scratch buffer."""
         if self._flat is None:
             self._flat = np.empty(self._params.size)
             self._dW = _split_vector(self._flat, *self._params.W.shape)[0]
-        else:
-            if self._scratch is None:
-                self._scratch = np.empty(self._params.W.shape)
-            scratch = self._scratch
-        args = (self._dW, scratch, L, R)
-        if L.shape[0] * L.shape[1] * R.shape[1] >= _WORKER_MIN_SIZE:
-            while len(self._pending) >= _MAX_IN_FLIGHT:
-                self._pending.popleft().result()
-            self._pending.append(_submit(_product, *args))
-        else:
-            self._wait()
-            _product(*args)
-
-    def _wait(self):
-        while self._pending:
-            self._pending.popleft().result()
-
-
-def _product(dW, scratch, L, R):
-    """dW = L^T R for a sum's first product, else dW += L^T R through ``scratch``."""
-    if scratch is None:
-        np.matmul(L.T, R, out=dW)
-    else:
-        np.matmul(L.T, R, out=scratch)
-        dW += scratch
-
-
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _submit(fn, *args):
-    """Run ``fn(*args)`` on the worker thread under the caller's ``np.geterr()``.
-
-    So a floating-point error is raised, warned about or ignored the same
-    way whichever thread computes.  The thread starts on the first call; the
-    returned future holds the result or the exception.
-    """
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            # imported here: it costs 10 ms and 0.6 MB, which only the worker needs
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-dW")
-        return _worker.submit(_under, np.geterr(), fn, *args)
-
-
-def _under(errors, fn, *args):
-    with np.errstate(**errors):
-        return fn(*args)
-
-
-def _forget_worker():
-    # a forked child has no copy of the parent's worker thread
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
+            np.matmul(L.T, R, out=self._dW)
+            return
+        if self._scratch is None:
+            self._scratch = np.empty(self._params.W.shape)
+        np.matmul(L.T, R, out=self._scratch)
+        self._dW += self._scratch

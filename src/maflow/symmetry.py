@@ -218,7 +218,7 @@ class SymmetrizedPotential:
 
         Returns None in average mode, where every stage evaluates the whole
         group.  Indices are drawn from ``rng`` only as the integrator asks
-        for them, four stages at a time.
+        for them: four per step, for every step before the first.
         """
         if self.mode != "sampled":
             return None
@@ -239,13 +239,16 @@ class SymmetrizedPotential:
     def grad_lap(self, X, ctx=None):
         """The base's G and Laplacian averaged over row ``ctx``, or every row if it is None."""
         rows = range(len(self.group)) if ctx is None else (ctx,)
-        Gs = laps = 0.0     # the first add makes each sum: one row allocates no zero arrays
+        Gs = laps = None    # each sum starts as the first row's own arrays: one row copies nothing
         for m in rows:
             G, lap = self.base.grad_lap(self.group.act(m, X))
-            Gs = Gs + self.group.pull(m, G)
-            laps = laps + lap
-        k = float(len(rows))
-        return Gs / k, laps / k
+            G = self.group.pull(m, G)
+            if Gs is None:
+                Gs, laps = G, lap
+            else:
+                Gs += G
+                laps += lap
+        return np.divide(Gs, len(rows), out=Gs), np.divide(laps, len(rows), out=laps)
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """The base's vjp averaged over the same rows as ``grad_lap``."""
@@ -257,12 +260,15 @@ class SymmetrizedPotential:
         # a vjp is linear in its cotangents: scale them instead of the row sums
         k = float(len(rows))
         w_grad, w_lap = w_grad / k, w_lap / k
-        pg_total, xc_total = None, 0.0
+        pg_total = xc_total = None
         for m in rows:
             pg, xc = self.base.vjp(self.group.act(m, X), self.group.act(m, w_grad), w_lap)
-            if pg is not None:
-                pg_total = pg if pg_total is None else pg_total.add(pg)
-            xc_total = xc_total + self.group.pull(m, xc)
+            xc = self.group.pull(m, xc)
+            if xc_total is None:
+                pg_total, xc_total = pg, xc
+            else:
+                pg_total = pg_total if pg is None else pg_total.add(pg)
+                xc_total += xc
         return pg_total, xc_total
 
     def fingerprint(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .flow import LOG_2PI, _backward, _forward, backprop
+from .flow import LOG_2PI, _backward, _forward, _reverse_parts
 from .potential import as_potential, logistic
 
 # standard square-lattice critical coupling, log(1 + sqrt(2)) / 2
@@ -317,11 +317,11 @@ def nll_loss(potential, X_data, config, rng=None, want_grad=True):
     reached base points.  ``per_sample`` is ``-log_prob`` bit for bit.
     """
     pot = as_potential(potential)
-    logp, base, traj = _backward(pot, X_data, config, rng, record=want_grad)
+    logp, base, tapes = _backward(pot, X_data, config, rng, record=want_grad)
     grad = None
     if want_grad:
         n = base.shape[0]
-        grad = backprop(traj, pot, base / n, np.full(n, 1.0 / n)).param_grad
+        grad = _reverse_parts(tapes, pot, base / n, np.full(n, 1.0 / n))[0]
     return LossResult(-float(logp.mean()), grad, -logp)
 
 
@@ -337,10 +337,10 @@ def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
     pot = as_potential(potential)
     if energy.n_dim != pot.n_dim:
         raise ValueError(f"energy dimension {energy.n_dim} does not match potential {pot.n_dim}")
-    final, traj = _forward(pot, n_samples, config, rng, record=want_grad)
+    final, tapes = _forward(pot, n_samples, config, rng, record=want_grad)
     per = final.L + energy.energy(final.X)
     grad = None
     if want_grad:
         d_x = energy.grad(final.X) / n_samples
-        grad = backprop(traj, pot, d_x, np.full(n_samples, 1.0 / n_samples)).param_grad
+        grad = _reverse_parts(tapes, pot, d_x, np.full(n_samples, 1.0 / n_samples))[0]
     return LossResult(float(per.mean()), grad, per)

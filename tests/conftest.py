@@ -2,12 +2,12 @@
 
 import pytest
 
-from maflow import potential
+from maflow import flow
 
 
 @pytest.fixture(params=["inline", "worker"])
-def fold_on(request, monkeypatch):
-    """Fold every parameter-gradient product inline, or every one on the worker thread."""
-    size = 0 if request.param == "worker" else 1 << 62
-    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size)
-    return request.param
+def fold_on(request):
+    """A runner of ``fn()``: on the calling thread, or as a task on the worker thread."""
+    if request.param == "inline":
+        return lambda fn: fn()
+    return lambda fn: flow._submit(fn).result(timeout=60)

@@ -437,3 +437,18 @@ def test_sample_spins_of_a_non_square_checkpoint_exits_2_before_sampling(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("config error: --spins needs a square")
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("config", [TrainConfig.for_density(hidden=8, steps=4),
+                                    TrainConfig.for_ising(hidden=8, steps=4)],
+                         ids=["density", "ising-sampled"])
+def test_sample_dump_every_writes_the_same_final_samples(tmp_path, capsys, config):
+    # the frame callback runs the batch as one part; without it, 40 rows run as two
+    path = tmp_path / "ck.bin"
+    save_small_checkpoint(path, config)
+    outs = [tmp_path / "plain.csv", tmp_path / "dumped.csv"]
+    assert main(["sample", "--ckpt", str(path), "--n", "40", "--out", str(outs[0])]) == 0
+    assert main(["sample", "--ckpt", str(path), "--n", "40", "--out", str(outs[1]),
+                 "--dump-every", "2"]) == 0
+    assert (tmp_path / "dumped_step0004.csv").read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -1,20 +1,23 @@
 """Reverse-mode differentiation through recorded trajectories vs finite differences."""
 
+import collections
 import dataclasses
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from maflow import potential
+from maflow import flow
 from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, ParamGrad,
                     PotentialParams, StaleTapeError, SymmetrizedPotential, backprop,
-                    gaussian_log_density, init_params, integrate, ising_group, nll_loss, replay,
-                    variational_loss)
+                    build_potential, gaussian_log_density, group_by_name, init_params, integrate,
+                    ising_group, nll_loss, replay, variational_loss)
 from maflow.flow import StepRecord
 from maflow.gradcheck import central_difference, run_gradcheck
 from maflow.targets import IsingEnergy, ising_spec
@@ -94,33 +97,36 @@ def test_single_step_laplacian_gradient_matches_fd():
 
 def test_full_pipeline_nll_gradient_matches_fd():
     p = random_params(4, 16, seed=6)
-    X = np.random.default_rng(7).standard_normal((8, 4)) * 1.3
     cfg = IntegratorConfig(0.1, 20)
-    res = nll_loss(p, X, cfg)
-    g = res.grad.to_vector()
     rng = np.random.default_rng(8)
-    checked = 0
-    for j in rng.choice(p.size, 20, replace=False):
-        fd = central_difference(
-            lambda pp: nll_loss(pp, X, cfg, want_grad=False).value, p, int(j))
-        assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-5)
-        checked += 1
-    assert checked >= 20
+    for B in (8, 64):       # 64 rows run as two parts
+        X = np.random.default_rng(7).standard_normal((B, 4)) * 1.3
+        g = nll_loss(p, X, cfg).grad.to_vector()
+        checked = 0
+        for j in rng.choice(p.size, 20, replace=False):
+            fd = central_difference(
+                lambda pp: nll_loss(pp, X, cfg, want_grad=False).value, p, int(j))
+            assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-5)
+            checked += 1
+        assert checked >= 20
 
 
 def test_variational_gradient_matches_fd():
     p = random_params(4, 16, seed=9)
     energy = IsingEnergy(ising_spec(2))
     cfg = IntegratorConfig(0.1, 20)
+    # 64 rows run as two parts, which share the sampled group elements
+    for B, group in ((8, "none"), (64, "ising-full")):
 
-    def loss(pp, want_grad=True):
-        return variational_loss(pp, energy, 8, cfg, np.random.default_rng(55),
-                                want_grad=want_grad)
+        def loss(pp, want_grad=True):
+            pot = build_potential(pp, group_by_name(group, 4), "sampled")
+            return variational_loss(pot, energy, B, cfg, np.random.default_rng(55),
+                                    want_grad=want_grad)
 
-    g = loss(p).grad.to_vector()
-    for j in np.random.default_rng(10).choice(p.size, 20, replace=False):
-        fd = central_difference(lambda pp: loss(pp, want_grad=False).value, p, int(j))
-        assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-5)
+        g = loss(p).grad.to_vector()
+        for j in np.random.default_rng(10).choice(p.size, 20, replace=False):
+            fd = central_difference(lambda pp: loss(pp, want_grad=False).value, p, int(j))
+            assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), abs(g[j]), 1e-5)
 
 
 def test_gradient_linearity_in_cotangents():
@@ -240,80 +246,65 @@ def test_non_finite_reverse_pass_is_a_numeric_error(fold_on):
     p = PotentialParams(p.W * 30.0, p.b, p.a * 1e4, 0.0)
     X = np.random.default_rng(0).standard_normal((4, 3))
     _, traj = make_trajectory(p, X, steps=3)
-    with pytest.raises(NumericError, match="step"):
-        backprop(traj, p, np.full((4, 3), 1e308), np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="step"):
+            fold_on(lambda: backprop(traj, p, np.full((4, 3), 1e308), np.zeros(4)))
+
+
+def run_inline(fn, *args):
+    """A completed future of ``fn(*args)``, run on the calling thread."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 @pytest.mark.parametrize("mode", [None, "sampled", "average"])
 def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, mode):
+    # two row parts at once are bitwise the same two parts run on one thread, added in
+    # part order, for both losses
     p = random_params(4, 16, seed=21)
-    pot = MLPPotential(p)
-    if mode is not None:
-        pot = SymmetrizedPotential(pot, ising_group(2), mode=mode, resample="stage")
+    energy = IsingEnergy(ising_spec(2))
+    cfg = IntegratorConfig(0.1, 5)
+    pot = build_potential(p, None if mode is None else ising_group(2), mode or "sampled")
     rng = np.random.default_rng(21)
-    X = rng.standard_normal((6, 4))
-    st = FlowState(X, gaussian_log_density(X), 0.0)
-    _, traj = integrate(pot, st, IntegratorConfig(0.1, 5), rng=rng, record=True)
-    d_x, d_l = rng.standard_normal((6, 4)), rng.standard_normal(6)
-    grads = []
-    for size in (1 << 62, 0):
-        monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size)
-        grads.append(backprop(traj, pot, d_x, d_l).param_grad.to_vector())
-    assert np.array_equal(grads[0], grads[1])
-    assert any(t.name.startswith("maflow-dW") for t in threading.enumerate())
+    data = rng.standard_normal((100, 4))
+    names, submit = [], flow._submit
+
+    def spy(fn, *args):
+        names.append(threading.current_thread().name)
+        return submit(fn, *args)
+
+    for B in (32, 33, 64, 100):
+        results = []
+        for runner in (spy, run_inline):
+            monkeypatch.setattr(flow, "_submit", runner)
+            results.append([nll_loss(pot, data[:B], cfg, rng=np.random.default_rng(B)),
+                            variational_loss(pot, energy, B, cfg, np.random.default_rng(B))])
+        for two, one in zip(*results):
+            assert two.value == one.value and np.array_equal(two.per_sample, one.per_sample)
+            assert np.array_equal(two.grad.to_vector(), one.grad.to_vector())
+    assert len(names) == 4 * 2 * 2      # a forward and a reverse task per loss call
+    assert any(t.name.startswith("maflow-part") for t in threading.enumerate())
 
 
-def test_worker_exception_surfaces_from_backprop(monkeypatch):
-    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", 0)
-    product, threads = potential._product, []
-
-    def failing(*args):
-        threads.append(threading.current_thread().name)
-        if len(threads) == 3:
-            raise RuntimeError("product failed")
-        product(*args)
-
-    monkeypatch.setattr(potential, "_product", failing)
-    p = random_params(3, 8, seed=22)
-    X = np.random.default_rng(22).standard_normal((5, 3))
-    _, traj = make_trajectory(p, X, steps=4)
-    outcome = []
-
-    def run():
-        try:
-            outcome.append(backprop(traj, p, np.ones_like(X), np.ones(5)))
-        except RuntimeError as e:
-            outcome.append(e)
-
-    t = threading.Thread(target=run, daemon=True)
-    t.start()
-    t.join(60)
-    assert not t.is_alive()
-    assert isinstance(outcome[0], RuntimeError) and str(outcome[0]) == "product failed"
-    assert threads[2].startswith("maflow-dW")
-    # the worker survives a failed task
-    monkeypatch.setattr(potential, "_product", product)
-    assert np.isfinite(backprop(traj, p, np.ones_like(X), np.ones(5))
-                       .param_grad.to_vector()).all()
-
-
-def test_concurrent_reverse_passes_share_the_worker(monkeypatch):
-    # more callers than cores, each with its own sum on the one worker
-    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", 0)
+def test_concurrent_reverse_passes_share_the_worker():
+    # four nll_loss callers, each splitting its batch with the one worker, under a
+    # 1 us switch interval, give the serial results bit for bit
     p = random_params(5, 32, seed=24)
-    X = np.random.default_rng(24).standard_normal((7, 5))
-    _, traj = make_trajectory(p, X, steps=6)
-    cots = [(np.full_like(X, 0.5 + j), np.full(7, 1.0 - j)) for j in range(6)]
-    want = [backprop(traj, p, *c).param_grad.to_vector() for c in cots]
-    got = [None] * len(cots)
+    cfg = IntegratorConfig(0.1, 6)
+    rng = np.random.default_rng(24)
+    Xs = [rng.standard_normal((64, 5)) for _ in range(4)]
+    want = [nll_loss(p, X, cfg) for X in Xs]
+    got = [None] * len(Xs)
 
     def run(j):
-        got[j] = backprop(traj, p, *cots[j]).param_grad.to_vector()
+        got[j] = nll_loss(p, Xs[j], cfg)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=run, args=(j,), daemon=True) for j in range(len(cots))]
+        threads = [threading.Thread(target=run, args=(j,), daemon=True) for j in range(len(Xs))]
         for t in threads:
             t.start()
         for t in threads:
@@ -322,24 +313,23 @@ def test_concurrent_reverse_passes_share_the_worker(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for w, g in zip(want, got):
-        assert np.array_equal(w, g)
+        assert g.value == w.value and np.array_equal(g.grad.to_vector(), w.grad.to_vector())
 
 
 @pytest.mark.parametrize("below,counts", [(1, "[0, 0, 0]"), (0, "[1, 1, 1]")],
                          ids=["below-the-constant", "at-the-constant"])
 def test_worker_thread_started_once_by_the_first_product_at_the_size_constant(below, counts):
-    # counts after sample, after log_prob and after two nll_loss calls: at the
-    # constant the first forward stage starts the one worker, and nothing adds another
+    # counts after sample, after log_prob and after two nll_loss calls: a batch of 32
+    # rows starts the one worker in its first forward pass, and nothing adds another
     code = f"""
 import threading
 n0 = threading.active_count()
 import numpy as np
 import maflow
 from maflow import IntegratorConfig, build_potential, init_params, log_prob, nll_loss, sample
-B, n = 100, 784
-h = -(-maflow.potential._WORKER_MIN_SIZE // (2 * B * n)) - {below}
+B = 32 - {below}
 rng = np.random.default_rng(0)
-pot = build_potential(init_params(n, h, rng))
+pot = build_potential(init_params(3, 8, rng))
 cfg = IntegratorConfig(0.1, 2)
 X = sample(pot, B, cfg, rng).X
 counts = [threading.active_count() - n0]
@@ -443,3 +433,42 @@ def test_loss_and_grad_peak_stays_below_the_activation_caches():
         tracemalloc.stop()
     assert res.grad is not None
     assert peak < caches
+
+
+def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
+    # an (h, n) array outweighs the tape here.  Once both parts are reversed, each part's
+    # sum holds its dW and its scratch buffer; adding them allocates no other such array,
+    # and the gradient returned is one of the parts' own
+    B, n, h = 32, 256, 1024
+    p = random_params(n, h, seed=25, amp=1.0)
+    X = np.random.default_rng(25).standard_normal((B, n))
+    cfg = IntegratorConfig(0.05, 1, "backward")
+    big = h * n * 8 // 2
+    assert B * (5 * n + 5) * 8 < big
+    in_parts, marks = flow._in_parts, []
+
+    def marking(fn, parts):
+        out = in_parts(fn, parts)
+        if tracemalloc.is_tracing():
+            marks.append((tracemalloc.get_traced_memory()[0], tracemalloc.take_snapshot()))
+            tracemalloc.reset_peak()
+        return out
+
+    def large(snapshot):
+        return collections.Counter(t.traceback for t in snapshot.traces if t.size >= big)
+
+    monkeypatch.setattr(flow, "_in_parts", marking)
+    nll_loss(p, X, cfg)     # warm-up: lazy imports and first-call allocations
+    tracemalloc.start()
+    try:
+        res = nll_loss(p, X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        end = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 2      # the forward parts, then the reverse parts
+    reversed_at, reversed_snapshot = marks[1]
+    assert peak - reversed_at < big
+    assert sum(large(reversed_snapshot).values()) >= 4
+    assert res.grad.to_vector().nbytes > big
+    assert large(end) - large(reversed_snapshot) == collections.Counter()

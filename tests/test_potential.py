@@ -11,10 +11,10 @@ import pytest
 from scipy.linalg.blas import dgemm
 from scipy.special import expit
 
-from maflow import potential
-from maflow import (IntegratorConfig, MLPPotential, ParamGrad, PotentialParams,
-                    SymmetrizedPotential, eval_batch, eval_potential, init_params, log_prob,
-                    param_vjp, z2_group)
+from maflow import flow
+from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, ParamGrad,
+                    PotentialParams, SymmetrizedPotential, eval_batch, eval_potential,
+                    init_params, log_prob, nll_loss, param_vjp, z2_group)
 from maflow.potential import logistic
 
 LN2 = 0.6931471805599453
@@ -304,10 +304,15 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
     calls = [(pot, rng.standard_normal((B, n)), rng.standard_normal((B, n)),
               rng.standard_normal(B)) for pot, B in ((eng, 3), (sym, 5), (eng, 1), (eng, 8),
                                                       (sym, 2), (eng, 5))]
-    total = None
-    for pot, X, WG, WL in calls:
-        pg, _ = pot.vjp(X, WG, WL)
-        total = pg if total is None else total.add(pg)
+
+    def summed():
+        total = None
+        for pot, X, WG, WL in calls:
+            pg, _ = pot.vjp(X, WG, WL)
+            total = pg if total is None else total.add(pg)
+        return total
+
+    total = fold_on(summed)
     ref = np.zeros(p.size)
     for pot, X, WG, WL in calls:
         if pot is eng:
@@ -316,9 +321,11 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
         k = len(sym.group)
         for m in range(k):
             ref += eng.vjp(sym.group.act(m, X), sym.group.act(m, WG), WL)[0].to_vector() / k
-    vec = total.to_vector()
+    vec = fold_on(total.to_vector)
     assert np.abs(vec - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(vec, summed().to_vector())
     assert total.to_vector() is vec
+    X, WG, WL = calls[0][1:]
     with pytest.raises(ValueError, match="materialized"):
         total.add(eng.vjp(X, WG, WL)[0])
     other = MLPPotential(random_params(n, h, seed=24)).vjp(X, WG, WL)[0]
@@ -327,18 +334,19 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
 
 
 def test_overflow_in_a_product_follows_the_callers_settings(fold_on):
-    # finite factors whose product L^T R overflows, folded inline or on the worker
+    # finite factors whose product L^T R overflows, folded on the caller or on the worker,
+    # which runs under the caller's np.geterr()
     p = random_params(2, 3, seed=25)
     L, R = np.full((4, 3), 1e200), np.full((4, 2), 1e200)
 
     def overflowing():
-        return ParamGrad(p, L, R, np.zeros(3), np.zeros(3), np.zeros(3))
+        return ParamGrad(p, L, R, np.zeros(3), np.zeros(3), np.zeros(3)).to_vector()
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        overflowing().to_vector()
+        fold_on(overflowing)
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        vec = overflowing().to_vector()
+        vec = fold_on(overflowing)
     assert np.isinf(vec[:6]).all() and np.isfinite(vec[6:]).all()
 
 
@@ -465,7 +473,7 @@ def test_fingerprint_is_cached_and_tracks_the_weights():
 
 
 # ---------------------------------------------------------------------------
-# grad_lap rows split with the worker thread, at the mnist-shape width
+# a batch in two row parts, one on the worker thread, at the mnist-shape width
 
 N_MNIST, H_MNIST = 784, 1024
 
@@ -477,14 +485,43 @@ def wide_engine():
 
 def spy_on_worker(monkeypatch):
     """Record the function of each task handed to the worker; the tasks still run."""
-    tasks, submit = [], potential._submit
+    tasks, submit = [], flow._submit
 
     def spy(fn, *args):
         tasks.append(fn)
         return submit(fn, *args)
 
-    monkeypatch.setattr(potential, "_submit", spy)
+    monkeypatch.setattr(flow, "_submit", spy)
     return tasks
+
+
+@pytest.mark.parametrize("B", [31, 32, 33, 99, 100, 128])
+def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, B):
+    # each row part's first stage, evaluated by its own trajectory, has the one-part rows' bits
+    X = np.random.default_rng(B).standard_normal((B, N_MNIST))
+    G, lap = wide_engine.grad_lap(X)
+    _, tapes = flow._integrate_parts(wide_engine, FlowState(X, np.zeros(B)),
+                                     IntegratorConfig(0.1, 1), None, record=True)
+    k = 16 * (B // 32)
+    assert [rows for rows, _ in tapes] == ([slice(0, k), slice(k, None)] if k else [slice(0, None)])
+    for rows, traj in tapes:
+        rec = traj.steps[0]
+        assert np.array_equal(rec.stage_grad[0], G[rows])
+        assert np.array_equal(rec.stage_lap[0], lap[rows])
+
+
+def test_worker_gets_no_grad_lap_task_below_the_size_constant(monkeypatch):
+    # the size constant is 32 rows; a callback, which must see whole states, keeps one part
+    pot = MLPPotential(random_params(3, 8, seed=34))
+    cfg = IntegratorConfig(0.1, 2)
+    tasks = spy_on_worker(monkeypatch)
+    X = np.random.default_rng(34).standard_normal((64, 3))
+    log_prob(pot, X[:31], cfg)
+    log_prob(pot, X, cfg, callback=lambda k, state: None)
+    assert tasks == []
+    split = log_prob(pot, X[:32], cfg)
+    assert len(tasks) == 1
+    assert np.array_equal(split, log_prob(pot, X[:32], cfg, callback=lambda k, state: None))
 
 
 def in_thread(fn):
@@ -504,62 +541,73 @@ def in_thread(fn):
     return out[0]
 
 
-@pytest.mark.parametrize("B", [31, 32, 33, 99, 100, 128])
-def test_split_grad_lap_is_bitwise_the_one_part_rows(monkeypatch, wide_engine, B):
-    tasks = spy_on_worker(monkeypatch)
-    X = np.random.default_rng(B).standard_normal((B, N_MNIST))
-    G, lap = wide_engine.grad_lap(X)
-    assert len(tasks) == (1 if B >= 32 else 0)      # 16 floor(B / 32) rows go to the worker
-    want_G, want_lap = np.empty_like(G), np.empty_like(lap)
-    wide_engine._grad_lap_rows(X, want_G, want_lap)
-    assert np.array_equal(G, want_G) and np.array_equal(lap, want_lap)
+class FailingOnWorker:
+    """Forwards to ``inner``; ``hook`` raises once on the worker thread, then forwards."""
+
+    def __init__(self, inner, hook):
+        self.inner, self.hook, self.threads = inner, hook, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name != self.hook:
+            return attr
+
+        def failing(*args, **kwargs):
+            self.threads.append(threading.current_thread().name)
+            if self.threads[-1].startswith("maflow-part") and self.hook is not None:
+                self.hook = None
+                raise RuntimeError(f"{name} failed")
+            return attr(*args, **kwargs)
+        return failing
 
 
-def test_worker_gets_no_grad_lap_task_below_the_size_constant(monkeypatch, wide_engine):
-    B = 100
-    size = 2 * B * H_MNIST * N_MNIST
-    X = np.random.default_rng(34).standard_normal((B, N_MNIST))
-    tasks = spy_on_worker(monkeypatch)
-    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size + 1)
-    G, lap = wide_engine.grad_lap(X)
-    assert tasks == []
-    monkeypatch.setattr(potential, "_WORKER_MIN_SIZE", size)
-    split = wide_engine.grad_lap(X)
-    assert len(tasks) == 1
-    assert np.array_equal(split[0], G) and np.array_equal(split[1], lap)
-
-
-def test_exception_in_the_worker_part_comes_out_of_grad_lap(monkeypatch, wide_engine):
-    rows, threads = MLPPotential._grad_lap_rows, []
-
-    def failing(self, X, G, lap):
-        threads.append(threading.current_thread().name)
-        if threads[-1].startswith("maflow-dW"):
-            raise RuntimeError("rows failed")
-        rows(self, X, G, lap)
-
-    X = np.random.default_rng(31).standard_normal((100, N_MNIST))
-    want = wide_engine.grad_lap(X)
-    monkeypatch.setattr(MLPPotential, "_grad_lap_rows", failing)
-    err = in_thread(lambda: wide_engine.grad_lap(X))
-    assert isinstance(err, RuntimeError) and str(err) == "rows failed"
-    assert len(threads) == 2 and sum(t.startswith("maflow-dW") for t in threads) == 1
+@pytest.mark.parametrize("hook", ["grad_lap", "vjp"])
+def test_exception_in_the_worker_part_comes_out_of_the_call(hook):
+    pot = MLPPotential(random_params(3, 8, seed=31))
+    X = np.random.default_rng(31).standard_normal((64, 3))
+    cfg = IntegratorConfig(0.1, 2)
+    want = nll_loss(pot, X, cfg)
+    failing = FailingOnWorker(pot, hook)
+    err = in_thread(lambda: nll_loss(failing, X, cfg))
+    assert isinstance(err, RuntimeError) and str(err) == f"{hook} failed"
+    assert any(t.startswith("maflow-part") for t in failing.threads)
+    assert any(not t.startswith("maflow-part") for t in failing.threads)
     # the worker survives a failed task
-    monkeypatch.setattr(MLPPotential, "_grad_lap_rows", rows)
-    got = in_thread(lambda: wide_engine.grad_lap(X))
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = in_thread(lambda: nll_loss(failing, X, cfg))
+    assert got.value == want.value
+    assert np.array_equal(got.grad.to_vector(), want.grad.to_vector())
+
+
+class ErrorSettings:
+    """Forwards to ``inner`` and records ``np.geterr()`` and the thread of each grad_lap."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def grad_lap(self, X, ctx=None):
+        self.seen.append((threading.current_thread().name, np.geterr()))
+        return self.inner.grad_lap(X, ctx)
 
 
 @pytest.mark.parametrize("row", [0, 99], ids=["worker-part", "caller-part"])
 def test_floating_point_errors_follow_the_callers_settings_in_either_part(wide_engine, row):
     X = np.random.default_rng(32).standard_normal((100, N_MNIST))
+    rec = ErrorSettings(wide_engine)
+    with np.errstate(divide="raise", under="warn"):
+        log_prob(rec, X, IntegratorConfig(0.1, 1))
+    threads = {name.startswith("maflow-part") for name, _ in rec.seen}
+    assert threads == {True, False}
+    # the integrator ignores overflow and invalid values, and reports them by row below
+    want = {"divide": "raise", "under": "warn", "over": "ignore", "invalid": "ignore"}
+    assert all(err == want for _, err in rec.seen)
     X[row] = np.inf         # inf - inf inside X W^T
-    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        wide_engine.grad_lap(X)
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+    with np.errstate(invalid="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        G, lap = wide_engine.grad_lap(X)
-    assert np.isnan(lap[row]) and np.isfinite(np.delete(lap, row)).all()
+        with pytest.raises(NumericError, match=f"step 0, batch row {row}$"):
+            log_prob(wide_engine, X, IntegratorConfig(0.1, 1))
 
 
 def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monkeypatch,
@@ -569,7 +617,7 @@ def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monk
     rng = np.random.default_rng(33)
     Xs = [rng.standard_normal((100, N_MNIST)) for _ in range(4)]
     want = [log_prob(wide_engine, X, cfg) for X in Xs]
-    assert len(tasks) == len(Xs) * cfg.steps * 4      # every stage split its rows
+    assert len(tasks) == len(Xs)        # every call ran its rows :48 on the worker
     got = [None] * len(Xs)
 
     def run(j):

@@ -26,3 +26,11 @@ def test_bitwise_hashes_are_deterministic(capsys):
     assert len(lines) == 10
     assert all(re.fullmatch(r"[0-9a-f]{40}  \S.*", line) for line in lines)
     assert outputs[1] == outputs[0]
+
+
+def test_every_mutant_edits_text_that_occurs_once():
+    mod = load_script("mutants")
+    names = [m[0] for m in mod.MUTANTS]
+    assert len(set(names)) == len(names) and "each part draws its own stage contexts" in names
+    for mutant in mod.MUTANTS:
+        assert mod.occurrences(mutant) == 1, mutant[0]

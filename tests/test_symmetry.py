@@ -8,6 +8,7 @@ from maflow import (ConfigError, IntegratorConfig, IsingEnergy, MLPPotential,
                     backprop, build_potential, d4_group, eval_potential, gaussian_base,
                     init_params, integrate, ising_energy, ising_group, ising_spec, log_prob,
                     replay, sample, symmetrized_eval, trivial_group, variational_loss, z2_group)
+from maflow import flow
 from maflow.gradcheck import REL_TOL, compare_gradient
 
 
@@ -295,6 +296,22 @@ def test_symmetrized_tape_replay_and_stage_contexts(mode, resample):
         assert any(len(set(c)) > 1 for c in recorded)
     if (mode, resample) == ("sampled", "step"):
         assert len({c[0] for c in recorded}) > 1
+
+
+@pytest.mark.parametrize("mode,resample", TAPE_CASES)
+def test_both_parts_use_the_stage_contexts_of_one_part(mode, resample):
+    # drawn once, after the base noise, in the order one part draws them
+    pot = build_potential(random_params(4, 8, seed=9), ising_group(2), mode, resample)
+    cfg = IntegratorConfig(0.1, 6)
+    one_rng, two_rng = np.random.default_rng(12), np.random.default_rng(12)
+    state = gaussian_base(4, 40, one_rng)
+    final, traj = integrate(pot, state, cfg, rng=one_rng, record=True)
+    joined, tapes = flow._forward(pot, 40, cfg, two_rng, record=True)
+    assert [rows for rows, _ in tapes] == [slice(0, 16), slice(16, None)]
+    for _, part in tapes:
+        assert [rec.stage_ctx for rec in part.steps] == [rec.stage_ctx for rec in traj.steps]
+    assert one_rng.bit_generator.state == two_rng.bit_generator.state
+    assert np.array_equal(joined.X, final.X) and np.array_equal(joined.L, final.L)
 
 
 @pytest.mark.parametrize("mode,resample", TAPE_CASES)
