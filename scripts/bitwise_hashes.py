@@ -6,14 +6,16 @@ hashes.  Every case is small.
 
     PYTHONPATH=src python scripts/bitwise_hashes.py
 
-Cases: a 2-epoch ``train`` on the toy ring (nll); 2-epoch variational
+Cases: a 2-epoch ``train`` on the toy ring (nll); a 2-epoch ``train`` on
+80 random 4x4 byte images read from an IDX file (nll on their logits,
+with fresh dequantization jitter drawn every epoch); 2-epoch variational
 ``train`` runs at L=2 with six symmetry settings; ``sample`` followed
 by ``log_prob`` with a sampled L=4 evaluator; the ``perms`` and
 ``signs`` tables of ``ising_group`` at L=2, 3, 4 and 8, whose row order
 decides which element every sampled index picks; and ``log_prob`` and the
-``nll_loss`` gradient at n=784, h=1024, B=100.  The toy, L=4 and n=784
-cases have at least 32 rows, so they run as two row parts, one on the
-worker thread.  OpenBLAS threads the n=784 case's products, so its hash
+``nll_loss`` gradient at n=784, h=1024, B=100.  The toy, IDX, L=4 and
+n=784 cases have batches of at least 32 rows, so they run as two row
+parts, one on the worker thread.  OpenBLAS threads the n=784 case's products, so its hash
 depends on the BLAS thread count.  The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is
 imported unless the environment already sets it, so two runs compare
 by default; a run with another explicit count prints another last line.
@@ -56,6 +58,13 @@ def main():
     ring = data_mod.toy_density("ring", 200, np.random.default_rng(1))
     cfg = TrainConfig.for_density(epochs=2, hidden=32, steps=10, batch_size=50, seed=3)
     out.append(("toy nll", checkpoint_hash(cfg, ring)))
+
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "images.idx")
+        data_mod.write_idx(path, np.random.default_rng(4).integers(0, 256, (80, 4, 4)))
+        images = data_mod.load_idx(path)
+    cfg = TrainConfig.for_density(epochs=2, hidden=16, steps=5, batch_size=32, seed=4)
+    out.append(("idx nll", checkpoint_hash(cfg, images)))
 
     energy = IsingEnergy(ising_spec(2))
     for group, mode, resample in ISING_CASES:

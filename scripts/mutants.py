@@ -51,6 +51,9 @@ MUTANTS = (
     ("part 1's gradient not added", "flow.py",
      "grad.add(other)",
      "pass"),
+    ("the worker part's error wins", "flow.py",
+     'if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):',
+     "if early is None:"),
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
      "(2.0 * p.a * self.t2)",
      "(p.a * self.t2)"),
@@ -66,6 +69,9 @@ MUTANTS = (
     ("the RNG state not restored on resume", "trainer.py",
      "rng.bit_generator.state = resume.rng_state",
      "rng = np.random.default_rng(config.seed)"),
+    ("the final checkpoint records config.epochs", "trainer.py",
+     "final = checkpoint_now(epoch_done)",
+     "final = checkpoint_now(config.epochs)"),
     ("the -n ln 256 term of bits/dim", "data.py",
      "logdet - dataset.n_dim * math.log(256.0)",
      "logdet"),

@@ -21,10 +21,11 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, FormatError, NumericError
-from .flow import BACKWARD, FORWARD, IntegratorConfig, integrate, log_prob, sample
+from .flow import (BACKWARD, FORWARD, FlowState, IntegratorConfig, gaussian_log_density,
+                   integrate, log_prob, sample)
 from .symmetry import MODES, build_potential, group_by_name
 from .targets import (_ENUM_LIMIT, CRITICAL_COUPLING, IsingEnergy, QuadraticPotential,
-                      gaussian_flow_oracle, ising_oracle_report, ising_spec)
+                      gaussian_flow_oracle, ising_oracle_report, ising_spec, spin_sampler)
 from .trainer import FIELD_RULES, TrainConfig, check_value, load_checkpoint, train
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,6 @@ def _cmd_sample(args):
     data_mod.save_csv(args.out, state.X)
     print(f"wrote {args.n} samples to {args.out}")
     if args.spins:
-        from .targets import spin_sampler
         spins_path = os.path.splitext(args.out)[0] + "_spins.csv"
         data_mod.save_csv(spins_path, spin_sampler(state.X, rng))
         print(f"wrote spin configurations to {spins_path}")
@@ -202,7 +202,6 @@ def _cmd_gaussian1d_demo(args):
     oracle = gaussian_flow_oracle(args.rate, args.T)
     pot = QuadraticPotential(args.rate, 1)
     grid = np.linspace(-3.0, 3.0, 61)
-    from .flow import FlowState, gaussian_log_density
     state = FlowState(grid[:, None], gaussian_log_density(grid[:, None]), 0.0)
     final, _ = integrate(pot, state, IntegratorConfig(eps, steps, FORWARD))
     map_err = float(np.abs(final.X[:, 0] - oracle.map(grid)).max())

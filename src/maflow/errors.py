@@ -14,7 +14,11 @@ class ConfigError(MaflowError):
 
 
 class NumericError(MaflowError):
-    """A computation produced non-finite values and was aborted."""
+    """A computation produced non-finite values and was aborted; ``order`` ranks it in its pass."""
+
+    def __init__(self, message, order=0):
+        super().__init__(message)
+        self.order = order
 
 
 class FormatError(MaflowError):

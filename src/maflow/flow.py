@@ -252,7 +252,7 @@ def _integrate(pot, state, config, contexts, record=False, callback=None, rows=s
         # a non-finite stage gradient makes x1 non-finite in the same row
         bad = _first_bad_row(x1, l1)
         if bad is not None:
-            raise NumericError(f"non-finite value during step {k}, batch row {rows.start + bad}")
+            raise NumericError(f"non-finite value during step {k}, batch row {rows.start + bad}", k)
         if record:
             traj.steps.append(StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx))
         x0, l0, t = x1, l1, t + eta
@@ -341,21 +341,25 @@ def _reverse(traj, pot, d_x_final, d_l_final):
             d_x = d_x_new
             if not np.isfinite(d_x).all():
                 raise NumericError(f"non-finite position cotangent in the reverse pass "
-                                   f"at step {k}")
+                                   f"at step {k}", -k)     # the pass runs k downward
     return grad, d_x
 
 
 def _in_parts(fn, parts):
     """``[fn(part) for part in parts]``, the first of two on the worker at once; a part never
-    splits again.  An exception from either part comes out once both are done."""
+    splits again.  An exception comes out once both are done; of two, the worker's, unless the
+    caller's is a NumericError earlier in the pass, as one part would report it."""
     if len(parts) == 1:
         return [fn(parts[0])]
     first = _submit(fn, parts[0])
     try:
         last = fn(parts[1])
-    finally:
-        head = first.result()
-    return [head, last]
+    except BaseException as late:
+        early = first.exception()
+        if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):
+            raise
+        raise early
+    return [first.result(), last]
 
 
 # Rows :k of a batch of B run on the worker and rows k: on the caller, k = 16 floor(B / 32);

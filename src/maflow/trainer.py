@@ -1,9 +1,11 @@
 """Training loop, optimizer, checkpointing and metric logging.
 
-One optimizer step at a time; losses and gradients come from the recorded
-trajectory tape.  Everything is reproducible: the random generator state is
-checkpointed, so training N epochs equals training, checkpointing and
-resuming.  A run aborts on non-finite losses with the last good state saved.
+An epoch is its list of optimizer steps, each a loss of the potential, so both
+objectives share one loop.  Everything is reproducible: the random generator
+state is checkpointed, so training N epochs equals training, checkpointing and
+resuming.  A checkpoint's epoch counts the epochs completed, so a resume to no
+more epochs is a no-op.  A run aborts on non-finite losses with the last good
+state saved.
 """
 
 import contextlib
@@ -196,10 +198,8 @@ def _write_checkpoint(f, ckpt):
     f.write(struct.pack("<QQ", ckpt.epoch, ckpt.step))
     f.write(struct.pack("<III", PARAMS_SECTION_VERSION, p.n_dim, p.n_hidden))
     f.write(p.to_vector().astype("<f8").tobytes())
-    if ckpt.adam is None:
-        f.write(struct.pack("<B", 0))
-    else:
-        f.write(struct.pack("<B", 1))
+    f.write(struct.pack("<B", ckpt.adam is not None))
+    if ckpt.adam is not None:
         f.write(struct.pack("<Q", ckpt.adam.count))
         f.write(ckpt.adam.m.astype("<f8").tobytes())
         f.write(ckpt.adam.v.astype("<f8").tobytes())
@@ -252,8 +252,7 @@ def load_checkpoint(path):
             adam = AdamState(m, v, count)
         (rng_len,) = struct.unpack("<I", _read(f, 4, path, "rng length"))
         rng_state = _read(f, rng_len, path, "rng state", _pcg64_state)
-        extra = f.read(1)
-        if extra:
+        if f.read(1):
             raise FormatError(f"{path}: trailing bytes after checkpoint")
     return Checkpoint(config, params, adam, epoch, step, rng_state)
 
@@ -264,23 +263,25 @@ class TrainResult:
     metrics: list = field(default_factory=list)   # rows matching METRIC_COLUMNS
     metrics_path: str | None = None
     checkpoint_path: str | None = None
-    stopped_early: bool = False
 
 
-def _epoch_batches(target, config, rng):
-    """Model-space matrix and batch index lists for one epoch of the objective."""
+def _epoch(target, config, fwd, rng):
+    """One epoch's optimizer steps, each a function from the potential to its LossResult; an
+    nll epoch draws its model-space rows' jitter, then their permutation, now."""
     if config.objective == "variational":
-        return None, [None] * config.steps_per_epoch
+        return config.steps_per_epoch * [
+            lambda pot: variational_loss(pot, target, config.batch_size, fwd, rng)]
     X, _ = data_mod.model_space(target, rng, config.logit_lambda)    # fresh jitter every epoch
-    return X, list(data_mod.minibatch_indices(X.shape[0], config.batch_size, rng))
+    return [lambda pot, rows=rows: nll_loss(pot, X[rows], fwd, rng=rng)
+            for rows in data_mod.minibatch_indices(X.shape[0], config.batch_size, rng)]
 
 
 def train(config, target, out_dir=None, resume=None, stop_fn=None):
     """Optimize the potential against a Dataset (nll) or an energy (variational).
 
-    ``resume`` takes a Checkpoint and continues it (same data, more epochs).
-    ``stop_fn(row_dict)`` may return True to end the run early.  Returns a
-    TrainResult whose checkpoint reflects the final state.
+    ``resume`` takes a Checkpoint and continues it (same data, more epochs; none more runs no
+    step).  ``stop_fn(row_dict)`` may return True to end the run early.  The TrainResult's
+    checkpoint holds the final state: its epoch counts the epochs run to their end.
     """
     if config.objective == "nll":
         if not isinstance(target, data_mod.Dataset):
@@ -292,31 +293,29 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     group = group_by_name(config.symmetry, n_dim)
     fwd = config.integrator("forward")
 
-    if resume is not None:
-        old, new = resume.config.as_dict(), config.as_dict()
-        changed = [f"{k}={old[k]!r} vs {k}={new[k]!r}" for k in old
-                   if k not in ("epochs", "max_steps", "checkpoint_every") and old[k] != new[k]]
-        if changed:
-            raise ConfigError(f"config differs from the checkpoint's: {', '.join(changed)}")
-        params = resume.params
-        if params.n_dim != n_dim:
-            raise ConfigError(f"checkpoint dimension {params.n_dim} does not match target {n_dim}")
-        adam = resume.adam if resume.adam is not None else AdamState.zeros(params.size)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resume.rng_state
-        start_epoch, step = resume.epoch, resume.step
-    else:
+    if resume is None:      # a fresh run resumes its epoch-0 state
         rng = np.random.default_rng(config.seed)
-        params = init_params(n_dim, config.hidden, rng)
-        adam = AdamState.zeros(params.size)
-        start_epoch, step = 0, 0
+        resume = Checkpoint(config, init_params(n_dim, config.hidden, rng), None, 0, 0,
+                            rng.bit_generator.state)
+    old, new = resume.config.as_dict(), config.as_dict()
+    changed = [f"{k}={old[k]!r} vs {k}={new[k]!r}" for k in old
+               if k not in ("epochs", "max_steps", "checkpoint_every") and old[k] != new[k]]
+    if changed:
+        raise ConfigError(f"config differs from the checkpoint's: {', '.join(changed)}")
+    params = resume.params
+    if params.n_dim != n_dim:
+        raise ConfigError(f"checkpoint dimension {params.n_dim} does not match target {n_dim}")
+    adam = resume.adam if resume.adam is not None else AdamState.zeros(params.size)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = resume.rng_state
+    epoch_done, step = resume.epoch, resume.step
+    del resume      # a fresh run's initial parameters are dropped after its first step
 
-    run_hash = config.run_hash()
     metrics_path = ckpt_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, f"metrics_{run_hash}.csv")
-        ckpt_path = os.path.join(out_dir, f"checkpoint_{run_hash}.bin")
+        metrics_path = os.path.join(out_dir, f"metrics_{config.run_hash()}.csv")
+        ckpt_path = os.path.join(out_dir, f"checkpoint_{config.run_hash()}.bin")
 
     def checkpoint_now(epoch_done):
         # params are read-only and adam_update returns new arrays: nothing here is mutated later
@@ -333,23 +332,16 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
         metrics = []
         t_start = time.perf_counter()
         # always have a good state on disk in case the very first epoch aborts
-        checkpoint_now(start_epoch)
-        epoch_done = start_epoch
-        stopped = False
+        checkpoint_now(epoch_done)
 
-        for epoch in range(start_epoch, config.epochs):
-            X_epoch, batches = _epoch_batches(target, config, rng)
-            for batch in batches:
+        for epoch in range(epoch_done, config.epochs):
+            for loss in _epoch(target, config, fwd, rng):
                 if config.max_steps and step >= config.max_steps:
-                    stopped = True
                     break
-                pot = build_potential(params, group, config.symmetry_mode, config.resample)
-                if config.objective == "nll":
-                    res = nll_loss(pot, X_epoch[batch], fwd, rng=rng)
-                else:
-                    res = variational_loss(pot, target, config.batch_size, fwd, rng)
+                res = loss(build_potential(params, group, config.symmetry_mode, config.resample))
                 g = res.grad.to_vector()
-                gnorm = float(np.linalg.norm(g))
+                with np.errstate(over="ignore"):    # a norm that overflows is reported below
+                    gnorm = float(np.linalg.norm(g))
                 if not (np.isfinite(res.value) and np.isfinite(gnorm)):
                     raise NumericError(f"non-finite loss or gradient at step {step}")
                 if config.grad_clip > 0.0 and gnorm > config.grad_clip:
@@ -366,14 +358,14 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
                     metrics_file.write(f"{epoch},{step},{row['loss']!r},{gnorm!r},"
                                        f"{row['seconds']:.3f}\n")
                 if stop_fn is not None and stop_fn(row):
-                    stopped = True
                     break
-            if stopped:
-                break
-            epoch_done = epoch + 1
-            if config.checkpoint_every and epoch_done % config.checkpoint_every == 0:
-                checkpoint_now(epoch_done)
+            else:
+                epoch_done = epoch + 1
+                if config.checkpoint_every and epoch_done % config.checkpoint_every == 0:
+                    checkpoint_now(epoch_done)
+                continue
+            break       # max_steps or stop_fn ended the run inside this epoch
         # an exception above, a NumericError included, skips this save: the last
         # checkpoint written stays on disk instead of the bad state
-        final = checkpoint_now(epoch_done if stopped else config.epochs)
-    return TrainResult(final, metrics, metrics_path, ckpt_path, stopped)
+        final = checkpoint_now(epoch_done)
+    return TrainResult(final, metrics, metrics_path, ckpt_path)

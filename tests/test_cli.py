@@ -9,7 +9,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from maflow import Checkpoint, PotentialParams, TrainConfig, init_params, save_checkpoint
+from maflow import (Checkpoint, PotentialParams, TrainConfig, init_params, load_checkpoint,
+                    save_checkpoint)
 from maflow import cli
 from maflow import data as data_mod
 from maflow.cli import _SCHEMA, load_run_config, main
@@ -408,6 +409,21 @@ def test_gaussian_demo_overflow_is_a_numeric_abort(capsys, rate):
     assert main(["gaussian1d-demo", "--lambda", rate, "--T", "100"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric abort:") and f"lambda*T = {float(rate) * 100!r}" in err
+
+
+def test_training_that_goes_non_finite_exits_3_and_leaves_a_loadable_checkpoint(tmp_path,
+                                                                                 capsys):
+    # Adam's first step moves every weight by about the learning rate, so the norm of the
+    # second step's gradient overflows
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
+           "train": {"steps": 2, "hidden": 4, "batch_size": 50, "epochs": 3,
+                     "checkpoint_every": 1, "learning_rate": 1e60},
+           "dataset": {"name": "ring", "size": 50}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == "numeric abort: non-finite loss or gradient at step 1\n"
+    ckpt = load_checkpoint(next((tmp_path / "out").glob("checkpoint_*.bin")))
+    assert (ckpt.epoch, ckpt.step) == (1, 1)
+    assert np.isfinite(ckpt.params.to_vector()).all()
 
 
 def test_value_error_from_the_library_is_not_a_config_error(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError,
                     PotentialParams, QuadraticPotential, gaussian_base,
                     gaussian_flow_oracle, gaussian_log_density, init_params, integrate,
-                    log_prob, sample)
+                    log_prob, nll_loss, sample)
 
 
 def strong_params(n=4, h=32, amp=18.0):
@@ -177,6 +177,44 @@ def test_non_finite_stage_gradient_names_its_step_and_row():
     with pytest.raises(NumericError, match=r"step 3, batch row 2$"):
         integrate(pot, FlowState(X, np.zeros(5)), IntegratorConfig(0.1, 6))
     assert pot.calls == 4 * 3 + 4       # the step ran its four stages, and no later step began
+
+
+@pytest.mark.parametrize("callback", [None, lambda k, state: None], ids=["two-parts", "one-part"])
+def test_two_row_parts_report_the_failure_one_part_reports(callback):
+    # row 40 (the caller's part) fails at step 2, row 0 (the worker's part) only at step 74
+    X = np.ones((64, 2))
+    X[0], X[40] = 1e100, 1e300
+    with pytest.raises(NumericError, match=r"step 2, batch row 40$"):
+        log_prob(QuadraticPotential(-1.0, 2), X, IntegratorConfig(10.0, 400), callback=callback)
+    # a tie goes to part 0, which holds the lower rows
+    X[0] = 1e300
+    with pytest.raises(NumericError, match=r"step 2, batch row 0$"):
+        log_prob(QuadraticPotential(-1.0, 2), X, IntegratorConfig(10.0, 400), callback=callback)
+
+
+class NanCotangentAt(QuadraticPotential):
+    """A quadratic field whose vjp gives a NaN cotangent at one reverse step of each row part,
+    told apart by the sign of the part's rows."""
+
+    def __init__(self, steps, bad_step):
+        super().__init__(0.2, 2)
+        self.steps, self.bad_step, self.calls = steps, bad_step, {True: 0, False: 0}
+
+    def vjp(self, X, w_grad, w_lap, ctx=None):
+        part = bool(X[0, 0] > 0)
+        step = self.steps - 1 - self.calls[part] // 4     # the reverse pass runs steps downward
+        self.calls[part] += 1
+        pg, xcot = super().vjp(X, w_grad, w_lap, ctx)
+        return pg, xcot * np.nan if step == self.bad_step[part] else xcot
+
+
+def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first():
+    X = np.ones((64, 2))
+    X[32:] = -1.0           # part 1, on the caller, fails at step 3, which the pass reaches first
+    pot = NanCotangentAt(5, {True: 1, False: 3})
+    with pytest.raises(NumericError, match=r"reverse pass at step 3$"):
+        nll_loss(pot, X, IntegratorConfig(0.1, 5))
+    assert pot.calls == {True: 4 * 4, False: 2 * 4}     # both parts ran to their own failure
 
 
 def test_dimension_mismatch():

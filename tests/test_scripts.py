@@ -23,7 +23,7 @@ def test_bitwise_hashes_are_deterministic(capsys):
         assert mod.main() == 0
         outputs.append(capsys.readouterr().out)
     lines = outputs[0].splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(re.fullmatch(r"[0-9a-f]{40}  \S.*", line) for line in lines)
     assert outputs[1] == outputs[0]
 

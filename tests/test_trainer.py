@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maflow import (AdamState, Checkpoint, ConfigError, FormatError, IsingEnergy, TrainConfig,
-                    init_params, ising_spec, load_checkpoint, save_checkpoint, train)
+from maflow import (AdamState, Checkpoint, ConfigError, FormatError, IsingEnergy, NumericError,
+                    TrainConfig, init_params, ising_spec, load_checkpoint, save_checkpoint, train)
 from maflow import data as data_mod
 from maflow.trainer import METRIC_COLUMNS
 
@@ -69,6 +69,51 @@ def test_resume_at_epoch_boundary_equals_uninterrupted(config, target):
     assert first.epoch == 1
     resumed = train(config, target, resume=first).checkpoint
     assert_same_checkpoint(resumed, whole)
+
+
+@pytest.mark.parametrize("config,target", _resume_cases())
+def test_resume_to_no_more_epochs_keeps_the_counters_and_runs_no_step(config, target):
+    whole = train(config, target).checkpoint
+    assert whole.epoch == 2
+    for epochs in (2, 1):
+        noop = train(replace(config, epochs=epochs), target, resume=whole)
+        assert noop.metrics == []
+        assert (noop.checkpoint.epoch, noop.checkpoint.step) == (whole.epoch, whole.step)
+    again = train(config, target, resume=noop.checkpoint)
+    assert again.metrics == []
+    assert_same_checkpoint(again.checkpoint, whole)
+
+
+class NanEnergyFrom:
+    """``inner``'s energy, NaN from its ``bad``-th call on (counting from 0)."""
+
+    def __init__(self, inner, bad):
+        self.inner, self.bad, self.calls, self.n_dim = inner, bad, 0, inner.n_dim
+
+    def energy(self, X):
+        self.calls += 1
+        e = self.inner.energy(X)
+        return e if self.calls <= self.bad else np.full_like(e, np.nan)
+
+    def grad(self, X):
+        return self.inner.grad(X)
+
+
+def test_numeric_abort_leaves_the_checkpoint_of_the_last_completed_epoch(tmp_path):
+    energy = IsingEnergy(ising_spec(2))
+    config = TrainConfig.for_ising(epochs=3, steps_per_epoch=3, hidden=8, steps=5, batch_size=8,
+                                   seed=3, checkpoint_every=1)
+    with pytest.raises(NumericError, match="non-finite loss or gradient at step 4$"):
+        train(config, NanEnergyFrom(energy, 4), out_dir=tmp_path / "abort")
+    lines = (tmp_path / "abort" / f"metrics_{config.run_hash()}.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["1", "2", "3", "4"]
+    # steps 0-2 made epoch 0, step 3 ran in epoch 1 and step 4 failed: the file on disk is
+    # the one that a run stopped by max_steps after epoch 0 writes, under this config
+    last_good = train(replace(config, max_steps=3), energy).checkpoint
+    assert (last_good.epoch, last_good.step) == (1, 3)
+    save_checkpoint(tmp_path / "last_good.bin", replace(last_good, config=config))
+    written = tmp_path / "abort" / f"checkpoint_{config.run_hash()}.bin"
+    assert written.read_bytes() == (tmp_path / "last_good.bin").read_bytes()
 
 
 def test_metrics_csv_closed_when_stop_fn_raises(tmp_path):
