@@ -55,8 +55,18 @@ MUTANTS = (
      'if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):',
      "if early is None:"),
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
-     "(2.0 * p.a * self.t2)",
-     "(p.a * self.t2)"),
+     "coef = 2.0 * p.a * self.t2",
+     "coef = p.a * self.t2"),
+    ("the ragged last row block of ParamGrad._fold skipped", "potential.py",
+     "            np.matmul(L[:, rows].T, R, out=out)",
+     "            if len(out) < len(self._scratch):\n"
+     "                continue\n"
+     "            np.matmul(L[:, rows].T, R, out=out)"),
+    ("the ragged last row block of the W term skipped", "potential.py",
+     "                np.multiply(p.W[rows], coef[rows, None], out=out)",
+     "                if len(out) < len(self._scratch):\n"
+     "                    continue\n"
+     "                np.multiply(p.W[rows], coef[rows, None], out=out)"),
     ("t2 not summed in ParamGrad.add", "potential.py",
      "self.t2 += other.t2",
      "pass"),

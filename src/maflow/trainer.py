@@ -197,12 +197,14 @@ def _write_checkpoint(f, ckpt):
     f.write(cfg_json)
     f.write(struct.pack("<QQ", ckpt.epoch, ckpt.step))
     f.write(struct.pack("<III", PARAMS_SECTION_VERSION, p.n_dim, p.n_hidden))
-    f.write(p.to_vector().astype("<f8").tobytes())
+    # each vector is written as it is, uncopied, when it is already a contiguous <f8 array
+    # (any float64 vector on a little-endian host)
+    f.write(np.ascontiguousarray(p.to_vector(), "<f8"))
     f.write(struct.pack("<B", ckpt.adam is not None))
     if ckpt.adam is not None:
         f.write(struct.pack("<Q", ckpt.adam.count))
-        f.write(ckpt.adam.m.astype("<f8").tobytes())
-        f.write(ckpt.adam.v.astype("<f8").tobytes())
+        f.write(np.ascontiguousarray(ckpt.adam.m, "<f8"))
+        f.write(np.ascontiguousarray(ckpt.adam.v, "<f8"))
     f.write(struct.pack("<I", len(rng_json)))
     f.write(rng_json)
 
@@ -276,12 +278,38 @@ def _epoch(target, config, fwd, rng):
             for rows in data_mod.minibatch_indices(X.shape[0], config.batch_size, rng)]
 
 
+def _optimizer_step(res, params, adam, config, step):
+    """(params, Adam state, loss, gradient norm) of one clipped Adam step on the LossResult
+    ``res`` of optimizer step ``step``.
+
+    The gradient vector, its clipped copy and the update are locals here, so none of them
+    outlives the step: the next loss runs without them.
+    """
+    g = res.grad.to_vector()
+    with np.errstate(over="ignore"):    # a norm that overflows is reported below
+        gnorm = float(np.linalg.norm(g))
+    if not (np.isfinite(res.value) and np.isfinite(gnorm)):
+        raise NumericError(f"non-finite loss or gradient at step {step}")
+    if config.grad_clip > 0.0 and gnorm > config.grad_clip:
+        g = g * (config.grad_clip / gnorm)
+    delta, adam = adam_update(adam, g, config.learning_rate,
+                              config.beta1, config.beta2, config.adam_eps)
+    params = PotentialParams._wrap(params.to_vector() + delta, params.n_dim, params.n_hidden)
+    return params, adam, res.value, gnorm
+
+
 def train(config, target, out_dir=None, resume=None, stop_fn=None):
     """Optimize the potential against a Dataset (nll) or an energy (variational).
 
     ``resume`` takes a Checkpoint and continues it (same data, more epochs; none more runs no
     step).  ``stop_fn(row_dict)`` may return True to end the run early.  The TrainResult's
-    checkpoint holds the final state: its epoch counts the epochs run to their end.
+    checkpoint holds the final state: its epoch counts the epochs run to their end.  A
+    ``max_steps`` budget is checked before each step and before an epoch draws its batches,
+    so a stop at an epoch boundary saves the state an ``epochs`` stop there saves.
+
+    Between steps the loop keeps the parameters, the Adam moments, the epoch's batches and
+    the metric rows.  The last step's loss result, gradient, clipped gradient and update are
+    gone before the next loss runs.
     """
     if config.objective == "nll":
         if not isinstance(target, data_mod.Dataset):
@@ -334,24 +362,20 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
         # always have a good state on disk in case the very first epoch aborts
         checkpoint_now(epoch_done)
 
+        def out_of_steps():
+            return config.max_steps and step >= config.max_steps
+
         for epoch in range(epoch_done, config.epochs):
+            if out_of_steps():      # before _epoch draws the epoch's jitter and permutation
+                break
             for loss in _epoch(target, config, fwd, rng):
-                if config.max_steps and step >= config.max_steps:
+                if out_of_steps():
                     break
-                res = loss(build_potential(params, group, config.symmetry_mode, config.resample))
-                g = res.grad.to_vector()
-                with np.errstate(over="ignore"):    # a norm that overflows is reported below
-                    gnorm = float(np.linalg.norm(g))
-                if not (np.isfinite(res.value) and np.isfinite(gnorm)):
-                    raise NumericError(f"non-finite loss or gradient at step {step}")
-                if config.grad_clip > 0.0 and gnorm > config.grad_clip:
-                    g = g * (config.grad_clip / gnorm)
-                delta, adam = adam_update(adam, g, config.learning_rate,
-                                          config.beta1, config.beta2, config.adam_eps)
-                params = PotentialParams._wrap(params.to_vector() + delta,
-                                               params.n_dim, params.n_hidden)
+                params, adam, value, gnorm = _optimizer_step(
+                    loss(build_potential(params, group, config.symmetry_mode, config.resample)),
+                    params, adam, config, step)
                 step += 1
-                row = {"epoch": epoch, "step": step, "loss": res.value,
+                row = {"epoch": epoch, "step": step, "loss": value,
                        "grad_norm": gnorm, "seconds": time.perf_counter() - t_start}
                 metrics.append(row)
                 if metrics_file is not None:

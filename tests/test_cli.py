@@ -426,6 +426,18 @@ def test_training_that_goes_non_finite_exits_3_and_leaves_a_loadable_checkpoint(
     assert np.isfinite(ckpt.params.to_vector()).all()
 
 
+def test_weights_that_overflow_the_evaluators_caches_exit_3_with_the_flows_abort(tmp_path,
+                                                                                 capsys):
+    # Adam's first step moves every weight by about 1e150, so a_k |W_k|^2 overflows when the
+    # second step builds its evaluator; the non-finite field then aborts the flow
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
+           "train": {"steps": 2, "hidden": 4, "batch_size": 50, "epochs": 3,
+                     "checkpoint_every": 1, "learning_rate": 1e150},
+           "dataset": {"name": "ring", "size": 50}}
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == "numeric abort: non-finite value during step 0, batch row 0\n"
+
+
 def test_value_error_from_the_library_is_not_a_config_error(monkeypatch):
     def broken(spec):
         raise ValueError("a bug, not a bad argument")

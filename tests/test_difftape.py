@@ -437,8 +437,8 @@ def test_loss_and_grad_peak_stays_below_the_activation_caches():
 
 def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
     # an (h, n) array outweighs the tape here.  Once both parts are reversed, each part's
-    # sum holds its dW and its scratch buffer; adding them allocates no other such array,
-    # and the gradient returned is one of the parts' own
+    # sum holds its dW and a scratch buffer of a few rows; adding them allocates no other
+    # (h, n) array, and the gradient returned is one of the parts' own
     B, n, h = 32, 256, 1024
     p = random_params(n, h, seed=25, amp=1.0)
     X = np.random.default_rng(25).standard_normal((B, n))
@@ -458,10 +458,11 @@ def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
         return collections.Counter(t.traceback for t in snapshot.traces if t.size >= big)
 
     monkeypatch.setattr(flow, "_in_parts", marking)
-    nll_loss(p, X, cfg)     # warm-up: lazy imports and first-call allocations
+    pot = MLPPotential(p)   # built here, so its a_k W_k cache is not traced
+    nll_loss(pot, X, cfg)   # warm-up: lazy imports and first-call allocations
     tracemalloc.start()
     try:
-        res = nll_loss(p, X, cfg)
+        res = nll_loss(pot, X, cfg)
         peak = tracemalloc.get_traced_memory()[1]
         end = tracemalloc.take_snapshot()
     finally:
@@ -469,6 +470,6 @@ def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
     assert len(marks) == 2      # the forward parts, then the reverse parts
     reversed_at, reversed_snapshot = marks[1]
     assert peak - reversed_at < big
-    assert sum(large(reversed_snapshot).values()) >= 4
+    assert sum(large(reversed_snapshot).values()) == 2
     assert res.grad.to_vector().nbytes > big
     assert large(end) - large(reversed_snapshot) == collections.Counter()

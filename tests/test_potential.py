@@ -294,6 +294,34 @@ def test_engine_vjp_equals_dgemm_accumulation_bitwise(n, h, B):
     assert np.array_equal(pg.to_vector(), dgemm_vjp(p, X, WG, WL))
 
 
+@pytest.mark.parametrize("rows,n,h", [(64, 64, 512), (96, 784, 1024), (104, 784, 1024),
+                                      (40, 200, 700)],
+                         ids=["ising8", "mnist-shape-part0", "mnist-shape-part1", "ragged"])
+def test_blocked_fold_and_w_term_are_bitwise_the_single_gemm_results(rows, n, h):
+    # L and R of one row part at the benchmark shapes (2B = 64; 2B = 96 and 104 for the 48
+    # and 52 rows of B = 100), and at a shape whose last row block, 700 = 2 * 327 + 46, is
+    # ragged, as mnist-shape's is (1024 = 12 * 83 + 28)
+    p = random_params(n, h, seed=26)
+    rng = np.random.default_rng(12)
+    calls = [(rng.standard_normal((rows, h)), rng.standard_normal((rows, n)),
+              rng.standard_normal(h)) for _ in range(3)]
+    size = max(1, 2 ** 16 // n)
+    assert (h > size and h % size != 0) == (n != 64)
+    dW = calls[0][0].T @ calls[0][1]
+    for L, R, _ in calls[1:]:
+        dW += L.T @ R
+    t2 = calls[0][2] + calls[1][2] + calls[2][2]
+    dW += p.W * (2.0 * p.a * t2)[:, None]
+    one = ParamGrad(p, *calls[0][:2], np.zeros(h), np.zeros(h), calls[0][2].copy()).to_vector()
+    assert np.array_equal(one[:h * n], (calls[0][0].T @ calls[0][1]
+                                        + p.W * (2.0 * p.a * calls[0][2])[:, None]).ravel())
+    total = None
+    for L, R, t in calls:
+        pg = ParamGrad(p, L, R, np.zeros(h), np.zeros(h), t.copy())
+        total = pg if total is None else total.add(pg)
+    assert np.array_equal(total.to_vector()[:h * n], dW.ravel())
+
+
 def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
     # mixed batch sizes and an average-mode sum (itself |G| calls with scaled cotangents)
     n, h = 6, 24

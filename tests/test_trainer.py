@@ -2,6 +2,7 @@
 
 import json
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from maflow import (AdamState, Checkpoint, ConfigError, FormatError, IsingEnergy, NumericError,
                     TrainConfig, init_params, ising_spec, load_checkpoint, save_checkpoint, train)
 from maflow import data as data_mod
+from maflow import trainer
 from maflow.trainer import METRIC_COLUMNS
 
 
@@ -82,6 +84,45 @@ def test_resume_to_no_more_epochs_keeps_the_counters_and_runs_no_step(config, ta
     again = train(config, target, resume=noop.checkpoint)
     assert again.metrics == []
     assert_same_checkpoint(again.checkpoint, whole)
+
+
+def test_a_step_budget_met_at_an_epoch_boundary_stops_before_the_next_epochs_draws():
+    # 120 rows in batches of 40: max_steps = 3 ends the run exactly after epoch 0
+    ring = data_mod.toy_density("ring", 120, np.random.default_rng(1))
+    config = TrainConfig.for_density(epochs=2, hidden=16, steps=5, batch_size=40, seed=2)
+    stopped = train(replace(config, max_steps=3), ring).checkpoint
+    first = train(replace(config, epochs=1), ring).checkpoint
+    assert (stopped.epoch, stopped.step) == (1, 3)
+    assert_same_checkpoint(replace(stopped, config=config), replace(first, config=config))
+    resumed = train(config, ring, resume=stopped).checkpoint
+    assert_same_checkpoint(resumed, train(config, ring).checkpoint)
+
+
+def test_the_next_loss_runs_without_the_last_steps_gradient_or_update(monkeypatch):
+    # a tiny clip threshold makes every step clip, so each step makes four objects of its
+    # own: the loss result, its gradient vector, the clipped copy and the update
+    ring = data_mod.toy_density("ring", 120, np.random.default_rng(1))
+    config = TrainConfig.for_density(epochs=2, hidden=16, steps=5, batch_size=40, seed=2,
+                                     grad_clip=1e-9)
+    loss, adam_update = trainer.nll_loss, trainer.adam_update
+    refs, alive = [], []
+
+    def watched_loss(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        res = loss(*args, **kwargs)
+        refs.extend([weakref.ref(res), weakref.ref(res.grad.to_vector())])
+        return res
+
+    def watched_update(state, gradient, *args):
+        delta, state = adam_update(state, gradient, *args)
+        refs.extend([weakref.ref(gradient), weakref.ref(delta)])
+        return delta, state
+
+    monkeypatch.setattr(trainer, "nll_loss", watched_loss)
+    monkeypatch.setattr(trainer, "adam_update", watched_update)
+    result = train(config, ring)
+    assert all(row["grad_norm"] > config.grad_clip for row in result.metrics)
+    assert len(refs) == 4 * 6 and alive == 6 * [0]
 
 
 class NanEnergyFrom:
