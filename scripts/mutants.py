@@ -48,6 +48,12 @@ MUTANTS = (
     ("part 1's rows reported from row 0", "flow.py",
      "batch row {rows.start + bad}",
      "batch row {bad}"),
+    ("nll_loss reversed without the base-point cotangent", "flow.py",
+     "_reverse_parts(tapes, pot, base / n,",
+     "_reverse_parts(tapes, pot, 0.0 * base,"),
+    ("variational_loss's d_x not divided by n_samples", "flow.py",
+     "d_x = energy.grad(final.X) / n_samples",
+     "d_x = energy.grad(final.X)"),
     ("part 1's gradient not added", "flow.py",
      "grad.add(other)",
      "pass"),

@@ -8,17 +8,16 @@ optionally with a symmetrized potential.
 """
 
 from .errors import ConfigError, FormatError, MaflowError, NumericError, StaleTapeError
-from .flow import (BackpropResult, FlowState, IntegratorConfig, Trajectory, backprop,
-                   gaussian_base, gaussian_log_density, integrate, log_prob, replay, sample)
+from .flow import (BackpropResult, FlowState, IntegratorConfig, LossResult, Trajectory,
+                   backprop, gaussian_base, gaussian_log_density, integrate, log_prob,
+                   nll_loss, replay, sample, variational_loss)
 from .potential import (MLPPotential, ParamGrad, PotentialEval, PotentialParams, as_potential,
                         eval_batch, eval_potential, init_params, param_vjp)
-from .symmetry import (SymmetrizedPotential, SymmetryGroup, build_potential, d4_group,
-                       group_by_name, ising_group, symmetrized_eval, trivial_group, z2_group)
+from .symmetry import (SymmetrizedPotential, SymmetryGroup, build_potential, group_by_name,
+                       ising_group, symmetrized_eval, z2_group)
 from .targets import (CRITICAL_COUPLING, GaussianFlowSolution, IsingEnergy, IsingSpec,
-                      LossResult, QuadraticPotential, exact_neg_log_z,
-                      gaussian_flow_oracle, ising_energy, ising_energy_grad,
-                      ising_oracle_report, ising_spec, nll_loss, spin_sampler,
-                      variational_loss)
+                      QuadraticPotential, exact_neg_log_z, ising_energy, ising_energy_grad,
+                      ising_oracle_report, ising_spec, spin_sampler)
 from .trainer import (AdamState, Checkpoint, TrainConfig, TrainResult, adam_update,
                       load_checkpoint, save_checkpoint, train)
 

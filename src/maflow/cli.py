@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Subcommands: train, sample, logprob, gaussian1d-demo, ising-oracle (and the
-undocumented gradcheck diagnostic).  Exit codes: 0 success, 2 a bad config
-file, argument or input path, 3 numeric abort, 4 format error; any other
-failure is a bug and ends in a traceback.  All commands are deterministic
-given --seed.  Output artifacts are plain CSV; plotting happens out of process.
+Subcommands: train, sample, logprob, gaussian1d-demo, ising-oracle.  ``train``
+writes its checkpoint and metrics CSV in ``<out_dir>/target_<digest>/``, one
+directory per task, dataset and ising section.  Exit codes: 0 success, 2 a
+bad config file, argument or input path, 3 numeric abort, 4 format error; any
+other failure is a bug and ends in a traceback.  All commands are
+deterministic given --seed.  Output artifacts are plain CSV; plotting happens
+out of process.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -24,8 +27,8 @@ from .errors import ConfigError, FormatError, NumericError
 from .flow import (BACKWARD, FORWARD, FlowState, IntegratorConfig, gaussian_log_density,
                    integrate, log_prob, sample)
 from .symmetry import MODES, build_potential, group_by_name
-from .targets import (_ENUM_LIMIT, CRITICAL_COUPLING, IsingEnergy, QuadraticPotential,
-                      gaussian_flow_oracle, ising_oracle_report, ising_spec, spin_sampler)
+from .targets import (CRITICAL_COUPLING, ENUM_LIMIT, GaussianFlowSolution, IsingEnergy,
+                      QuadraticPotential, ising_oracle_report, ising_spec, spin_sampler)
 from .trainer import FIELD_RULES, TrainConfig, check_value, load_checkpoint, train
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,13 @@ def load_run_config(path):
             "out_dir": raw.get("out_dir", "runs")}
 
 
+def _target_dir(run):
+    """The run's directory in ``out_dir``, named by a digest of its task, dataset and ising
+    sections: ``train`` names its files by the training config alone."""
+    key = json.dumps({k: run[k] for k in ("task", "dataset", "ising")}, sort_keys=True)
+    return os.path.join(run["out_dir"], "target_" + hashlib.sha1(key.encode()).hexdigest()[:12])
+
+
 def _build_target(run):
     if run["task"] == "ising":
         spec = ising_spec(run["ising"]["L"], run["ising"]["beta"])
@@ -124,7 +134,7 @@ def _cmd_train(args):
         run["config"] = replace(run["config"], seed=args.seed)
     target = _build_target(run)
     resume = load_checkpoint(args.resume) if args.resume else None
-    result = train(run["config"], target, out_dir=run["out_dir"], resume=resume)
+    result = train(run["config"], target, out_dir=_target_dir(run), resume=resume)
     last = result.metrics[-1]["loss"] if result.metrics else float("nan")
     print(f"trained {len(result.metrics)} steps, final loss {last!r}")
     if result.metrics_path:
@@ -199,7 +209,7 @@ def _cmd_logprob(args):
 def _cmd_gaussian1d_demo(args):
     steps = args.steps
     eps = args.T / steps
-    oracle = gaussian_flow_oracle(args.rate, args.T)
+    oracle = GaussianFlowSolution(args.rate, args.T)
     pot = QuadraticPotential(args.rate, 1)
     grid = np.linspace(-3.0, 3.0, 61)
     state = FlowState(grid[:, None], gaussian_log_density(grid[:, None]), 0.0)
@@ -227,13 +237,6 @@ def _cmd_ising_oracle(args):
     print(f"enumeration cross-check    {rep['enumeration_disagreement']:.3e}")
     print(f"-ln Z (continuous model)   {rep['neg_log_z']!r}")
     return 0
-
-
-def _cmd_gradcheck(args):
-    from .gradcheck import run_gradcheck
-    worst = run_gradcheck(seed=args.seed, verbose=True)
-    print(f"max relative error {worst:.3e}")
-    return 0 if worst < 1e-4 else 1
 
 
 def _flag(kind, allowed):
@@ -298,13 +301,9 @@ def build_parser():
 
     o = sub.add_parser("ising-oracle",
                        help="exact small-lattice free energy by enumeration")
-    o.add_argument("--L", type=_flag(int, f"[2, {_ENUM_LIMIT}]"), required=True)
+    o.add_argument("--L", type=_flag(int, f"[2, {ENUM_LIMIT}]"), required=True)
     o.add_argument("--beta", type=_flag(float, "(-inf, inf)"), default=CRITICAL_COUPLING)
     o.set_defaults(fn=_cmd_ising_oracle)
-
-    gc = sub.add_parser("gradcheck")
-    gc.add_argument("--seed", type=_flag(int, "[0, inf)"), default=0)
-    gc.set_defaults(fn=_cmd_gradcheck)
     return p
 
 

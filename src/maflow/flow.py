@@ -11,7 +11,9 @@ data -> noise) with the classical fourth-order Runge-Kutta scheme at a
 fixed step.  Backward integration runs the same stages with a negated
 increment, so both directions cost the same.  Each direction has one
 integration, ``_forward`` or ``_backward``: ``sample`` and ``log_prob`` call
-them, and so do the losses in ``targets``, which also record the tape.
+them, and so do the two training losses, which also record the tape and
+reverse it.  ``nll_loss`` (maximum likelihood) runs data -> noise and
+``variational_loss`` (variational free energy) noise -> target.
 
 Batch rows are independent; everything is float64 and deterministic for a
 given seed.  Non-finite intermediates abort with diagnostics instead of
@@ -38,12 +40,13 @@ one dense dW, in reverse step order and stages 4..1 inside each step; the
 2 a (sum t2) W term of dW comes last, once.
 
 Every row follows its own trajectory, so ``sample``, ``log_prob`` and the
-losses in ``targets`` run a batch of 32 rows or more as two row parts at
-once, one on a worker thread: the one place that uses it.  The parts share
-the stage contexts, drawn once before they start, and join before anything
-reads the whole batch.  Each part's tape is then reversed on its own, and
-part 1's ``ParamGrad`` folds into part 0's, so no result depends on which
-thread ran a part.  ``integrate`` and ``backprop`` run one part.
+losses run a batch of 32 rows or more as two row parts at once, one on a
+worker thread: the one place that uses it.  The parts share the stage
+contexts, drawn once before they start, and join before anything reads the
+whole batch.  Each part's tape is then reversed on its own, and part 1's
+``ParamGrad`` folds into part 0's, so no result depends on which thread ran
+a part.  ``integrate`` and ``backprop`` run one part, and so does ``sample``
+with a callback.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ def _first_bad_row(*arrays):
     return None
 
 
-def integrate(potential, state, config, rng=None, record=False, callback=None):
+def integrate(potential, state, config, rng=None, record=False):
     """Run ``config.steps`` RK4 steps; returns (final state, Trajectory or None).
 
     Calls ``potential.begin_trajectory(rng)`` once: it returns an iterator
@@ -212,14 +215,14 @@ def integrate(potential, state, config, rng=None, record=False, callback=None):
     symmetrized potential, the group element indices, drawn from ``rng``),
     or None when every stage has context None (for a symmetrized potential,
     the whole group).  Every step's four are drawn before the first step.
-    ``callback(step_index, state)`` fires after every step (used for frame
-    dumps).  A non-finite position or log-density raises NumericError naming
-    the step and the first bad batch row.  With ``record=True`` the returned
+    A non-finite position or log-density raises NumericError naming the step
+    and the first bad batch row.  With ``record=True`` the returned
     Trajectory holds every step's ``StepRecord`` (see the module docstring).
+    The batch runs as one part.
     """
     pot = as_potential(potential)
     contexts = _stage_contexts(pot, rng, config.steps)
-    return _integrate(pot, state, config, contexts, record, callback)
+    return _integrate(pot, state, config, contexts, record)
 
 
 def _stage_contexts(pot, rng, steps):
@@ -230,7 +233,8 @@ def _stage_contexts(pot, rng, steps):
 
 
 def _integrate(pot, state, config, contexts, record=False, callback=None, rows=slice(0, None)):
-    """``integrate`` of the state's ``rows``, with the ``_stage_contexts`` given."""
+    """``integrate`` of the state's ``rows``, with the ``_stage_contexts`` given;
+    ``callback(step_index, state)`` fires after every step."""
     if state.n_dim != pot.n_dim:
         raise ValueError(f"state dimension {state.n_dim} does not match potential {pot.n_dim}")
     eta = config.epsilon if config.direction == FORWARD else -config.epsilon
@@ -363,8 +367,8 @@ def _in_parts(fn, parts):
 
 
 # Rows :k of a batch of B run on the worker and rows k: on the caller, k = 16 floor(B / 32);
-# one part holds every row if k = 0 or a callback must see whole states.  OpenBLAS picks
-# kernels by size, so a row's bits may depend on how many rows share its products; this
+# one part holds every row if k = 0 or sample's callback must see whole states.  OpenBLAS
+# picks kernels by size, so a row's bits may depend on how many rows share its products; this
 # k keeps every forward result bitwise the one-part one at n = 784, h = 1024, B = 100 and
 # n = 64, h = 512, B = 64, where a 50/50 split at B = 100 is not.  Seconds per loss+grad
 # call, one part -> two, 7 alternating rounds, one BLAS thread on 2 vCPUs: 0.830 -> 0.535
@@ -406,14 +410,14 @@ def _forward(pot, n_samples, config, rng, record=False, callback=None):
     return _integrate_parts(pot, state, config, rng, record, callback)
 
 
-def _backward(pot, X, config, rng=None, record=False, callback=None):
+def _backward(pot, X, config, rng=None, record=False):
     """Rows of X integrated back to the base: (log-densities, base points, tapes)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != pot.n_dim:
         raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
     cfg = config if config.direction == BACKWARD else config.reversed()
     state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
-    final, tapes = _integrate_parts(pot, state, cfg, rng, record, callback)
+    final, tapes = _integrate_parts(pot, state, cfg, rng, record)
     # backward accumulation leaves +integral(lap) in L
     return gaussian_log_density(final.X) - final.L, final.X, tapes
 
@@ -422,18 +426,68 @@ def sample(potential, n_samples, config, rng, callback=None):
     """Draw n_samples from the model: base Gaussian pushed forward through the flow.
 
     The returned state carries the exact model log-density of each sample
-    (up to integrator truncation error) in ``L``.
+    (up to integrator truncation error) in ``L``.  ``callback(step_index,
+    state)`` fires after every step (used for frame dumps); it makes the
+    batch run as one part, so that it sees whole states.
     """
     return _forward(as_potential(potential), n_samples, config, rng, callback=callback)[0]
 
 
-def log_prob(potential, X, config, rng=None, callback=None):
+def log_prob(potential, X, config, rng=None):
     """Model log-density of the rows of X at time T = epsilon * steps.
 
     Integrates backward to the base, accumulating the Laplacian along the
     path:  ln p(x, T) = ln N(z) - integral of lap phi over the trajectory.
     """
-    return _backward(as_potential(potential), X, config, rng, callback=callback)[0]
+    return _backward(as_potential(potential), X, config, rng)[0]
+
+
+@dataclass
+class LossResult:
+    value: float
+    grad: object              # ParamGrad of the parameters, or None when not requested
+    per_sample: np.ndarray    # per-row contributions, mean equals ``value``
+
+    def stderr(self):
+        n = self.per_sample.shape[0]
+        return float(self.per_sample.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+
+
+def nll_loss(potential, X_data, config, rng=None, want_grad=True):
+    """Negative log-likelihood of the data rows under the model.
+
+    ``log_prob``'s backward integration, recorded when ``want_grad``: the
+    gradient comes from the tape, together with the chain through the
+    reached base points.  ``per_sample`` is ``-log_prob`` bit for bit.
+    """
+    pot = as_potential(potential)
+    logp, base, tapes = _backward(pot, X_data, config, rng, record=want_grad)
+    grad = None
+    if want_grad:
+        n = base.shape[0]
+        grad = _reverse_parts(tapes, pot, base / n, np.full(n, 1.0 / n))[0]
+    return LossResult(-float(logp.mean()), grad, -logp)
+
+
+def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
+    """Sampled free-energy bound: mean of [model log-density + target energy].
+
+    Always at least -ln Z of the target.  ``sample``'s forward integration,
+    recorded when ``want_grad``; ``per_sample`` is ``sample(...).L`` plus the
+    energy, bit for bit, under the same ``rng``.  The gradient is the
+    pathwise (reparametrized) estimator: base noise is held fixed and the
+    sampling map is differentiated through the tape.
+    """
+    pot = as_potential(potential)
+    if energy.n_dim != pot.n_dim:
+        raise ValueError(f"energy dimension {energy.n_dim} does not match potential {pot.n_dim}")
+    final, tapes = _forward(pot, n_samples, config, rng, record=want_grad)
+    per = final.L + energy.energy(final.X)
+    grad = None
+    if want_grad:
+        d_x = energy.grad(final.X) / n_samples
+        grad = _reverse_parts(tapes, pot, d_x, np.full(n_samples, 1.0 / n_samples))[0]
+    return LossResult(float(per.mean()), grad, per)
 
 
 _worker = None

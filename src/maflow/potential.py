@@ -271,10 +271,6 @@ class MLPPotential:
         """Stage contexts of one trajectory: none, every stage evaluates the same field."""
         return None
 
-    def _activations(self, X):
-        """S = s(X W^T + b), in place in the matmul's output."""
-        return self._squash(X @ self.params.W.T)
-
     def _squash(self, Z):
         """s(Z + b) in place in Z, for Z a product X W^T.
 
@@ -294,7 +290,7 @@ class MLPPotential:
         Nothing is kept for the reverse pass: ``vjp`` recomputes the
         activations from X.
         """
-        S = self._activations(X)
+        S = self._squash(X @ self.params.W.T)
         G = S @ self._aW
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)

@@ -82,10 +82,6 @@ class SymmetryGroup:
         return self._key
 
 
-def trivial_group(n_dim):
-    return SymmetryGroup(np.arange(n_dim)[None], [1])
-
-
 def z2_group(n_dim):
     """Global sign flip and the identity."""
     return SymmetryGroup(np.tile(np.arange(n_dim), (2, 1)), [1, -1])
@@ -101,11 +97,6 @@ def _square_maps(L):
     src_r = np.stack([r, c, m - r, m - c, r, m - r, c, m - c])
     src_c = np.stack([c, m - r, m - c, r, m - c, c, r, m - r])
     return src_r * L + src_c
-
-
-def d4_group(L):
-    """The group of the 8 point-group permutations of an L x L grid (sign +1), identity first."""
-    return SymmetryGroup(_square_maps(L), [1] * 8)
 
 
 def ising_group(L):

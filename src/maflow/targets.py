@@ -1,11 +1,10 @@
-"""Objectives, target densities and analytic / brute-force oracles.
+"""Target densities and their analytic / brute-force oracles.
 
-Contains the two training losses (negative log-likelihood for density
-estimation, variational free energy for energy-based targets), the
-continuous-variable Ising energy with its exact small-lattice partition
-function, and the closed-form Gaussian flow under a quadratic potential used
-to validate the integrator.  Each loss is ``log_prob`` or ``sample`` through
-the same integration, with the tape recorded when a gradient is wanted.
+The continuous-variable Ising energy, which the variational loss trains
+against, with its exact small-lattice partition function, and the
+closed-form Gaussian flow under a quadratic potential used to validate the
+integrator.  The training losses live in ``flow``, beside the integration
+they record and reverse.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .flow import LOG_2PI, _backward, _forward, _reverse_parts
-from .potential import as_potential, logistic
+from .flow import LOG_2PI
+from .potential import logistic
 
 # standard square-lattice critical coupling, log(1 + sqrt(2)) / 2
 CRITICAL_COUPLING = 0.5 * math.log(1.0 + math.sqrt(2.0))
@@ -84,10 +83,6 @@ class GaussianFlowSolution:
     def log_density(self, x):
         x = np.asarray(x, dtype=np.float64)
         return -self.rate * self.time - 0.5 * LOG_2PI - 0.5 * (self.alpha * x) ** 2
-
-
-def gaussian_flow_oracle(rate, time):
-    return GaussianFlowSolution(float(rate), float(time))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +198,13 @@ class IsingEnergy:
         return self.spec.solve(X) - np.tanh(X)
 
 
-_ENUM_LIMIT = 4  # 2^16 spin states; beyond this exhaustive summation is pointless
+ENUM_LIMIT = 4  # 2^16 spin states; beyond this exhaustive summation is pointless
 
 
 def _check_enumerable(spec):
-    if spec.side > _ENUM_LIMIT:
+    if spec.side > ENUM_LIMIT:
         raise ConfigError(
-            f"exhaustive enumeration is limited to side <= {_ENUM_LIMIT}; for larger "
+            f"exhaustive enumeration is limited to side <= {ENUM_LIMIT}; for larger "
             "lattices use the Kaufman finite-lattice closed form, which this library "
             "does not implement")
 
@@ -292,55 +287,3 @@ def spin_sampler(x, rng):
     """
     x = np.asarray(x, dtype=np.float64)
     return np.where(rng.random(x.shape) < logistic(2.0 * x), 1.0, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# training objectives
-
-
-@dataclass
-class LossResult:
-    value: float
-    grad: object              # ParamGrad of the parameters, or None when not requested
-    per_sample: np.ndarray    # per-row contributions, mean equals ``value``
-
-    def stderr(self):
-        n = self.per_sample.shape[0]
-        return float(self.per_sample.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-
-
-def nll_loss(potential, X_data, config, rng=None, want_grad=True):
-    """Negative log-likelihood of the data rows under the model.
-
-    ``log_prob``'s backward integration, recorded when ``want_grad``: the
-    gradient comes from the tape, together with the chain through the
-    reached base points.  ``per_sample`` is ``-log_prob`` bit for bit.
-    """
-    pot = as_potential(potential)
-    logp, base, tapes = _backward(pot, X_data, config, rng, record=want_grad)
-    grad = None
-    if want_grad:
-        n = base.shape[0]
-        grad = _reverse_parts(tapes, pot, base / n, np.full(n, 1.0 / n))[0]
-    return LossResult(-float(logp.mean()), grad, -logp)
-
-
-def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
-    """Sampled free-energy bound: mean of [model log-density + target energy].
-
-    Always at least -ln Z of the target.  ``sample``'s forward integration,
-    recorded when ``want_grad``; ``per_sample`` is ``sample(...).L`` plus the
-    energy, bit for bit, under the same ``rng``.  The gradient is the
-    pathwise (reparametrized) estimator: base noise is held fixed and the
-    sampling map is differentiated through the tape.
-    """
-    pot = as_potential(potential)
-    if energy.n_dim != pot.n_dim:
-        raise ValueError(f"energy dimension {energy.n_dim} does not match potential {pot.n_dim}")
-    final, tapes = _forward(pot, n_samples, config, rng, record=want_grad)
-    per = final.L + energy.energy(final.X)
-    grad = None
-    if want_grad:
-        d_x = energy.grad(final.X) / n_samples
-        grad = _reverse_parts(tapes, pot, d_x, np.full(n_samples, 1.0 / n_samples))[0]
-    return LossResult(float(per.mean()), grad, per)

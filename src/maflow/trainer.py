@@ -20,10 +20,9 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import ConfigError, FormatError, NumericError
-from .flow import IntegratorConfig
+from .flow import IntegratorConfig, nll_loss, variational_loss
 from .potential import PotentialParams, init_params, vector_size
 from .symmetry import GROUPS, MODES, RESAMPLES, build_potential, group_by_name
-from .targets import nll_loss, variational_loss
 
 CHECKPOINT_MAGIC = b"MAFLOW01"
 CHECKPOINT_VERSION = 1
@@ -302,10 +301,11 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     """Optimize the potential against a Dataset (nll) or an energy (variational).
 
     ``resume`` takes a Checkpoint and continues it (same data, more epochs; none more runs no
-    step).  ``stop_fn(row_dict)`` may return True to end the run early.  The TrainResult's
-    checkpoint holds the final state: its epoch counts the epochs run to their end.  A
-    ``max_steps`` budget is checked before each step and before an epoch draws its batches,
-    so a stop at an epoch boundary saves the state an ``epochs`` stop there saves.
+    step), appending to its metrics file; a fresh run starts a new one.  ``stop_fn(row_dict)``
+    may return True to end the run early.  The TrainResult's checkpoint holds the final state:
+    its epoch counts the epochs run to their end.  A ``max_steps`` budget is checked before
+    each step and before an epoch draws its batches, so a stop at an epoch boundary saves the
+    state an ``epochs`` stop there saves.
 
     Between steps the loop keeps the parameters, the Adam moments, the epoch's batches and
     the metric rows.  The last step's loss result, gradient, clipped gradient and update are
@@ -321,6 +321,7 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     group = group_by_name(config.symmetry, n_dim)
     fwd = config.integrator("forward")
 
+    metrics_mode = "w" if resume is None else "a"
     if resume is None:      # a fresh run resumes its epoch-0 state
         rng = np.random.default_rng(config.seed)
         resume = Checkpoint(config, init_params(n_dim, config.hidden, rng), None, 0, 0,
@@ -353,7 +354,7 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
         return ck
 
     # closed on every exit, so the rows written so far reach the disk
-    with (open(metrics_path, "a") if metrics_path is not None
+    with (open(metrics_path, metrics_mode) if metrics_path is not None
           else contextlib.nullcontext()) as metrics_file:
         if metrics_file is not None and metrics_file.tell() == 0:
             metrics_file.write(",".join(METRIC_COLUMNS) + "\n")

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_train_then_logprob_end_to_end(tmp_path, capsys):
            "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
            "dataset": {"name": "ring", "size": 100}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
-    ckpt = next((tmp_path / "out").glob("checkpoint_*.bin"))
+    ckpt = next((tmp_path / "out").glob("target_*/checkpoint_*.bin"))
     samples = str(tmp_path / "samples.csv")
     assert main(["sample", "--ckpt", str(ckpt), "--n", "5", "--out", samples]) == 0
     assert main(["logprob", "--ckpt", str(ckpt), "--data", samples,
@@ -240,12 +241,38 @@ def test_corrupt_or_empty_idx_exits_4(tmp_path, capsys, command, count, rows, co
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
 
 
+def test_fresh_train_runs_of_two_datasets_write_only_their_own_files(tmp_path, capsys):
+    # the same train section on two datasets: the run hash is the same, the targets differ
+    def run(name):
+        cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
+               "train": {"steps": 2, "hidden": 4, "batch_size": 50, "epochs": 1},
+               "dataset": {"name": name, "size": 100}}
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        paths = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[1:])
+        return Path(paths["checkpoint"]), Path(paths["metrics"])
+
+    def steps(metrics):
+        lines = metrics.read_text().splitlines()
+        assert lines[0].startswith("epoch,step,")
+        return [line.split(",")[1] for line in lines[1:]]
+
+    ring_ckpt, ring_metrics = run("ring")
+    ring_bytes = ring_ckpt.read_bytes()
+    moons_ckpt, moons_metrics = run("two-moons")
+    assert moons_ckpt != ring_ckpt and moons_metrics != ring_metrics
+    assert ring_ckpt.read_bytes() == ring_bytes != moons_ckpt.read_bytes()
+    assert steps(ring_metrics) == steps(moons_metrics) == ["1", "2"]
+    # a fresh re-run starts its metrics file again instead of appending to it
+    assert run("ring") == (ring_ckpt, ring_metrics)
+    assert steps(ring_metrics) == ["1", "2"] and ring_ckpt.read_bytes() == ring_bytes
+
+
 def test_resume_with_other_hidden_exits_2(tmp_path, capsys):
     cfg = {"task": "density", "out_dir": str(tmp_path / "out"),
            "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
            "dataset": {"name": "ring", "size": 100}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
-    ckpt = next((tmp_path / "out").glob("checkpoint_*.bin"))
+    ckpt = next((tmp_path / "out").glob("target_*/checkpoint_*.bin"))
     cfg["train"].update(hidden=16, epochs=2)
     capsys.readouterr()
     assert main(["train", "--config", write_config(tmp_path, cfg), "--resume", str(ckpt)]) == 2
@@ -258,14 +285,16 @@ def test_resume_with_other_seed_exits_2(tmp_path, capsys):
            "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
            "dataset": {"name": "ring", "size": 100}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
-    ckpt = next((tmp_path / "out").glob("checkpoint_*.bin"))
+    ckpt = next((tmp_path / "out").glob("target_*/checkpoint_*.bin"))
     cfg["train"]["epochs"] = 2
     capsys.readouterr()
     assert main(["train", "--config", write_config(tmp_path, cfg), "--resume", str(ckpt),
                  "--seed", "7"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "seed=1 vs seed=7" in err
-    assert len(list((tmp_path / "out").iterdir())) == 2  # nothing new was written
+    # nothing new was written
+    assert list((tmp_path / "out").iterdir()) == [ckpt.parent]
+    assert len(list(ckpt.parent.iterdir())) == 2
 
 
 def save_small_checkpoint(path, config):
@@ -328,7 +357,7 @@ def test_checkpoint_rng_state_not_pcg64_exits_4_on_resume(tmp_path, capsys, rng_
            "train": {"steps": 3, "hidden": 8, "batch_size": 50, "epochs": 1},
            "dataset": {"name": "ring", "size": 100}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
-    ckpt = next((tmp_path / "out").glob("checkpoint_*.bin"))
+    ckpt = next((tmp_path / "out").glob("target_*/checkpoint_*.bin"))
     raw = ckpt.read_bytes()
     at = raw.rindex(b'{"bit_generator"') - 4   # the RNG section ends the file
     ckpt.write_bytes(raw[:at] + struct.pack("<I", len(rng_json)) + rng_json)
@@ -421,7 +450,7 @@ def test_training_that_goes_non_finite_exits_3_and_leaves_a_loadable_checkpoint(
            "dataset": {"name": "ring", "size": 50}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 3
     assert capsys.readouterr().err == "numeric abort: non-finite loss or gradient at step 1\n"
-    ckpt = load_checkpoint(next((tmp_path / "out").glob("checkpoint_*.bin")))
+    ckpt = load_checkpoint(next((tmp_path / "out").glob("target_*/checkpoint_*.bin")))
     assert (ckpt.epoch, ckpt.step) == (1, 1)
     assert np.isfinite(ckpt.params.to_vector()).all()
 

@@ -1,4 +1,5 @@
-"""The library imports only the standard library and its declared dependencies."""
+"""The library imports only the standard library and its declared dependencies, and no
+module of it imports another's private name."""
 
 import ast
 import os
@@ -19,24 +20,28 @@ def declared_dependencies():
     return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_") for d in deps}
 
 
+def parsed_modules(package_dir):
+    """(path relative to the repository, AST) of every .py file under ``package_dir``."""
+    for dirpath, _, files in os.walk(package_dir):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as f:
+                    yield os.path.relpath(path, ROOT), ast.parse(f.read(), path)
+
+
 def imported_top_level_modules(package_dir):
     found = {}
-    for dirpath, _, files in os.walk(package_dir):
-        for name in files:
-            if not name.endswith(".py"):
+    for path, tree in parsed_modules(package_dir):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
                 continue
-            path = os.path.join(dirpath, name)
-            with open(path) as f:
-                tree = ast.parse(f.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    mods = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    mods = [node.module]
-                else:
-                    continue
-                for mod in mods:
-                    found.setdefault(mod.split(".")[0], os.path.relpath(path, ROOT))
+            for mod in mods:
+                found.setdefault(mod.split(".")[0], path)
     return found
 
 
@@ -47,6 +52,15 @@ def test_every_third_party_import_is_declared():
                       os.path.join(SRC, "maflow")).items()
                   if mod not in sys.stdlib_module_names and mod != "maflow" and mod not in deps}
     assert undeclared == {}
+
+
+def test_no_module_imports_another_modules_private_name():
+    crossing = [f"{path}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                for path, tree in parsed_modules(os.path.join(SRC, "maflow"))
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []
 
 
 def test_import_leaves_scipy_unloaded():

@@ -317,8 +317,8 @@ def test_concurrent_reverse_passes_share_the_worker():
 
 
 @pytest.mark.parametrize("below,counts", [(1, "[0, 0, 0]"), (0, "[1, 1, 1]")],
-                         ids=["below-the-constant", "at-the-constant"])
-def test_worker_thread_started_once_by_the_first_product_at_the_size_constant(below, counts):
+                         ids=["31-rows", "32-rows"])
+def test_worker_thread_started_once_by_the_first_batch_of_32_rows(below, counts):
     # counts after sample, after log_prob and after two nll_loss calls: a batch of 32
     # rows starts the one worker in its first forward pass, and nothing adds another
     code = f"""

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError,
-                    PotentialParams, QuadraticPotential, gaussian_base,
-                    gaussian_flow_oracle, gaussian_log_density, init_params, integrate,
-                    log_prob, nll_loss, sample)
+from maflow import (FlowState, GaussianFlowSolution, IntegratorConfig, MLPPotential,
+                    NumericError, PotentialParams, QuadraticPotential, gaussian_base,
+                    gaussian_log_density, init_params, integrate, log_prob, nll_loss, sample)
 
 
 def strong_params(n=4, h=32, amp=18.0):
@@ -52,7 +51,7 @@ def test_quadratic_integrate_matches_oracle():
     grid = np.linspace(-3, 3, 61)[:, None]
     st = FlowState(grid, gaussian_log_density(grid), 0.0)
     fin, _ = integrate(pot, st, IntegratorConfig(0.1, 10))
-    oracle = gaussian_flow_oracle(0.5, 1.0)
+    oracle = GaussianFlowSolution(0.5, 1.0)
     exact = oracle.map(grid[:, 0])
     # per-step relative truncation (lam*eps)^5/5! compounds to ~2.6e-8 over 10 steps
     nz = np.abs(exact) > 0.1
@@ -122,7 +121,7 @@ def test_log_prob_zero_potential_is_base_density():
 def test_log_prob_quadratic_matches_closed_form():
     lam, T = 0.5, 1.0
     pot = QuadraticPotential(lam, 1)
-    oracle = gaussian_flow_oracle(lam, T)
+    oracle = GaussianFlowSolution(lam, T)
     X = np.linspace(-4, 4, 41)[:, None]
     lp = log_prob(pot, X, IntegratorConfig(0.1, 10))
     assert np.abs(lp - oracle.log_density(X[:, 0])).max() < 1e-6
@@ -179,17 +178,23 @@ def test_non_finite_stage_gradient_names_its_step_and_row():
     assert pot.calls == 4 * 3 + 4       # the step ran its four stages, and no later step began
 
 
-@pytest.mark.parametrize("callback", [None, lambda k, state: None], ids=["two-parts", "one-part"])
-def test_two_row_parts_report_the_failure_one_part_reports(callback):
-    # row 40 (the caller's part) fails at step 2, row 0 (the worker's part) only at step 74
+@pytest.mark.parametrize("run", [
+    lambda pot, X, cfg: log_prob(pot, X, cfg),
+    lambda pot, X, cfg: integrate(pot, FlowState(X, np.zeros(len(X)), cfg.total_time),
+                                  cfg.reversed()),
+], ids=["two-parts", "one-part"])
+def test_two_row_parts_report_the_failure_one_part_reports(run):
+    # row 40 (the caller's part) fails at step 2, row 0 (the worker's part) only at step 74;
+    # integrate runs log_prob's backward pass as one part
+    pot, cfg = QuadraticPotential(-1.0, 2), IntegratorConfig(10.0, 400)
     X = np.ones((64, 2))
     X[0], X[40] = 1e100, 1e300
     with pytest.raises(NumericError, match=r"step 2, batch row 40$"):
-        log_prob(QuadraticPotential(-1.0, 2), X, IntegratorConfig(10.0, 400), callback=callback)
+        run(pot, X, cfg)
     # a tie goes to part 0, which holds the lower rows
     X[0] = 1e300
     with pytest.raises(NumericError, match=r"step 2, batch row 0$"):
-        log_prob(QuadraticPotential(-1.0, 2), X, IntegratorConfig(10.0, 400), callback=callback)
+        run(pot, X, cfg)
 
 
 class NanCotangentAt(QuadraticPotential):
@@ -227,8 +232,11 @@ def test_dimension_mismatch():
 
 
 def test_callback_sees_every_step():
+    # sample's callback sees whole states: 40 rows, which without it run as two parts
     pot = QuadraticPotential(0.1, 1)
-    st = FlowState(np.ones((1, 1)), np.zeros(1), 0.0)
     seen = []
-    integrate(pot, st, IntegratorConfig(0.1, 7), callback=lambda k, s: seen.append(k))
-    assert seen == list(range(1, 8))
+    final = sample(pot, 40, IntegratorConfig(0.1, 7), np.random.default_rng(0),
+                   callback=lambda k, s: seen.append((k, s.X.copy(), s.t)))
+    assert [k for k, _, _ in seen] == list(range(1, 8))
+    assert all(X.shape == (40, 1) for _, X, _ in seen)
+    assert np.array_equal(seen[-1][1], final.X) and seen[-1][2] == final.t

@@ -14,7 +14,8 @@ from scipy.special import expit
 from maflow import flow
 from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, ParamGrad,
                     PotentialParams, SymmetrizedPotential, eval_batch, eval_potential,
-                    init_params, log_prob, nll_loss, param_vjp, z2_group)
+                    gaussian_log_density, init_params, integrate, log_prob, nll_loss, param_vjp,
+                    sample, z2_group)
 from maflow.potential import logistic
 
 LN2 = 0.6931471805599453
@@ -230,7 +231,7 @@ def test_engine_logistic_matches_expit():
     z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-1e300, 1e300]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        S = eng._activations(z[:, None])[:, 0]
+        S = eng.grad_lap(z[:, None])[0][:, 0]
     assert np.abs(S - expit(z)).max() <= 2.3e-16
     assert S.min() >= 0.0 and S.max() <= 1.0
     assert S[-2] == 0.0 and S[-1] == 1.0
@@ -525,7 +526,8 @@ def spy_on_worker(monkeypatch):
 
 @pytest.mark.parametrize("B", [31, 32, 33, 99, 100, 128])
 def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, B):
-    # each row part's first stage, evaluated by its own trajectory, has the one-part rows' bits
+    # B >= 32 rows run as two row parts, and grad_lap itself never splits; each part's first
+    # stage, evaluated by its own trajectory, has the one-part rows' bits
     X = np.random.default_rng(B).standard_normal((B, N_MNIST))
     G, lap = wide_engine.grad_lap(X)
     _, tapes = flow._integrate_parts(wide_engine, FlowState(X, np.zeros(B)),
@@ -538,18 +540,25 @@ def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, B):
         assert np.array_equal(rec.stage_lap[0], lap[rows])
 
 
-def test_worker_gets_no_grad_lap_task_below_the_size_constant(monkeypatch):
-    # the size constant is 32 rows; a callback, which must see whole states, keeps one part
+def test_worker_gets_no_part_below_32_rows_or_from_integrate(monkeypatch):
+    # two parts start at 32 rows; integrate, and sample with a callback, which must see whole
+    # states, run one part
     pot = MLPPotential(random_params(3, 8, seed=34))
     cfg = IntegratorConfig(0.1, 2)
     tasks = spy_on_worker(monkeypatch)
     X = np.random.default_rng(34).standard_normal((64, 3))
+
+    def one_part_log_prob(X):
+        final, _ = integrate(pot, FlowState(X, np.zeros(len(X)), cfg.total_time), cfg.reversed())
+        return gaussian_log_density(final.X) - final.L
+
     log_prob(pot, X[:31], cfg)
-    log_prob(pot, X, cfg, callback=lambda k, state: None)
+    one_part_log_prob(X)
+    sample(pot, 64, cfg, np.random.default_rng(35), callback=lambda k, state: None)
     assert tasks == []
     split = log_prob(pot, X[:32], cfg)
     assert len(tasks) == 1
-    assert np.array_equal(split, log_prob(pot, X[:32], cfg, callback=lambda k, state: None))
+    assert np.array_equal(split, one_part_log_prob(X[:32]))
 
 
 def in_thread(fn):

@@ -31,6 +31,8 @@ def test_bitwise_hashes_are_deterministic(capsys):
 def test_every_mutant_edits_text_that_occurs_once():
     mod = load_script("mutants")
     names = [m[0] for m in mod.MUTANTS]
-    assert len(set(names)) == len(names) and "each part draws its own stage contexts" in names
+    assert len(set(names)) == len(names)
+    assert {"each part draws its own stage contexts", "nll_loss reversed without the base-point "
+            "cotangent", "variational_loss's d_x not divided by n_samples"} <= set(names)
     for mutant in mod.MUTANTS:
         assert mod.occurrences(mutant) == 1, mutant[0]

@@ -5,11 +5,15 @@ import pytest
 
 from maflow import (ConfigError, IntegratorConfig, IsingEnergy, MLPPotential,
                     PotentialParams, StaleTapeError, SymmetrizedPotential, SymmetryGroup,
-                    backprop, build_potential, d4_group, eval_potential, gaussian_base,
-                    init_params, integrate, ising_energy, ising_group, ising_spec, log_prob,
-                    replay, sample, symmetrized_eval, trivial_group, variational_loss, z2_group)
+                    backprop, build_potential, eval_potential, gaussian_base, init_params,
+                    integrate, ising_energy, ising_group, ising_spec, log_prob, replay, sample,
+                    symmetrized_eval, variational_loss, z2_group)
 from maflow import flow
 from maflow.gradcheck import REL_TOL, compare_gradient
+
+
+def identity_group(n):
+    return SymmetryGroup(np.arange(n)[None], [1])
 
 
 def random_params(n, h, seed=0):
@@ -55,7 +59,7 @@ def test_ising_group_tables_match_reference_loop(L):
 
 def test_identity_element():
     x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(trivial_group(3).act(0, x), x)
+    assert np.array_equal(identity_group(3).act(0, x), x)
     g = ising_group(4)
     assert np.array_equal(g.perms[0], np.arange(16)) and g.signs[0] == 1
 
@@ -66,13 +70,14 @@ def test_spin_inversion():
 
 
 def test_rot90_four_times_is_identity():
-    d4 = d4_group(4)
-    assert isinstance(d4, SymmetryGroup) and len(d4) == 8
-    r90 = d4.perms[1]
+    # ising_group's rows 0..7 are the square's 8 maps at translation (0, 0); row 1 turns by 90
+    g = ising_group(4)
+    r90 = g.perms[1]
     e = r90
     for _ in range(3):
         e = r90[e]  # the row doing e first, then r90
-    assert np.array_equal(e, np.arange(16)) and d4.signs[1] == 1
+    assert np.array_equal(e, np.arange(16)) and g.signs[1] == 1
+    assert not np.array_equal(r90[r90], np.arange(16))
 
 
 def test_apply_preserves_magnitude_multiset():
@@ -154,7 +159,7 @@ def test_ising_energy_invariant_under_group():
 def test_trivial_group_eval_identical():
     p = random_params(4, 8, seed=3)
     x = np.random.default_rng(3).standard_normal(4)
-    a = symmetrized_eval(p, trivial_group(4), x)
+    a = symmetrized_eval(p, identity_group(4), x)
     b = eval_potential(p, x)
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
@@ -347,9 +352,12 @@ def test_nested_reuse_keeps_trajectory_element():
     def evaluate(k, st):
         log_prob(pot, st.X, cfg, rng=np.random.default_rng(100 + k))
 
-    _, traj = integrate(pot, state, cfg, rng=np.random.default_rng(19), record=True,
-                        callback=evaluate)
+    _, traj = integrate(pot, state, cfg, rng=np.random.default_rng(19), record=True)
     assert len({c for rec in traj.steps for c in rec.stage_ctx}) == 1
+    # integrations nested in sample's callback leave its trajectory as it was
+    plain = sample(pot, 3, cfg, np.random.default_rng(19))
+    nested = sample(pot, 3, cfg, np.random.default_rng(19), callback=evaluate)
+    assert np.array_equal(nested.X, plain.X) and np.array_equal(nested.L, plain.L)
 
 
 def test_symmetrized_fingerprint_tracks_its_parts():

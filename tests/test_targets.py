@@ -7,9 +7,9 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
-from maflow import (ConfigError, IntegratorConfig, IsingEnergy, PotentialParams,
-                    QuadraticPotential, build_potential, exact_neg_log_z,
-                    gaussian_flow_oracle, gaussian_log_density, init_params, ising_energy,
+from maflow import (ConfigError, GaussianFlowSolution, IntegratorConfig, IsingEnergy,
+                    PotentialParams, QuadraticPotential, build_potential, exact_neg_log_z,
+                    gaussian_log_density, init_params, ising_energy,
                     ising_energy_grad, ising_group, ising_oracle_report, ising_spec, log_prob,
                     nll_loss, sample, spin_sampler, variational_loss)
 from maflow.targets import (CRITICAL_COUPLING, enumerate_log_z_offset,
@@ -218,18 +218,18 @@ def test_spin_sampler_mean_matches_bernoulli():
 
 
 def test_oracle_identity_at_time_zero():
-    orc = gaussian_flow_oracle(0.7, 0.0)
+    orc = GaussianFlowSolution(0.7, 0.0)
     assert orc.scale == 1.0 and orc.alpha == 1.0
     x = np.linspace(-2, 2, 5)
     assert np.allclose(orc.log_density(x), -0.5 * math.log(2 * math.pi) - x ** 2 / 2)
 
 
 def test_oracle_scale_value():
-    assert gaussian_flow_oracle(0.5, 1.0).scale == pytest.approx(1.6487213, abs=1e-7)
+    assert GaussianFlowSolution(0.5, 1.0).scale == pytest.approx(1.6487213, abs=1e-7)
 
 
 def test_oracle_density_normalized():
-    orc = gaussian_flow_oracle(0.5, 1.0)
+    orc = GaussianFlowSolution(0.5, 1.0)
     dx = 0.001
     grid = np.arange(-12.0, 12.0, dx)
     mass = np.exp(orc.log_density(grid)).sum() * dx
