@@ -39,8 +39,11 @@ MUTANTS = (
      "StepRecord(x0, l0, eta,",
      "StepRecord(x0, l0 + (k == 0), eta,"),
     ("the row reported by _first_bad_row", "flow.py",
-     "return int(idx[0])",
-     "return int(idx[-1])"),
+     "return int(rows[0])",
+     "return int(rows[-1])"),
+    ("the log-density ignored by _first_bad_row", "flow.py",
+     "np.isfinite(X).all(axis=1) & np.isfinite(L)",
+     "np.isfinite(X).all(axis=1)"),
     ("each part draws its own stage contexts", "flow.py",
      "_integrate(pot, state, config, contexts, record, callback, rows)",
      "_integrate(pot, state, config, _stage_contexts(pot, rng, config.steps), record, "
@@ -63,16 +66,11 @@ MUTANTS = (
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
      "coef = 2.0 * p.a * self.t2",
      "coef = p.a * self.t2"),
-    ("the ragged last row block of ParamGrad._fold skipped", "potential.py",
-     "            np.matmul(L[:, rows].T, R, out=out)",
+    ("the ragged last row block of ParamGrad._add_blocks skipped", "potential.py",
+     "            block(slice(k, k + size), out)",
      "            if len(out) < len(self._scratch):\n"
      "                continue\n"
-     "            np.matmul(L[:, rows].T, R, out=out)"),
-    ("the ragged last row block of the W term skipped", "potential.py",
-     "                np.multiply(p.W[rows], coef[rows, None], out=out)",
-     "                if len(out) < len(self._scratch):\n"
-     "                    continue\n"
-     "                np.multiply(p.W[rows], coef[rows, None], out=out)"),
+     "            block(slice(k, k + size), out)"),
     ("t2 not summed in ParamGrad.add", "potential.py",
      "self.t2 += other.t2",
      "pass"),

@@ -41,12 +41,13 @@ one dense dW, in reverse step order and stages 4..1 inside each step; the
 
 Every row follows its own trajectory, so ``sample``, ``log_prob`` and the
 losses run a batch of 32 rows or more as two row parts at once, one on a
-worker thread: the one place that uses it.  The parts share the stage
-contexts, drawn once before they start, and join before anything reads the
-whole batch.  Each part's tape is then reversed on its own, and part 1's
-``ParamGrad`` folds into part 0's, so no result depends on which thread ran
-a part.  ``integrate`` and ``backprop`` run one part, and so does ``sample``
-with a callback.
+worker thread: the one place that uses it.  The worker's executor is built
+when the module is imported, and its one thread starts with the first part
+it runs.  The parts share the stage contexts, drawn once before they start,
+and join before anything reads the whole batch.  Each part's tape is then
+reversed on its own, and part 1's ``ParamGrad`` folds into part 0's, so no
+result depends on which thread ran a part.  ``integrate`` and ``backprop``
+run one part, and so does ``sample`` with a callback.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,13 +199,10 @@ class Trajectory:
         return len(self.steps)
 
 
-def _first_bad_row(*arrays):
-    for arr in arrays:
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            idx = np.argwhere(bad)[0]
-            return int(idx[0])
-    return None
+def _first_bad_row(X, L):
+    """The lowest row whose position or log-density is not finite, or None."""
+    rows = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(L)))
+    return int(rows[0]) if rows.size else None
 
 
 def integrate(potential, state, config, rng=None, record=False):
@@ -216,9 +214,9 @@ def integrate(potential, state, config, rng=None, record=False):
     or None when every stage has context None (for a symmetrized potential,
     the whole group).  Every step's four are drawn before the first step.
     A non-finite position or log-density raises NumericError naming the step
-    and the first bad batch row.  With ``record=True`` the returned
-    Trajectory holds every step's ``StepRecord`` (see the module docstring).
-    The batch runs as one part.
+    and the lowest batch row where either is not finite, as two row parts
+    name it.  With ``record=True`` the returned Trajectory holds every step's
+    ``StepRecord`` (see the module docstring).  The batch runs as one part.
     """
     pot = as_potential(potential)
     contexts = _stage_contexts(pot, rng, config.steps)
@@ -448,10 +446,6 @@ class LossResult:
     grad: object              # ParamGrad of the parameters, or None when not requested
     per_sample: np.ndarray    # per-row contributions, mean equals ``value``
 
-    def stderr(self):
-        n = self.per_sample.shape[0]
-        return float(self.per_sample.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-
 
 def nll_loss(potential, X_data, config, rng=None, want_grad=True):
     """Negative log-likelihood of the data rows under the model.
@@ -490,28 +484,18 @@ def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
     return LossResult(float(per.mean()), grad, per)
 
 
-_worker = None
-_worker_lock = threading.Lock()
-
-
 def _submit(fn, *args):
-    """A future of ``fn(*args)`` on the worker thread, which starts on the first call.
-
-    It runs under the caller's ``np.geterr()``, so floating-point errors are
-    handled alike on either thread."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            # imported here: it costs 10 ms and 0.6 MB, which only the worker needs
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-part")
-        return _worker.submit(np.errstate(**np.geterr())(fn), *args)
+    """A future of ``fn(*args)`` on the worker thread, under the caller's ``np.geterr()``, so
+    floating-point errors are handled alike on either thread.  The executor is built at import;
+    its one thread starts with the first submit."""
+    return _worker.submit(np.errstate(**np.geterr())(fn), *args)
 
 
 def _forget_worker():
-    # a forked child has no copy of the parent's worker thread
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    """A new executor, with no thread yet: a forked child has no copy of the parent's thread."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-part")
 
 
+_forget_worker()
 os.register_at_fork(after_in_child=_forget_worker)

@@ -82,8 +82,9 @@ class PotentialParams:
         self._adopt(vec, n, h)
 
     @classmethod
-    def _wrap(cls, vec, n_dim, n_hidden):
-        """Validate and hold ``vec`` read-only, uncopied: for float64 vectors just allocated."""
+    def wrap(cls, vec, n_dim, n_hidden):
+        """Validated parameters holding ``vec`` itself, made read-only: no copy, so only for a
+        float64 vector of the ``to_vector`` layout that no one else writes."""
         return cls.__new__(cls)._adopt(vec, n_dim, n_hidden)
 
     def _adopt(self, vec, n_dim, n_hidden):
@@ -104,7 +105,7 @@ class PotentialParams:
         return self
 
     def copy(self):
-        return PotentialParams._wrap(self._vec.copy(), self.n_dim, self.n_hidden)
+        return PotentialParams.wrap(self._vec.copy(), self.n_dim, self.n_hidden)
 
     def to_vector(self):
         """The flat read-only vector itself, order (W, b, a, c); no copy."""
@@ -113,7 +114,7 @@ class PotentialParams:
     @classmethod
     def from_vector(cls, vec, n_dim, n_hidden):
         """Validated parameters holding a copy of a to_vector()-ordered vector."""
-        return cls._wrap(np.array(vec, dtype=np.float64), n_dim, n_hidden)
+        return cls.wrap(np.array(vec, dtype=np.float64), n_dim, n_hidden)
 
     def fingerprint(self):
         """Digest of shape and raw bytes, hashed on the first call only: the vector is read-only."""
@@ -353,8 +354,9 @@ def as_potential(obj):
 # factored parameter gradients
 
 
-# doubles in ParamGrad's scratch buffer (512 KB).  Each block's GEMM packs R again, which
-# costs about 0.1 ms per fold at n = 784, h = 1024, 2B = 96 (3.7 -> 3.8 ms)
+# doubles in ParamGrad's scratch buffer (512 KB).  Each block's GEMM packs R again, and the
+# first fold adds into zeros: it took 4.8 ms, against 4.0 ms for one GEMM straight into dW,
+# at n = 784, h = 1024, 2B = 100 (one BLAS thread, 2 vCPUs, median of 5 rounds of 80 calls)
 _BLOCK_DOUBLES = 2 ** 16
 
 
@@ -368,17 +370,17 @@ class ParamGrad:
     ``add`` sums db, da and t2 at once and folds each product L^T R into one
     dense dW, in the order of the ``add`` calls; adding a sum folds its dW
     in place.  The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W
-    once, after every product.  A single call's ``to_vector`` is bitwise the
-    GEMM followed by the term.
+    once, after every product.
 
-    The first product is one GEMM straight into dW.  Every later product,
-    and the term, is added in row blocks of max(1, 2^16 // n) rows through
-    one scratch buffer of at most that many rows (512 KB), so a sum never
-    holds a second (h, n) array.  A block's rows of L^T R are bitwise the
-    whole product's at the benchmark shapes, and whenever h <= 2^16 // n
-    makes one block.  Otherwise OpenBLAS may round them differently, as
-    0.3.31 does in the last four columns when n is not a multiple of 8, and
-    in a last block of one row.
+    dW starts as zeros, and every product and the term are added to it in
+    row blocks of max(1, 2^16 // n) rows through one scratch buffer of at
+    most that many rows (512 KB), so a sum never holds a second (h, n)
+    array.  The first product, added into zeros in blocks, costs about 1 ms
+    more than one GEMM at n = 784, h = 1024 (see ``_BLOCK_DOUBLES``).  A
+    block's rows of L^T R are bitwise the whole product's at the benchmark
+    shapes, and whenever h <= 2^16 // n makes one block.  Otherwise OpenBLAS
+    may round them differently, as 0.3.31 does in the last four columns when
+    n is not a multiple of 8, and in a last block of one row.
     """
 
     def __init__(self, params, L, R, db, da, t2):
@@ -410,22 +412,15 @@ class ParamGrad:
         """The flat gradient in ``PotentialParams`` order (W row-major, b, a, c), read-only.
 
         Materializes the sum on the first call and returns the same vector
-        on later ones; the gradient then takes no more ``add``.  The term
-        2 a (sum t2) W is added to dW block by block through the scratch
-        buffer.
+        on later ones; the gradient then takes no more ``add``.
         """
         if self._vector is None:
             self._fold_own()
             p = self._params
-            h, n = p.W.shape
-            dW, db, da, dc = _split_vector(self._flat, h, n)
-            # for one call each entry takes one rounded add of the same two values in
-            # either order, so dW is bitwise what a GEMM accumulating onto the term gives
             coef = 2.0 * p.a * self.t2
-            for rows, out in self._row_blocks():
-                np.multiply(p.W[rows], coef[rows, None], out=out)
-                dW[rows] += out
-            db[...], da[...], dc[0] = self.db, self.da, 0.0    # c never enters grad or lap
+            self._add_blocks(lambda rows, out: np.multiply(p.W[rows], coef[rows, None], out=out))
+            _, db, da, _ = _split_vector(self._flat, *p.W.shape)
+            db[...], da[...] = self.db, self.da     # dc stays 0: c never enters grad or lap
             self._flat.flags.writeable = False
             # keep only the vector: a caller may hold the gradient past the parameters
             self._vector, self._params, self._scratch = self._flat, None, None
@@ -437,20 +432,17 @@ class ParamGrad:
             self._fold(*factors)
 
     def _fold(self, L, R):
-        """dW = L^T R for the sum's first product, else dW += L^T R block by block."""
-        if self._flat is None:
-            self._flat = np.empty(self._params.size)
-            self._dW = _split_vector(self._flat, *self._params.W.shape)[0]
-            np.matmul(L.T, R, out=self._dW)
-            return
-        for rows, out in self._row_blocks():
-            np.matmul(L[:, rows].T, R, out=out)
-            self._dW[rows] += out
+        self._add_blocks(lambda rows, out: np.matmul(L[:, rows].T, R, out=out))
 
-    def _row_blocks(self):
-        """(rows of dW, a view of the scratch buffer with that many rows) for each row block."""
+    def _add_blocks(self, block):
+        """dW[rows] += the scratch rows that ``block(rows, out)`` writes, for each row block."""
         h, n = self._params.W.shape
         size = max(1, _BLOCK_DOUBLES // n)
-        if self._scratch is None:
+        if self._flat is None:
+            self._flat = np.zeros(self._params.size)
+            self._dW = _split_vector(self._flat, h, n)[0]
             self._scratch = np.empty((min(size, h), n))
-        return [(slice(k, k + size), self._scratch[:min(size, h - k)]) for k in range(0, h, size)]
+        for k in range(0, h, size):
+            out = self._scratch[:min(size, h - k)]
+            block(slice(k, k + size), out)
+            self._dW[k:k + size] += out

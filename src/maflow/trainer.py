@@ -293,7 +293,7 @@ def _optimizer_step(res, params, adam, config, step):
         g = g * (config.grad_clip / gnorm)
     delta, adam = adam_update(adam, g, config.learning_rate,
                               config.beta1, config.beta2, config.adam_eps)
-    params = PotentialParams._wrap(params.to_vector() + delta, params.n_dim, params.n_hidden)
+    params = PotentialParams.wrap(params.to_vector() + delta, params.n_dim, params.n_hidden)
     return params, adam, res.value, gnorm
 
 

@@ -218,6 +218,20 @@ def test_logprob_tells_idx_from_csv_by_the_magic(tmp_path, capsys):
     assert out[2][0] == 2 and out[2][2].startswith("config error:")     # a directory
 
 
+def data_file_argv(tmp_path, command, name, path):
+    """argv of ``command`` reading the ``name`` data file ``path``: logprob under a small
+    checkpoint, or a tiny train run."""
+    if command == "logprob":
+        ckpt = tmp_path / "ck.bin"
+        save_small_checkpoint(ckpt, TrainConfig.for_density(hidden=3, steps=2))
+        return ["logprob", "--ckpt", str(ckpt), "--data", str(path),
+                "--out", str(tmp_path / "out.csv")]
+    return ["train", "--config", write_config(tmp_path, {
+        "task": "density", "out_dir": str(tmp_path / "out"),
+        "train": {"epochs": 1, "hidden": 3, "steps": 2},
+        "dataset": {"name": name, "path": str(path)}})]
+
+
 @pytest.mark.parametrize("command", ["logprob", "train"])
 @pytest.mark.parametrize("count,rows,cols,pixels", [
     (2 ** 31, 28, 28, 784), (2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1, 16), (0, 28, 28, 0),
@@ -225,19 +239,23 @@ def test_logprob_tells_idx_from_csv_by_the_magic(tmp_path, capsys):
 def test_corrupt_or_empty_idx_exits_4(tmp_path, capsys, command, count, rows, cols, pixels):
     path = tmp_path / "x.idx"
     path.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(pixels))
-    if command == "logprob":
-        ckpt = tmp_path / "ck.bin"
-        save_small_checkpoint(ckpt, TrainConfig.for_density(hidden=3, steps=2))
-        argv = ["logprob", "--ckpt", str(ckpt), "--data", str(path),
-                "--out", str(tmp_path / "out.csv")]
-    else:
-        argv = ["train", "--config", write_config(tmp_path, {
-            "task": "density", "out_dir": str(tmp_path / "out"),
-            "train": {"epochs": 1, "hidden": 3, "steps": 2},
-            "dataset": {"name": "idx", "path": str(path)}})]
-    assert main(argv) == 4
+    assert main(data_file_argv(tmp_path, command, "idx", path)) == 4
     err = capsys.readouterr().err
     assert err.startswith("format error:") and str(path) in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["logprob", "train"])
+def test_non_finite_csv_value_exits_4_naming_its_line(tmp_path, capsys, command):
+    # float() parses nan and 1e999; left in the data, they would abort the flow at a row of a
+    # shuffled minibatch instead
+    lines = [f"{0.1 * k},{-0.1 * k}" for k in range(34)]
+    lines[1], lines[3] = "0.3,nan", "1e999,1"
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(data_file_argv(tmp_path, command, "csv", path)) == 4
+    err = capsys.readouterr().err
+    assert err == f"format error: {path}: non-finite value in row 2\n"
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
 
 

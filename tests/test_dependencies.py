@@ -1,5 +1,5 @@
 """The library imports only the standard library and its declared dependencies, and no
-module of it imports another's private name."""
+module of it imports or reads another's private name."""
 
 import ast
 import os
@@ -60,6 +60,22 @@ def test_no_module_imports_another_modules_private_name():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0
                 for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []
+
+
+def private_attributes_of_sibling_names(path, tree):
+    """``Name._attr`` uses in ``tree`` whose ``Name`` it imports from a sibling module."""
+    siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+    return [f"{path}:{node.lineno} {node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in siblings and node.attr.startswith("_")
+            and not node.attr.endswith("__")]
+
+
+def test_no_module_reads_a_private_attribute_of_a_name_from_another_module():
+    crossing = [use for path, tree in parsed_modules(os.path.join(SRC, "maflow"))
+                for use in private_attributes_of_sibling_names(path, tree)]
     assert crossing == []
 
 

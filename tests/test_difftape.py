@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -250,6 +251,35 @@ def test_non_finite_reverse_pass_is_a_numeric_error(fold_on):
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="step"):
             fold_on(lambda: backprop(traj, p, np.full((4, 3), 1e308), np.zeros(4)))
+
+
+class InfBiasGradientOnce:
+    """Forwards every hook to an MLPPotential; the first vjp call's db gets an inf."""
+
+    def __init__(self, params):
+        self.inner, self.calls = MLPPotential(params), itertools.count()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def vjp(self, X, w_grad, w_lap, ctx=None):
+        pg, xcot = self.inner.vjp(X, w_grad, w_lap, ctx)
+        if next(self.calls) == 0:
+            pg.db[0] = np.inf
+        return pg, xcot
+
+
+def test_non_finite_parameter_gradient_is_a_numeric_error_in_one_part_and_in_two():
+    p = random_params(3, 8, seed=25)
+    cfg = IntegratorConfig(0.1, 3)
+    X = np.random.default_rng(25).standard_normal((64, 3))
+    message = r"^non-finite parameter gradient in the reverse pass$"
+    with pytest.raises(NumericError, match=message):
+        nll_loss(InfBiasGradientOnce(p), X, cfg)
+    pot = InfBiasGradientOnce(p)
+    _, traj = integrate(pot, FlowState(X, np.zeros(64)), cfg, record=True)
+    with pytest.raises(NumericError, match=message):
+        backprop(traj, pot, np.ones_like(X), np.ones(64))
 
 
 def run_inline(fn, *args):

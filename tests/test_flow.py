@@ -178,14 +178,17 @@ def test_non_finite_stage_gradient_names_its_step_and_row():
     assert pot.calls == 4 * 3 + 4       # the step ran its four stages, and no later step began
 
 
-@pytest.mark.parametrize("run", [
+# log_prob's backward pass of a 64-row batch, as two row parts and, through integrate, as one
+BOTH_PATHS = pytest.mark.parametrize("run", [
     lambda pot, X, cfg: log_prob(pot, X, cfg),
     lambda pot, X, cfg: integrate(pot, FlowState(X, np.zeros(len(X)), cfg.total_time),
                                   cfg.reversed()),
 ], ids=["two-parts", "one-part"])
+
+
+@BOTH_PATHS
 def test_two_row_parts_report_the_failure_one_part_reports(run):
-    # row 40 (the caller's part) fails at step 2, row 0 (the worker's part) only at step 74;
-    # integrate runs log_prob's backward pass as one part
+    # row 40 (the caller's part) fails at step 2, row 0 (the worker's part) only at step 74
     pot, cfg = QuadraticPotential(-1.0, 2), IntegratorConfig(10.0, 400)
     X = np.ones((64, 2))
     X[0], X[40] = 1e100, 1e300
@@ -195,6 +198,29 @@ def test_two_row_parts_report_the_failure_one_part_reports(run):
     X[0] = 1e300
     with pytest.raises(NumericError, match=r"step 2, batch row 0$"):
         run(pot, X, cfg)
+
+
+class NanLaplacianAndGradient(QuadraticPotential):
+    """A still field whose Laplacian is NaN in the row with first coordinate 2 and whose
+    gradient is NaN in the row with first coordinate 40."""
+
+    def __init__(self):
+        super().__init__(0.0, 2)
+
+    def grad_lap(self, X, ctx=None):
+        G, lap = super().grad_lap(X, ctx)
+        lap[X[:, 0] == 2.0] = np.nan
+        G[X[:, 0] == 40.0] = np.nan
+        return G, lap
+
+
+@BOTH_PATHS
+def test_both_paths_name_the_lowest_row_with_a_bad_position_or_log_density(run):
+    # row 2's log-density and row 40's position turn non-finite in the same step, in the
+    # worker's part and the caller's part of two
+    X = np.stack([np.arange(64.0), np.zeros(64)], axis=1)
+    with pytest.raises(NumericError, match=r"step 0, batch row 2$"):
+        run(NanLaplacianAndGradient(), X, IntegratorConfig(0.1, 3))
 
 
 class NanCotangentAt(QuadraticPotential):
