@@ -32,6 +32,9 @@ MUTANTS = (
     ("an RK4 weight in backprop", "flow.py",
      "_RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)",
      "_RK4_WEIGHTS = (1.0, 2.0, 1.0, 2.0)"),
+    ("the shared kbar arrays of weights 1 and 2 swapped", "flow.py",
+     "kbar = [shared[w][0] for w in _RK4_WEIGHTS]",
+     "kbar = [shared[3.0 - w][0] for w in _RK4_WEIGHTS]"),
     ("a stage offset in the reverse chain", "flow.py",
      "kbar[i - 1] + (_STAGE_OFFSETS[i - 1] * eta) * xcot",
      "kbar[i - 1] + (0.5 * eta) * xcot"),
@@ -72,8 +75,17 @@ MUTANTS = (
      "                continue\n"
      "            block(slice(k, k + size), out)"),
     ("t2 not summed in ParamGrad.add", "potential.py",
-     "self.t2 += other.t2",
+     "self.sums += other.sums",
+     "self.sums[:2] += other.sums[:2]"),
+    ("the sum_k (a_k/2) W_k term of grad_lap dropped", "potential.py",
+     "G += self._half_aW_sum",
      "pass"),
+    ("the sum_k q_k term of grad_lap dropped", "potential.py",
+     "np.subtract(self._q_sum, lap, out=lap)",
+     "np.negative(lap, out=lap)"),
+    ("no negate for a -1 row in SymmetryGroup.act", "symmetry.py",
+     "return self._signed_take(m, X, self.perms)",
+     "return np.take(X, self.perms[m], axis=-1)"),
     ("act in place of pull in SymmetrizedPotential.vjp", "symmetry.py",
      "xc = self.group.pull(m, xc)",
      "xc = self.group.act(m, xc)"),

@@ -328,12 +328,16 @@ def _reverse(traj, pot, d_x_final, d_l_final):
             rec = traj.steps[k]
             eta = rec.eta
             xs = rec.stage_x
-            # base cotangents on the four stage outputs from the combination rule
-            kbar = [d_x * (eta * w / 6.0) for w in _RK4_WEIGHTS]
-            lbar = [(eta * w / 6.0) * d_l for w in _RK4_WEIGHTS]
+            # base cotangents on the four stage outputs from the combination rule, with the
+            # minus of d ln p/dt = -lap in lbar's scalar; stages of equal weight share their
+            # two arrays, which nothing writes into
+            shared = {w: (d_x * (eta * w / 6.0), (-eta * w / 6.0) * d_l)
+                      for w in set(_RK4_WEIGHTS)}
+            kbar = [shared[w][0] for w in _RK4_WEIGHTS]
+            lbar = [shared[w][1] for w in _RK4_WEIGHTS]
             d_x_new = d_x.copy()
             for i in (3, 2, 1, 0):
-                pg, xcot = pot.vjp(xs[i], kbar[i], -lbar[i], ctx=rec.stage_ctx[i])
+                pg, xcot = pot.vjp(xs[i], kbar[i], lbar[i], ctx=rec.stage_ctx[i])
                 if pg is not None:
                     grad = pg if grad is None else grad.add(pg)
                 d_x_new += xcot

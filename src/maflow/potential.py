@@ -18,16 +18,18 @@ Two evaluation paths exist on purpose.  ``eval_potential`` / ``eval_batch`` /
 through ``eval_potential`` so batched and per-row results are bitwise equal.
 ``MLPPotential`` is the vectorized engine used inside the ODE integrator.  It
 computes the same quantities through BLAS matmuls and in-place elementwise
-passes, with the logistic written as ``1/2 + 1/2 tanh(z/2)`` (within 2.3e-16
-absolute of ``logistic`` on any z).  Reassociated sums and the different
-logistic make it agree with the reference path to ~1e-12 absolute, not
-bitwise.  The engine caches a_k W_k and a_k |W_k|^2 when it is built;
+passes, in t = tanh((z + b)/2): the logistic is s = (1 + t)/2 (within 2.3e-16
+absolute of ``logistic`` on any z) and s' = (1 - t^2)/4.  Reassociated sums
+and the different logistic make it agree with the reference path to ~1e-12
+absolute, not bitwise.  The engine caches (a_k/2) W_k and its sum over k,
+q_k = a_k |W_k|^2 / 4 and its sum, |W_k|^2 and -2 |W_k|^2 when it is built;
 parameters are read-only, so the caches cannot go stale.
 
 ``MLPPotential.grad_lap`` returns no activations to keep: ``vjp`` recomputes
-S = s(X W^T + b) from X, in the same GEMM as its U = w_grad W^T (one product
-over the stack [X; w_grad]), so the tape of a trajectory holds no (B, h)
-array and the recomputed S is bitwise the forward pass's.
+t from X, with the forward pass's own operations, in the same GEMM as its
+U = w_grad W^T (one product over the stack [X; w_grad]), so the tape of a
+trajectory holds no (B, h) array and the recomputed t is bitwise the
+forward pass's.
 
 ``MLPPotential.vjp`` returns its parameter gradient as a ``ParamGrad``: the
 (h, n) block dW stays factored as L^T R plus a term linear in W until
@@ -238,20 +240,22 @@ class MLPPotential:
     """Batch evaluator for the network potential, used by the flow integrator.
 
     Each kernel is a few BLAS products plus in-place elementwise passes over
-    (B, h) and (2B, h) buffers.  ``vjp`` builds no (h, n)-shaped array: its
-    parameter gradient is a ``ParamGrad`` that holds dW as factors, and
-    ``ParamGrad.to_vector`` builds the flat vector in the ``PotentialParams``
-    layout (W row-major, b, a, c).  The logistic is ``1/2 + 1/2 tanh(z/2)``
-    (see ``_squash``), within 2.3e-16 absolute of the reference
+    (B, h) and (2B, h) buffers: ``grad_lap`` makes four over one (B, h)
+    buffer.  ``vjp`` builds no (h, n)-shaped array: its parameter gradient
+    is a ``ParamGrad`` that holds dW as factors, and ``ParamGrad.to_vector``
+    builds the flat vector in the ``PotentialParams`` layout (W row-major,
+    b, a, c).  Both kernels work from t = tanh((z + b)/2) (see ``_squash``);
+    the logistic (1 + t)/2 is within 2.3e-16 absolute of the reference
     kernels' ``logistic``.
 
-    ``vjp`` takes no activations from ``grad_lap``: it recomputes them
-    through one stacked product [X; w_grad] W^T, bitwise equal to the
-    forward pass's.
+    ``vjp`` takes no activations from ``grad_lap``: it recomputes t through
+    one stacked product [X; w_grad] W^T and the same three passes, bitwise
+    equal to the forward pass's t, and maps it to s.
 
-    ``__init__`` caches |W_k|^2, a_k W_k and a_k |W_k|^2, once per
-    evaluator.  The wrapped ``PotentialParams`` are read-only, so the caches
-    stay valid and the evaluator is stateless and safe to share.
+    ``__init__`` caches (a_k/2) W_k, its sum over k, q_k = a_k |W_k|^2 / 4,
+    its sum, |W_k|^2 and -2 |W_k|^2, once per evaluator.  The wrapped
+    ``PotentialParams`` are read-only, so the caches stay valid and the
+    evaluator is stateless and safe to share.
     ``fingerprint`` is the parameters' digest, which they cache, so the
     evaluator keeps no digest of its own.
     """
@@ -261,8 +265,11 @@ class MLPPotential:
         # huge weights overflow here silently: the flow then aborts on its non-finite field
         with np.errstate(over="ignore", invalid="ignore"):
             self._rowsq = np.einsum("kj,kj->k", params.W, params.W)
-            self._aW = params.a[:, None] * params.W
-            self._a_rowsq = params.a * self._rowsq
+            self._m2rowsq = -2.0 * self._rowsq
+            self._half_aW = (0.5 * params.a)[:, None] * params.W
+            self._half_aW_sum = self._half_aW.sum(axis=0)
+            self._q = 0.25 * params.a * self._rowsq
+            self._q_sum = self._q.sum()
 
     @property
     def n_dim(self):
@@ -273,38 +280,41 @@ class MLPPotential:
         return None
 
     def _squash(self, Z):
-        """s(Z + b) in place in Z, for Z a product X W^T.
+        """t = tanh((Z + b)/2) in place in Z, for Z a product X W^T.
 
-        ``1/2 + 1/2 tanh(z/2)`` is the logistic through numpy's vectorized
-        tanh; it cannot overflow for any finite or infinite z.
+        The logistic is s = (1 + t)/2 and s' = s (1 - s) = (1 - t^2)/4.
+        numpy's vectorized tanh cannot overflow for any finite or infinite
+        input.  ``grad_lap`` and ``vjp`` both take t from here, so the
+        reverse pass's activations are bitwise the forward pass's.
         """
         Z += self.params.b
         Z *= 0.5
         np.tanh(Z, out=Z)
-        Z *= 0.5
-        Z += 0.5
         return Z
 
     def grad_lap(self, X, ctx=None):
         """Gradient field (B, n) and Laplacian (B,) for every row of X.
 
-        Nothing is kept for the reverse pass: ``vjp`` recomputes the
-        activations from X.
+        With t = tanh((z + b)/2), G = t (a/2) W + sum_k (a_k/2) W_k and
+        lap = sum_k q_k - t^2 q, q_k = a_k |W_k|^2 / 4: four elementwise
+        passes over one (B, h) buffer.  Nothing is kept for the reverse
+        pass: ``vjp`` recomputes t from X.
         """
-        S = self._squash(X @ self.params.W.T)
-        G = S @ self._aW
-        Sp = S * S
-        np.subtract(S, Sp, out=Sp)      # s' = s (1 - s)
-        return G, Sp @ self._a_rowsq
+        T = self._squash(X @ self.params.W.T)
+        G = T @ self._half_aW
+        G += self._half_aW_sum
+        T *= T
+        lap = T @ self._q
+        return G, np.subtract(self._q_sum, lap, out=lap)
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """Batch-accumulated derivatives of sum_i [w_grad_i . grad_i + w_lap_i * lap_i].
 
         Returns (``ParamGrad``, per-row x cotangents (B, n)).  The parameter
         gradient stays factored until ``ParamGrad.to_vector``.  The
-        activations S are recomputed: one GEMM gives [X; w_grad] W^T, whose
-        rows :B become S through the same passes as in ``grad_lap`` and
-        whose rows B: are U = w_grad W^T.
+        activations are recomputed: one GEMM gives [X; w_grad] W^T, whose
+        rows :B become t through the same passes as in ``grad_lap``, then
+        s = (1 + t)/2, and whose rows B: are U = w_grad W^T.
         """
         if aux is not None:
             # compatibility keyword for perfbench's TimingProxy; removed with
@@ -316,25 +326,29 @@ class MLPPotential:
         R = np.concatenate([X, w_grad])
         ZU = R @ W.T
         S, U = self._squash(ZU[:B]), ZU[B:]
+        S *= 0.5
+        S += 0.5                        # s = (1 + t)/2
         Sp = S * S
         np.subtract(S, Sp, out=Sp)      # s'
-        t2 = w_lap @ Sp
-        da = np.einsum("bk,bk->k", S, U)
+        sums = np.empty((3, h))         # db, da, t2
+        db, da, t2 = sums
+        np.matmul(w_lap, Sp, out=t2)
+        np.einsum("bk,bk->k", S, U, out=da)
         da += t2 * rowsq
 
         # rows :B hold a * dF/dz = a s' (U + w_lap (1 - 2s) |W_k|^2), rows B: hold a * s
         L = np.empty((2 * B, h))
         aBm, aS = L[:B], L[B:]
-        np.multiply(S, -2.0 * rowsq, out=aBm)
+        np.multiply(S, self._m2rowsq, out=aBm)
         aBm += rowsq
         aBm *= w_lap[:, None]
         aBm += U
         aBm *= Sp
         aBm *= a
         np.multiply(S, a, out=aS)
-        db = np.sum(aBm, axis=0)
+        np.sum(aBm, axis=0, out=db)
         dX = aBm @ W
-        return ParamGrad(p, L, R, db, da, t2), dX
+        return ParamGrad(p, L, R, sums), dX
 
     def fingerprint(self):
         """Digest of the wrapped parameters, whose own digest is cached."""
@@ -365,9 +379,10 @@ class ParamGrad:
 
     One call's gradient is dW = L^T R + 2 a t2 W with L = [a Bm; a s] (2B, h)
     and R = [X; w_grad] (2B, n), plus db, da and dc = 0.  The call's
-    ParamGrad holds L, R, db, da and t2, and no (h, n) array.
+    ParamGrad holds L, R and ``sums``, one (3, h) array whose rows are db,
+    da and t2, and no (h, n) array.
 
-    ``add`` sums db, da and t2 at once and folds each product L^T R into one
+    ``add`` sums db, da and t2 in one pass and folds each product L^T R into one
     dense dW, in the order of the ``add`` calls; adding a sum folds its dW
     in place.  The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W
     once, after every product.
@@ -383,14 +398,15 @@ class ParamGrad:
     n is not a multiple of 8, and in a last block of one row.
     """
 
-    def __init__(self, params, L, R, db, da, t2):
+    def __init__(self, params, L, R, sums):
         self._params = params
         self._factors = (L, R)      # this call's product, until it is folded
         self._flat = None           # the result vector, allocated by the first fold
         self._dW = None             # its (h, n) view, which sums the folded products
         self._scratch = None        # (rows, n) buffer for the blocks added to dW
         self._vector = None
-        self.db, self.da, self.t2 = db, da, t2
+        self.sums = sums            # (3, h): rows db, da and t2
+        self.db, self.da, self.t2 = sums
 
     def add(self, other):
         """Fold ``other``, a gradient of the same parameters, into this sum; returns self."""
@@ -398,9 +414,7 @@ class ParamGrad:
             raise ValueError("cannot add to or from a materialized gradient")
         if other._params is not self._params:
             raise ValueError("cannot add gradients of different parameters")
-        self.db += other.db
-        self.da += other.da
-        self.t2 += other.t2
+        self.sums += other.sums
         self._fold_own()
         if other._factors is not None:
             self._fold(*other._factors)

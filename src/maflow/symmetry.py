@@ -11,7 +11,10 @@ exactly (every row) or stochastically (one row drawn per integration step,
 the default, or per stage / per trajectory).  Like every evaluator, it is a
 pure function of the points and a stage context; the sampled row indices
 come from ``begin_trajectory(rng)``, which the integrator calls once per
-trajectory and records on the tape.
+trajectory and records on the tape.  A sampled stage evaluates one row,
+and its ``grad_lap`` and ``vjp`` divide nothing: each returns the base's
+results around that row, one gather in and one out, negated in place for
+a -1 row.
 """
 
 from __future__ import annotations
@@ -65,12 +68,17 @@ class SymmetryGroup:
         return self.perms.shape[0]
 
     def act(self, m, X):
-        """Row m applied to the last axis of X: signs[m] * X[..., perms[m]]."""
-        return self.signs[m] * X[..., self.perms[m]]
+        """Row m applied to the last axis of X: signs[m] * X[..., perms[m]], bitwise."""
+        return self._signed_take(m, X, self.perms)
 
     def pull(self, m, V):
         """The inverse of row m applied to the last axis of V: undoes ``act(m, .)``."""
-        return self.signs[m] * V[..., self.inv_perms[m]]
+        return self._signed_take(m, V, self.inv_perms)
+
+    def _signed_take(self, m, X, perms):
+        # one gather, negated in place for a -1 row: the bits of signs[m] * X[..., perms[m]]
+        out = np.take(X, perms[m], axis=-1)
+        return np.negative(out, out=out) if self.signs[m] < 0 else out
 
     def key(self):
         """Digest of the permutation and sign tables, hashed on the first call only."""
@@ -239,7 +247,10 @@ class SymmetrizedPotential:
             else:
                 Gs += G
                 laps += lap
-        return np.divide(Gs, len(rows), out=Gs), np.divide(laps, len(rows), out=laps)
+        if len(rows) > 1:   # one row divides nothing
+            Gs /= len(rows)
+            laps /= len(rows)
+        return Gs, laps
 
     def vjp(self, X, w_grad, w_lap, ctx=None, aux=None):
         """The base's vjp averaged over the same rows as ``grad_lap``."""
@@ -248,9 +259,10 @@ class SymmetrizedPotential:
             # benchmark v2 (ROADMAP direction 1)
             raise ValueError("vjp recomputes the activations; aux must be None")
         rows = range(len(self.group)) if ctx is None else (ctx,)
-        # a vjp is linear in its cotangents: scale them instead of the row sums
-        k = float(len(rows))
-        w_grad, w_lap = w_grad / k, w_lap / k
+        if len(rows) > 1:
+            # a vjp is linear in its cotangents: scale them instead of the row sums
+            k = float(len(rows))
+            w_grad, w_lap = w_grad / k, w_lap / k
         pg_total = xc_total = None
         for m in rows:
             pg, xc = self.base.vjp(self.group.act(m, X), self.group.act(m, w_grad), w_lap)

@@ -295,6 +295,11 @@ def test_engine_vjp_equals_dgemm_accumulation_bitwise(n, h, B):
     assert np.array_equal(pg.to_vector(), dgemm_vjp(p, X, WG, WL))
 
 
+def sums_of_t2(t2):
+    """A ``ParamGrad``'s (3, h) rows db, da and t2, with db = da = 0."""
+    return np.stack([np.zeros_like(t2), np.zeros_like(t2), t2])
+
+
 @pytest.mark.parametrize("rows,n,h", [(64, 64, 512), (96, 784, 1024), (104, 784, 1024),
                                       (40, 200, 700)],
                          ids=["ising8", "mnist-shape-part0", "mnist-shape-part1", "ragged"])
@@ -313,12 +318,12 @@ def test_blocked_fold_and_w_term_are_bitwise_the_single_gemm_results(rows, n, h)
         dW += L.T @ R
     t2 = calls[0][2] + calls[1][2] + calls[2][2]
     dW += p.W * (2.0 * p.a * t2)[:, None]
-    one = ParamGrad(p, *calls[0][:2], np.zeros(h), np.zeros(h), calls[0][2].copy()).to_vector()
+    one = ParamGrad(p, *calls[0][:2], sums_of_t2(calls[0][2])).to_vector()
     assert np.array_equal(one[:h * n], (calls[0][0].T @ calls[0][1]
                                         + p.W * (2.0 * p.a * calls[0][2])[:, None]).ravel())
     total = None
     for L, R, t in calls:
-        pg = ParamGrad(p, L, R, np.zeros(h), np.zeros(h), t.copy())
+        pg = ParamGrad(p, L, R, sums_of_t2(t))
         total = pg if total is None else total.add(pg)
     assert np.array_equal(total.to_vector()[:h * n], dW.ravel())
 
@@ -369,7 +374,7 @@ def test_overflow_in_a_product_follows_the_callers_settings(fold_on):
     L, R = np.full((4, 3), 1e200), np.full((4, 2), 1e200)
 
     def overflowing():
-        return ParamGrad(p, L, R, np.zeros(3), np.zeros(3), np.zeros(3)).to_vector()
+        return ParamGrad(p, L, R, np.zeros((3, 3))).to_vector()
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         fold_on(overflowing)
@@ -407,6 +412,43 @@ def test_engine_agrees_with_reference_on_saturated_units():
         acc += g.to_vector()
         assert np.abs(dX[i] - dx).max() < 1e-12
     assert np.abs(flat - acc).max() < 1e-12
+
+
+@pytest.mark.parametrize("saturated", [False, True], ids=["plain", "saturated"])
+@pytest.mark.parametrize("n,h", [(64, 512), (784, 1024)], ids=["ising8", "mnist-shape"])
+def test_engine_agrees_with_reference_at_the_benchmark_shapes(n, h, saturated):
+    # the tanh-form kernel sums sum_k q_k - t^2 q, which cancels to 0 on a saturated unit
+    p = saturated_params(n, h, seed=27) if saturated else random_params(n, h, seed=27)
+    rng = np.random.default_rng(13)
+    B = 4
+    X, WG, WL = rng.standard_normal((B, n)), rng.standard_normal((B, n)), rng.standard_normal(B)
+    eng = MLPPotential(p)
+    G, lap = eng.grad_lap(X)
+    ref = eval_batch(p, X)
+    assert np.abs(G - ref.grad).max() < 1e-12
+    assert np.abs(lap - ref.laplacian).max() < 1e-12
+    pg, dX = eng.vjp(X, WG, WL)
+    acc = np.zeros(p.size)
+    for i in range(B):
+        g, dx = param_vjp(p, X[i], WG[i], WL[i])
+        acc += g.to_vector()
+        assert np.abs(dX[i] - dx).max() < 1e-12
+    assert np.abs(pg.to_vector() - acc).max() < 1e-12
+
+
+def test_grad_lap_holds_one_hidden_sized_buffer():
+    # t, t^2 and the products all live in the one (B, h) buffer of X W^T
+    B, n, h = 64, 64, 512
+    p = random_params(n, h, seed=28)
+    X = np.random.default_rng(14).standard_normal((B, n))
+    eng = MLPPotential(p)
+    tracemalloc.start()
+    try:
+        eng.grad_lap(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * B * h * 8
 
 
 def test_engine_vjp_builds_no_weight_sized_temporary():

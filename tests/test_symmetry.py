@@ -389,6 +389,20 @@ def test_reassigned_symmetrized_evaluator_rejects_its_old_tape(field):
         backprop(traj, pot, np.ones((5, 4)), np.ones(5))
 
 
+@pytest.mark.parametrize("group", [ising_group(4), z2_group(16)], ids=["ising4", "z2"])
+def test_act_and_pull_are_bitwise_the_signed_gather(group):
+    # signed zeros and infinities included: a -1 row must flip the sign bit of every entry
+    rng = np.random.default_rng(27)
+    X = rng.standard_normal((3, 16))
+    X[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+    X[2, 5::3] = -0.0
+    for m in range(len(group)):
+        for hook, perm in ((group.act, group.perms[m]), (group.pull, group.inv_perms[m])):
+            want = group.signs[m] * X[..., perm]
+            assert np.array_equal(hook(m, X).view(np.int64), want.view(np.int64))
+        assert np.array_equal(group.pull(m, group.act(m, X)).view(np.int64), X.view(np.int64))
+
+
 def test_sampled_hooks_are_the_base_hooks_around_one_row():
     group = ising_group(2)
     base = MLPPotential(random_params(4, 8, seed=25))
