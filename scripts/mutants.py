@@ -48,24 +48,39 @@ MUTANTS = (
      "np.isfinite(X).all(axis=1) & np.isfinite(L)",
      "np.isfinite(X).all(axis=1)"),
     ("each part draws its own stage contexts", "flow.py",
-     "_integrate(pot, state, config, contexts, record, callback, rows)",
-     "_integrate(pot, state, config, _stage_contexts(pot, rng, config.steps), record, "
-     "callback, rows)"),
+     "_child_part(pot, state, config, contexts, record, slice(0, k))",
+     "_child_part(pot, state, config, _stage_contexts(pot, rng, config.steps), record, "
+     "slice(0, k))"),
     ("part 1's rows reported from row 0", "flow.py",
      "batch row {rows.start + bad}",
      "batch row {bad}"),
     ("nll_loss reversed without the base-point cotangent", "flow.py",
-     "_reverse_parts(tapes, pot, base / n,",
-     "_reverse_parts(tapes, pot, 0.0 * base,"),
+     "return final.X / n,",
+     "return 0.0 * final.X,"),
     ("variational_loss's d_x not divided by n_samples", "flow.py",
-     "d_x = energy.grad(final.X) / n_samples",
-     "d_x = energy.grad(final.X)"),
-    ("part 1's gradient not added", "flow.py",
-     "grad.add(other)",
+     "return energy.grad(final.X) / n_samples,",
+     "return energy.grad(final.X),"),
+    ("the child's gradient not added", "flow.py",
+     "grad.add_dense(*dense)",
      "pass"),
-    ("the worker part's error wins", "flow.py",
+    ("the child part's error wins", "flow.py",
      'if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):',
      "if early is None:"),
+    ("the caller's NumericError always wins", "flow.py",
+     'getattr(late, "order", math.inf) < getattr(early, "order", -math.inf)',
+     "isinstance(late, NumericError)"),
+    ("the child's rows and the caller's rows swapped in the concatenation", "flow.py",
+     "np.concatenate([X, own.X])",
+     "np.concatenate([own.X, X])"),
+    ("a child forked while the process runs more than one thread", "flow.py",
+     'return len(os.listdir("/proc/self/task")) == 1',
+     "return True"),
+    ("a failed fork not run in sequence", "flow.py",
+     "            pass            # no process to spare: the parts run in sequence",
+     "            raise"),
+    ("the child not reaped", "flow.py",
+     "            os.kill(self.pid, signal.SIGKILL)\n            os.waitpid(self.pid, 0)\n",
+     "            os.kill(self.pid, signal.SIGKILL)\n"),
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
      "coef = 2.0 * p.a * self.t2",
      "coef = p.a * self.t2"),

@@ -40,14 +40,20 @@ one dense dW, in reverse step order and stages 4..1 inside each step; the
 2 a (sum t2) W term of dW comes last, once.
 
 Every row follows its own trajectory, so ``sample``, ``log_prob`` and the
-losses run a batch of 32 rows or more as two row parts at once, one on a
-worker thread: the one place that uses it.  The worker's executor is built
-when the module is imported, and its one thread starts with the first part
-it runs.  The parts share the stage contexts, drawn once before they start,
-and join before anything reads the whole batch.  Each part's tape is then
-reversed on its own, and part 1's ``ParamGrad`` folds into part 0's, so no
-result depends on which thread ran a part.  ``integrate`` and ``backprop``
-run one part, and so does ``sample`` with a callback.
+losses run a batch of 32 rows or more as two row parts at once: rows :k in
+a child process forked for the call, rows k: on the caller.  The child is
+forked only while the process runs one thread, as a fork needs; otherwise,
+or if the fork fails, the two parts run in sequence on the caller, with
+the same bits.  The child inherits its inputs by fork, so nothing is
+pickled in.  It integrates its rows and sends back their final positions
+and log-densities; when the call records, it keeps its own tape, waits for
+its rows' cotangents, which the caller computes on the whole batch,
+reverses its tape and sends back its dense gradient sum.  Then it ends,
+and the caller reaps it, whichever way the call ends.  The parts share the
+stage contexts, drawn once before the fork, and the child's gradient sum
+is added to the caller's, so no result depends on which process ran a
+part.  ``integrate`` and ``backprop`` run one part, and so does ``sample``
+with a callback.
 """
 
 from __future__ import annotations
@@ -55,7 +61,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -302,9 +310,8 @@ def backprop(traj, potential, d_x_final, d_l_final):
     are reproducible bit for bit.  A non-finite position cotangent or
     parameter gradient raises NumericError.
     """
-    grad, d_x0 = _reverse_parts([(slice(0, None), traj)], as_potential(potential), d_x_final,
-                                d_l_final)
-    return BackpropResult(grad, d_x0[0])
+    grad, d_x0 = _reverse(traj, as_potential(potential), d_x_final, d_l_final)
+    return BackpropResult(_checked(grad), d_x0)
 
 
 def _reverse(traj, pot, d_x_final, d_l_final):
@@ -351,77 +358,246 @@ def _reverse(traj, pot, d_x_final, d_l_final):
     return grad, d_x
 
 
-def _in_parts(fn, parts):
-    """``[fn(part) for part in parts]``, the first of two on the worker at once; a part never
-    splits again.  An exception comes out once both are done; of two, the worker's, unless the
-    caller's is a NumericError earlier in the pass, as one part would report it."""
-    if len(parts) == 1:
-        return [fn(parts[0])]
-    first = _submit(fn, parts[0])
-    try:
-        last = fn(parts[1])
-    except BaseException as late:
-        early = first.exception()
-        if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):
-            raise
-        raise early
-    return [first.result(), last]
-
-
-# Rows :k of a batch of B run on the worker and rows k: on the caller, k = 16 floor(B / 32);
-# one part holds every row if k = 0 or sample's callback must see whole states.  OpenBLAS
-# picks kernels by size, so a row's bits may depend on how many rows share its products; this
-# k keeps every forward result bitwise the one-part one at n = 784, h = 1024, B = 100 and
-# n = 64, h = 512, B = 64, where a 50/50 split at B = 100 is not.  Seconds per loss+grad
-# call, one part -> two, 7 alternating rounds, one BLAS thread on 2 vCPUs: 0.830 -> 0.535
-# at n = 2, h = 1024, B = 100, 100 steps; 0.323 -> 0.258 at n = 64, h = 512, B = 64, 50
-# steps, sampled; 0.794 -> 0.589 at n = 256, same h, B and steps; 1.968 -> 1.190 at
-# n = 784, h = 1024, B = 100, 20 steps.  On a host whose second vCPU is busy, any split
-# is a loss: the parts then take turns on one core.
-def _integrate_parts(pot, state, config, rng, record=False, callback=None):
-    """``integrate`` of the batch in its row parts: (final state, [(rows, Trajectory or None)])."""
-    k = 0 if callback is not None else 16 * (state.batch_size // 32)
-    parts = (slice(0, k), slice(k, None)) if k else (slice(0, None),)
-    contexts = _stage_contexts(pot, rng, config.steps)  # drawn once, as one part draws them
-    outs = _in_parts(lambda rows: _integrate(pot, state, config, contexts, record, callback, rows),
-                     parts)
-    final = FlowState(np.concatenate([f.X for f, _ in outs]),
-                      np.concatenate([f.L for f, _ in outs]), outs[0][0].t)
-    return final, [(rows, traj) for rows, (_, traj) in zip(parts, outs)]
-
-
-def _reverse_parts(tapes, pot, d_x, d_l):
-    """(ParamGrad or None, each part's d_x0) of ``_integrate_parts``'s tapes, reversed at once
-    against their rows; part 1's sum folds into part 0's before one checked ``to_vector``."""
-    outs = _in_parts(lambda tape: _reverse(tape[1], pot, d_x[tape[0]], d_l[tape[0]]), tapes)
-    grad = outs[0][0]
+def _checked(grad):
+    """``grad``, or None, after one check that its flat vector is finite."""
     if grad is not None:
-        for other, _ in outs[1:]:
-            grad.add(other)
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(grad.to_vector()).all():
                 raise NumericError("non-finite parameter gradient in the reverse pass")
-    return grad, [d for _, d in outs]
+    return grad
 
 
-def _forward(pot, n_samples, config, rng, record=False, callback=None):
-    """The base Gaussian pushed forward: (final state, ``_integrate_parts``'s tapes)."""
+class _Child:
+    """A process forked for one call, which runs ``program``, a generator, on the memory it
+    inherits: each value the program yields goes to the caller, and the caller's ``send``
+    resumes it.  Nothing is pickled in but the caller's replies.
+
+    ``recv`` gives (error, value).  An exception of the program comes back pickled, or, if it
+    does not come back from pickle, as a RuntimeError that carries its formatted traceback; a
+    child that ends without a message gives an error naming its exit status.  The child ends
+    with ``os._exit``, so it never runs the caller's exit path.  Leaving the ``with`` block
+    kills the child if it still runs and reaps it, however the block is left."""
+
+    def __init__(self, program):
+        fds = []
+        try:
+            down = os.pipe()
+            fds += down
+            up = os.pipe()
+            fds += up
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if not self.pid:
+            status = 1
+            try:
+                os.close(down[1])
+                os.close(up[0])
+                with open(down[0], "rb") as inbox, open(up[1], "wb") as outbox:
+                    _serve(program, inbox, outbox)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(down[0])
+        os.close(up[1])
+        self._inbox, self._outbox = open(up[0], "rb"), open(down[1], "wb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for pipe in (self._outbox, self._inbox):
+            try:
+                pipe.close()
+            except OSError:
+                pass        # a reply that the ended child never read
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+    def send(self, reply):
+        try:
+            pickle.dump(reply, self._outbox, pickle.HIGHEST_PROTOCOL)
+            self._outbox.flush()
+        except BrokenPipeError:
+            pass            # the child has ended: recv says how
+
+    def recv(self):
+        try:
+            return pickle.load(self._inbox)
+        except (EOFError, pickle.UnpicklingError):
+            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = 0
+            return RuntimeError(f"a row part's child process ended with exit status {status} "
+                                f"and sent no result"), None
+
+
+def _serve(program, inbox, outbox):
+    """The child's side of ``_Child``: ``program``'s values out, the caller's replies in."""
+    reply = None
+    while True:
+        try:
+            message = None, program.send(reply)
+        except StopIteration:
+            return
+        except BaseException as error:
+            outbox.write(_pickled_error(error))
+            return
+        pickle.dump(message, outbox, pickle.HIGHEST_PROTOCOL)
+        outbox.flush()
+        reply = pickle.load(inbox)
+
+
+def _pickled_error(error):
+    """(error, None) pickled; an error that does not come back from pickle becomes a
+    RuntimeError that carries its formatted traceback."""
+    try:
+        data = pickle.dumps((error, None), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        text = "".join(traceback.format_exception(error))
+        return pickle.dumps((RuntimeError(f"a row part's child process raised an error that "
+                                          f"cannot be pickled:\n{text}"), None))
+
+
+class _Inline:
+    """``_Child``'s stand-in where no child is forked: the program runs on the caller, to its
+    next value at each ``recv``, so the two parts run one after the other, with the same bits."""
+
+    def __init__(self, program):
+        self._program, self._reply = program, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._program.close()
+
+    def send(self, reply):
+        self._reply = reply
+
+    def recv(self):
+        try:
+            return None, self._program.send(self._reply)
+        except Exception as error:
+            return error, None
+
+
+def _one_thread():
+    """Whether this process runs one thread, as ``/proc`` shows; False where it cannot be read.
+    A fork copies only the thread that forks, so a lock another thread holds, OpenBLAS's or the
+    allocator's, would stay held in the child.  OpenBLAS's own pool counts: at more than one
+    BLAS thread its workers are threads of the process."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _part_runner(program):
+    """A ``_Child`` forked to run ``program`` if the process runs one thread and a fork
+    succeeds, else an ``_Inline`` that runs it on the caller."""
+    if hasattr(os, "fork") and _one_thread():
+        try:
+            return _Child(program)
+        except OSError:
+            pass            # no process to spare: the parts run in sequence
+    return _Inline(program)
+
+
+def _in_parts(child, own):
+    """(the child's next value, ``own()``), with ``own`` run on the caller meanwhile.  An
+    exception comes out once both are done; of two, the child's, unless the caller's is a
+    NumericError earlier in the pass, as one part would report it.  An interrupt of the caller
+    comes out at once."""
+    try:
+        mine = own()
+    except Exception as late:
+        early = child.recv()[0]
+        if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):
+            raise
+        raise early
+    early, theirs = child.recv()
+    if early is not None:
+        raise early
+    return theirs, mine
+
+
+def _child_part(pot, state, config, contexts, record, rows):
+    """The program of the child's rows (see ``_Child``): their final (X, L); then, when the call
+    records, given their cotangents, their gradient's ``dense()`` sum, or None."""
+    final, traj = _integrate(pot, state, config, contexts, record, rows=rows)
+    d_x, d_l = yield final.X, final.L
+    grad, _ = _reverse(traj, pot, d_x, d_l)
+    yield None if grad is None else grad.dense()
+
+
+# Rows :k of a batch of B run in a child forked for the call and rows k: on the caller,
+# k = 16 floor(B / 32); one part holds every row if k = 0 or sample's callback must see whole
+# states.  OpenBLAS picks kernels by size, so a row's bits may depend on how many rows share
+# its products; this k keeps every forward result bitwise the one-part one at n = 784,
+# h = 1024, B = 100 and n = 64, h = 512, B = 64, where a 50/50 split at B = 100 is not.
+# A process, not a thread: at n = 64, h = 512 a stage makes dozens of numpy calls of a few
+# microseconds, and two threads hand the interpreter lock back and forth at each one.  A
+# 32-row part there, forward and reverse, ran 0.99-1.49x faster than two in sequence on a
+# second thread, and 1.29-1.94x in a forked child (8 rounds, one BLAS thread, 2 vCPUs); at
+# n = 784, h = 1024 the calls are long and threads scaled too.  A fork is safe only while the
+# process runs one thread, so the child is forked only then, which also means one BLAS
+# thread; otherwise, or if the fork fails, the two parts run in sequence on the caller, with
+# the same bits.  At two BLAS threads on 2 vCPUs a child only added a second BLAS pool (an
+# n = 64, h = 512 loss took 0.90-4.65 s), and parts in sequence beat parts on two threads:
+# 0.24-0.28 s against 0.41-0.50 s there, 1.23-1.32 s against 2.75-2.77 s at n = 784,
+# h = 1024.  On a host whose second vCPU is busy, any split is a loss: the parts then take
+# turns on one core.
+def _run_parts(pot, state, config, rng, callback=None, cotangents=None):
+    """``integrate`` of the batch in its row parts, recorded and reversed if ``cotangents``,
+    ``cotangents(final)`` giving the whole batch's (d_x, d_l): (final state, checked ParamGrad
+    or None).  The child's gradient sum is added to the caller's, as part 1's to part 0's."""
+    k = 0 if callback is not None else 16 * (state.batch_size // 32)
+    record = cotangents is not None
+    contexts = _stage_contexts(pot, rng, config.steps)  # drawn once, as one part draws them
+    if not k:
+        final, traj = _integrate(pot, state, config, contexts, record, callback)
+        grad = _reverse(traj, pot, *cotangents(final))[0] if record else None
+        return final, _checked(grad)
+    program = _child_part(pot, state, config, contexts, record, slice(0, k))
+    with _part_runner(program) as child:
+        (X, L), (own, traj) = _in_parts(child, lambda: _integrate(
+            pot, state, config, contexts, record, rows=slice(k, None)))
+        final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
+        if not record:
+            return final, None
+        d_x, d_l = cotangents(final)
+        child.send((d_x[:k], d_l[:k]))
+        dense, (grad, _) = _in_parts(child, lambda: _reverse(traj, pot, d_x[k:], d_l[k:]))
+        if grad is not None:
+            grad.add_dense(*dense)
+        return final, _checked(grad)
+
+
+def _forward(pot, n_samples, config, rng, callback=None, cotangents=None):
+    """The base Gaussian pushed forward: ``_run_parts``'s (final state, ParamGrad or None)."""
     if config.direction != FORWARD:
         raise ValueError("sampling integrates forward; got a backward config")
     state = gaussian_base(pot.n_dim, n_samples, rng)
-    return _integrate_parts(pot, state, config, rng, record, callback)
+    return _run_parts(pot, state, config, rng, callback, cotangents)
 
 
-def _backward(pot, X, config, rng=None, record=False):
-    """Rows of X integrated back to the base: (log-densities, base points, tapes)."""
+def _backward(pot, X, config, rng=None, cotangents=None):
+    """Rows of X integrated back to the base: (log-densities, ParamGrad or None); ``cotangents``
+    as in ``_run_parts``, of the base points and their accumulated Laplacian integrals."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != pot.n_dim:
         raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
     cfg = config if config.direction == BACKWARD else config.reversed()
     state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
-    final, tapes = _integrate_parts(pot, state, cfg, rng, record)
+    final, grad = _run_parts(pot, state, cfg, rng, cotangents=cotangents)
     # backward accumulation leaves +integral(lap) in L
-    return gaussian_log_density(final.X) - final.L, final.X, tapes
+    return gaussian_log_density(final.X) - final.L, grad
 
 
 def sample(potential, n_samples, config, rng, callback=None):
@@ -432,7 +608,7 @@ def sample(potential, n_samples, config, rng, callback=None):
     state)`` fires after every step (used for frame dumps); it makes the
     batch run as one part, so that it sees whole states.
     """
-    return _forward(as_potential(potential), n_samples, config, rng, callback=callback)[0]
+    return _forward(as_potential(potential), n_samples, config, rng, callback)[0]
 
 
 def log_prob(potential, X, config, rng=None):
@@ -458,12 +634,13 @@ def nll_loss(potential, X_data, config, rng=None, want_grad=True):
     gradient comes from the tape, together with the chain through the
     reached base points.  ``per_sample`` is ``-log_prob`` bit for bit.
     """
-    pot = as_potential(potential)
-    logp, base, tapes = _backward(pot, X_data, config, rng, record=want_grad)
-    grad = None
-    if want_grad:
-        n = base.shape[0]
-        grad = _reverse_parts(tapes, pot, base / n, np.full(n, 1.0 / n))[0]
+    n = len(X_data)
+
+    def cotangents(final):
+        return final.X / n, np.full(n, 1.0 / n)
+
+    logp, grad = _backward(as_potential(potential), X_data, config, rng,
+                           cotangents if want_grad else None)
     return LossResult(-float(logp.mean()), grad, -logp)
 
 
@@ -479,27 +656,10 @@ def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
     pot = as_potential(potential)
     if energy.n_dim != pot.n_dim:
         raise ValueError(f"energy dimension {energy.n_dim} does not match potential {pot.n_dim}")
-    final, tapes = _forward(pot, n_samples, config, rng, record=want_grad)
+
+    def cotangents(final):
+        return energy.grad(final.X) / n_samples, np.full(n_samples, 1.0 / n_samples)
+
+    final, grad = _forward(pot, n_samples, config, rng, cotangents=cotangents if want_grad else None)
     per = final.L + energy.energy(final.X)
-    grad = None
-    if want_grad:
-        d_x = energy.grad(final.X) / n_samples
-        grad = _reverse_parts(tapes, pot, d_x, np.full(n_samples, 1.0 / n_samples))[0]
     return LossResult(float(per.mean()), grad, per)
-
-
-def _submit(fn, *args):
-    """A future of ``fn(*args)`` on the worker thread, under the caller's ``np.geterr()``, so
-    floating-point errors are handled alike on either thread.  The executor is built at import;
-    its one thread starts with the first submit."""
-    return _worker.submit(np.errstate(**np.geterr())(fn), *args)
-
-
-def _forget_worker():
-    """A new executor, with no thread yet: a forked child has no copy of the parent's thread."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="maflow-part")
-
-
-_forget_worker()
-os.register_at_fork(after_in_child=_forget_worker)

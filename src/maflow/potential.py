@@ -37,8 +37,8 @@ forward pass's.
 instead of building one per RK4 stage.
 
 Every kernel here runs whole on the thread that calls it.  The one place
-that uses a second thread is ``flow``, which runs a batch's row parts as
-separate trajectories.
+that uses a second core is ``flow``, which runs a batch's row parts as
+separate trajectories, one in a forked child process.
 """
 
 from __future__ import annotations
@@ -328,7 +328,11 @@ class MLPPotential:
         S, U = self._squash(ZU[:B]), ZU[B:]
         S *= 0.5
         S += 0.5                        # s = (1 + t)/2
-        Sp = S * S
+        # rows :B of L become a * dF/dz = a s' (U + w_lap (1 - 2s) |W_k|^2) and rows B: a * s;
+        # rows B: hold s' until a * s is written there, last
+        L = np.empty((2 * B, h))
+        aBm, aS = L[:B], L[B:]
+        Sp = np.multiply(S, S, out=aS)
         np.subtract(S, Sp, out=Sp)      # s'
         sums = np.empty((3, h))         # db, da, t2
         db, da, t2 = sums
@@ -336,9 +340,6 @@ class MLPPotential:
         np.einsum("bk,bk->k", S, U, out=da)
         da += t2 * rowsq
 
-        # rows :B hold a * dF/dz = a s' (U + w_lap (1 - 2s) |W_k|^2), rows B: hold a * s
-        L = np.empty((2 * B, h))
-        aBm, aS = L[:B], L[B:]
         np.multiply(S, self._m2rowsq, out=aBm)
         aBm += rowsq
         aBm *= w_lap[:, None]
@@ -384,8 +385,9 @@ class ParamGrad:
 
     ``add`` sums db, da and t2 in one pass and folds each product L^T R into one
     dense dW, in the order of the ``add`` calls; adding a sum folds its dW
-    in place.  The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W
-    once, after every product.
+    in place, and ``dense`` / ``add_dense`` carry a sum from another process.
+    The term is linear in t2, so ``to_vector`` adds 2 a (sum t2) W once,
+    after every product.
 
     dW starts as zeros, and every product and the term are added to it in
     row blocks of max(1, 2^16 // n) rows through one scratch buffer of at
@@ -414,12 +416,28 @@ class ParamGrad:
             raise ValueError("cannot add to or from a materialized gradient")
         if other._params is not self._params:
             raise ValueError("cannot add gradients of different parameters")
+        if other._factors is None:
+            return self.add_dense(other.sums, other._flat)
         self.sums += other.sums
         self._fold_own()
-        if other._factors is not None:
-            self._fold(*other._factors)
-        else:
-            self._dW += other._dW
+        self._fold(*other._factors)
+        return self
+
+    def dense(self):
+        """(sums, flat) of this sum, every product folded: its (3, h) rows db, da and t2, and the
+        flat vector whose dW block sums the products; ``add_dense`` of another sum takes them."""
+        self._fold_own()
+        return self.sums, self._flat
+
+    def add_dense(self, sums, flat):
+        """Fold another sum of the same parameters, given as its ``dense()``, into this one;
+        returns self.  Addition commutes, so the bits are those of the other sum's ``add`` of
+        this one."""
+        if self._vector is not None:
+            raise ValueError("cannot add to a materialized gradient")
+        self.sums += sums
+        self._fold_own()
+        self._flat += flat
         return self
 
     def to_vector(self):

@@ -9,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -241,7 +240,7 @@ def test_gradcheck_suite():
 
 
 def test_non_finite_reverse_pass_is_a_numeric_error(fold_on):
-    # overflow inside the reverse pass: no RuntimeWarning, on either thread, and the
+    # overflow inside the reverse pass: no RuntimeWarning, on the caller or in a child, and the
     # error names a step
     p = init_params(3, 8, np.random.default_rng(0))
     p = PotentialParams(p.W * 30.0, p.b, p.a * 1e4, 0.0)
@@ -282,50 +281,39 @@ def test_non_finite_parameter_gradient_is_a_numeric_error_in_one_part_and_in_two
         backprop(traj, pot, np.ones_like(X), np.ones(64))
 
 
-def run_inline(fn, *args):
-    """A completed future of ``fn(*args)``, run on the calling thread."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
-
-
 @pytest.mark.parametrize("mode", [None, "sampled", "average"])
-def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, mode):
-    # two row parts at once are bitwise the same two parts run on one thread, added in
-    # part order, for both losses
+def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, forks, mode):
+    # two row parts at once, rows :k in a forked child, are bitwise the same two parts run in
+    # sequence on the caller, for both losses
     p = random_params(4, 16, seed=21)
     energy = IsingEnergy(ising_spec(2))
     cfg = IntegratorConfig(0.1, 5)
     pot = build_potential(p, None if mode is None else ising_group(2), mode or "sampled")
     rng = np.random.default_rng(21)
     data = rng.standard_normal((100, 4))
-    names, submit = [], flow._submit
-
-    def spy(fn, *args):
-        names.append(threading.current_thread().name)
-        return submit(fn, *args)
-
+    forking = flow._Child
     for B in (32, 33, 64, 100):
         results = []
-        for runner in (spy, run_inline):
-            monkeypatch.setattr(flow, "_submit", runner)
+        for child in (forking, flow._Inline):
+            monkeypatch.setattr(flow, "_Child", child)
             results.append([nll_loss(pot, data[:B], cfg, rng=np.random.default_rng(B)),
                             variational_loss(pot, energy, B, cfg, np.random.default_rng(B))])
         for two, one in zip(*results):
             assert two.value == one.value and np.array_equal(two.per_sample, one.per_sample)
             assert np.array_equal(two.grad.to_vector(), one.grad.to_vector())
-    assert len(names) == 4 * 2 * 2      # a forward and a reverse task per loss call
-    assert any(t.name.startswith("maflow-part") for t in threading.enumerate())
+    assert len(forks) == 4 * 2      # one child per loss call
 
 
-def test_concurrent_reverse_passes_share_the_worker():
-    # four nll_loss callers, each splitting its batch with the one worker, under a
-    # 1 us switch interval, give the serial results bit for bit
+def test_concurrent_reverse_passes_share_the_worker(forks_by_rule):
+    # four nll_loss callers, under a 1 us switch interval, give the serial results bit for
+    # bit; while they run, the process runs more than one thread, so none of them forks, and
+    # each runs its two row parts in sequence
     p = random_params(5, 32, seed=24)
     cfg = IntegratorConfig(0.1, 6)
     rng = np.random.default_rng(24)
     Xs = [rng.standard_normal((64, 5)) for _ in range(4)]
     want = [nll_loss(p, X, cfg) for X in Xs]
+    forked = len(forks_by_rule)
     got = [None] * len(Xs)
 
     def run(j):
@@ -342,18 +330,18 @@ def test_concurrent_reverse_passes_share_the_worker():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert len(forks_by_rule) == forked
     for w, g in zip(want, got):
         assert g.value == w.value and np.array_equal(g.grad.to_vector(), w.grad.to_vector())
 
 
-@pytest.mark.parametrize("below,counts", [(1, "[0, 0, 0]"), (0, "[1, 1, 1]")],
-                         ids=["31-rows", "32-rows"])
-def test_worker_thread_started_once_by_the_first_batch_of_32_rows(below, counts):
-    # counts after sample, after log_prob and after two nll_loss calls: a batch of 32
-    # rows starts the one worker in its first forward pass, and nothing adds another
+@pytest.mark.parametrize("below", [1, 0], ids=["31-rows", "32-rows"])
+def test_no_thread_is_started_and_concurrent_futures_is_not_imported(below):
+    # thread counts after sample, after log_prob and after two nll_loss calls: a batch of 32
+    # rows runs as two row parts, and nothing starts a thread
     code = f"""
+import sys
 import threading
-n0 = threading.active_count()
 import numpy as np
 import maflow
 from maflow import IntegratorConfig, build_potential, init_params, log_prob, nll_loss, sample
@@ -362,20 +350,20 @@ rng = np.random.default_rng(0)
 pot = build_potential(init_params(3, 8, rng))
 cfg = IntegratorConfig(0.1, 2)
 X = sample(pot, B, cfg, rng).X
-counts = [threading.active_count() - n0]
+counts = [threading.active_count()]
 log_prob(pot, X, cfg)
-counts.append(threading.active_count() - n0)
+counts.append(threading.active_count())
 for _ in range(2):
     nll_loss(pot, X, cfg)
-counts.append(threading.active_count() - n0)
-print(counts)
+counts.append(threading.active_count())
+print(counts, "concurrent.futures" in sys.modules)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == counts
+    assert out.stdout.strip() == "[1, 1, 1] False"
 
 
 class RecordingPotential:
@@ -466,9 +454,10 @@ def test_loss_and_grad_peak_stays_below_the_activation_caches():
 
 
 def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
-    # an (h, n) array outweighs the tape here.  Once both parts are reversed, each part's
-    # sum holds its dW and a scratch buffer of a few rows; adding them allocates no other
-    # (h, n) array, and the gradient returned is one of the parts' own
+    # an (h, n) array outweighs the tape here.  Once both parts are reversed, the caller holds
+    # its part's sum, whose dW comes with a scratch buffer of a few rows, and the child's sum,
+    # received whole; adding them allocates no other (h, n) array, and the gradient returned
+    # is the caller's part's own
     B, n, h = 32, 256, 1024
     p = random_params(n, h, seed=25, amp=1.0)
     X = np.random.default_rng(25).standard_normal((B, n))
@@ -477,8 +466,8 @@ def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
     assert B * (5 * n + 5) * 8 < big
     in_parts, marks = flow._in_parts, []
 
-    def marking(fn, parts):
-        out = in_parts(fn, parts)
+    def marking(child, own):
+        out = in_parts(child, own)
         if tracemalloc.is_tracing():
             marks.append((tracemalloc.get_traced_memory()[0], tracemalloc.take_snapshot()))
             tracemalloc.reset_peak()

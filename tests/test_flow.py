@@ -1,14 +1,20 @@
 """Integrator correctness: trivial flows, the exact Gaussian solution,
 reversibility, and sample/log_prob consistency."""
 
+import errno
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from maflow import (FlowState, GaussianFlowSolution, IntegratorConfig, MLPPotential,
                     NumericError, PotentialParams, QuadraticPotential, gaussian_base,
-                    gaussian_log_density, init_params, integrate, log_prob, nll_loss, sample)
+                    gaussian_log_density, init_params, integrate, log_prob, nll_loss, sample,
+                    variational_loss)
 
 
 def strong_params(n=4, h=32, amp=18.0):
@@ -225,27 +231,253 @@ def test_both_paths_name_the_lowest_row_with_a_bad_position_or_log_density(run):
 
 class NanCotangentAt(QuadraticPotential):
     """A quadratic field whose vjp gives a NaN cotangent at one reverse step of each row part,
-    told apart by the sign of the part's rows."""
+    told apart by the sign of the part's rows; ``calls``, in shared memory, counts each part's
+    vjp calls, part 0's in the forked child too."""
 
-    def __init__(self, steps, bad_step):
+    def __init__(self, steps, bad_step, calls):
         super().__init__(0.2, 2)
-        self.steps, self.bad_step, self.calls = steps, bad_step, {True: 0, False: 0}
+        self.steps, self.bad_step, self.calls = steps, bad_step, calls
 
     def vjp(self, X, w_grad, w_lap, ctx=None):
-        part = bool(X[0, 0] > 0)
+        part = int(X[0, 0] < 0)
         step = self.steps - 1 - self.calls[part] // 4     # the reverse pass runs steps downward
         self.calls[part] += 1
         pg, xcot = super().vjp(X, w_grad, w_lap, ctx)
         return pg, xcot * np.nan if step == self.bad_step[part] else xcot
 
 
-def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first():
+def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first(forks, shared_zeros):
     X = np.ones((64, 2))
     X[32:] = -1.0           # part 1, on the caller, fails at step 3, which the pass reaches first
-    pot = NanCotangentAt(5, {True: 1, False: 3})
+    pot = NanCotangentAt(5, (1, 3), shared_zeros(2))
     with pytest.raises(NumericError, match=r"reverse pass at step 3$"):
         nll_loss(pot, X, IntegratorConfig(0.1, 5))
-    assert pot.calls == {True: 4 * 4, False: 2 * 4}     # both parts ran to their own failure
+    assert pot.calls.tolist() == [4 * 4, 2 * 4]     # both parts ran to their own failure
+
+
+class InPart(QuadraticPotential):
+    """A still field whose ``hook``, grad_lap or vjp, runs ``act()`` first in row part ``part``:
+    0 in the child forked for rows :k, 1 on the caller."""
+
+    def __init__(self, hook, part, act):
+        super().__init__(0.0, 2)
+        self.hook, self.part, self.act, self.caller = hook, part, act, os.getpid()
+
+    def _maybe_act(self):
+        if int(os.getpid() == self.caller) == self.part:
+            self.act()
+
+    def grad_lap(self, X, ctx=None):
+        if self.hook == "grad_lap":
+            self._maybe_act()
+        return super().grad_lap(X, ctx)
+
+    def vjp(self, X, w_grad, w_lap, ctx=None):
+        if self.hook == "vjp":
+            self._maybe_act()
+        return super().vjp(X, w_grad, w_lap, ctx)
+
+
+class ZeroEnergy:
+    """A target of zero energy in two dimensions."""
+
+    n_dim = 2
+
+    def energy(self, X):
+        return np.zeros(len(X))
+
+    def grad(self, X):
+        return np.zeros_like(X)
+
+
+class EnergyWithFailingGrad(ZeroEnergy):
+    """A zero energy whose gradient raises, between the forward and the reverse pass."""
+
+    def grad(self, X):
+        raise KeyError("energy.grad")
+
+
+class NotPicklable(Exception):
+    """An exception that pickles but does not unpickle: its constructor needs two arguments."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def raise_not_picklable():
+    raise NotPicklable("in the child", "detail")
+
+
+def child_exit_7():
+    os._exit(7)
+
+
+def raise_interrupt():
+    raise KeyboardInterrupt
+
+
+def blow_up(row):
+    X = np.ones((64, 2))
+    X[row] = 1e300
+    return X
+
+
+# (call, the error it must raise, or None) at B = 64: every call forks a child for rows :32
+CFG = IntegratorConfig(0.1, 3)
+NO_CHILD_LEFT_CASES = {
+    "sample": (lambda: sample(QuadraticPotential(0.1, 2), 64, CFG, np.random.default_rng(0)),
+               None),
+    "log_prob": (lambda: log_prob(QuadraticPotential(0.1, 2), np.ones((64, 2)), CFG), None),
+    "nll_loss": (lambda: nll_loss(MLPPotential(init_params(2, 8, np.random.default_rng(0))),
+                                  np.ones((64, 2)), CFG), None),
+    "variational_loss": (lambda: variational_loss(
+        MLPPotential(init_params(2, 8, np.random.default_rng(0))), ZeroEnergy(), 64, CFG,
+        np.random.default_rng(0)), None),
+    "numeric-error-in-part-0": (lambda: log_prob(QuadraticPotential(-1.0, 2), blow_up(0),
+                                                 IntegratorConfig(10.0, 400)),
+                                (NumericError, r"batch row 0$")),
+    "numeric-error-in-part-1": (lambda: log_prob(QuadraticPotential(-1.0, 2), blow_up(40),
+                                                 IntegratorConfig(10.0, 400)),
+                                (NumericError, r"batch row 40$")),
+    "energy-grad-raises": (lambda: variational_loss(
+        MLPPotential(init_params(2, 8, np.random.default_rng(0))), EnergyWithFailingGrad(), 64,
+        CFG, np.random.default_rng(0)), (KeyError, "energy.grad")),
+    "child-exits-7": (lambda: nll_loss(InPart("vjp", 0, child_exit_7), np.ones((64, 2)), CFG),
+                      (RuntimeError, "child process ended with exit status 7 ")),
+    "child-error-not-picklable": (lambda: log_prob(InPart("grad_lap", 0, raise_not_picklable),
+                                                   np.ones((64, 2)), CFG),
+                                  (RuntimeError, r"cannot be pickled:\n(.|\n)*"
+                                                 r"raise_not_picklable(.|\n)*in the child")),
+    "keyboard-interrupt-on-the-caller": (
+        lambda: nll_loss(InPart("vjp", 1, raise_interrupt), np.ones((64, 2)), CFG),
+        (KeyboardInterrupt, None)),
+}
+
+
+@pytest.mark.parametrize("case", NO_CHILD_LEFT_CASES)
+def test_no_process_outlives_a_call(forks, case):
+    call, error = NO_CHILD_LEFT_CASES[case]
+    if error is None:
+        call()
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            call()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_one_blas_thread(code):
+    """The stdout of ``code`` in a new interpreter with one BLAS thread, so that the process
+    runs one thread and a two-part call forks."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+COUNT_FORKS = """
+import numpy as np
+from maflow import flow
+forks, child = [], flow._Child
+flow._Child = lambda program: forks.append(program) or child(program)
+"""
+
+
+def test_the_child_never_runs_the_callers_exit_path():
+    # a buffered print and an atexit handler, made before a call that forks, each show once
+    code = COUNT_FORKS + """
+import atexit
+from maflow import IntegratorConfig, init_params, nll_loss
+print("printed before the call")
+atexit.register(print, "atexit handler")
+nll_loss(init_params(3, 8, np.random.default_rng(0)), np.ones((64, 3)), IntegratorConfig(0.1, 2))
+print(len(forks), "fork")
+"""
+    assert run_one_blas_thread(code) == "printed before the call\n1 fork\natexit handler\n"
+
+
+def test_a_child_is_forked_only_while_the_process_runs_one_thread():
+    # the same loss alone and beside an idle second thread: a fork only alone, equal bits
+    code = COUNT_FORKS + """
+import threading
+from maflow import IntegratorConfig, init_params, nll_loss
+rng = np.random.default_rng(0)
+p, X, cfg = init_params(3, 8, rng), rng.standard_normal((64, 3)), IntegratorConfig(0.1, 2)
+alone = flow._one_thread(), nll_loss(p, X, cfg), len(forks)
+stop = threading.Event()
+other = threading.Thread(target=stop.wait)
+other.start()
+beside = flow._one_thread(), nll_loss(p, X, cfg), len(forks)
+stop.set()
+other.join()
+print(alone[0], alone[2], beside[0], beside[2], alone[1].value == beside[1].value
+      and np.array_equal(alone[1].grad.to_vector(), beside[1].grad.to_vector()))
+"""
+    assert run_one_blas_thread(code) == "True 1 False 1 True\n"
+
+
+def test_a_one_part_caller_on_another_thread_makes_two_part_calls_fork_nothing(forks_by_rule):
+    # at the default BLAS thread count, a thread integrates a batch as one part, with products
+    # large enough for OpenBLAS's pool, while the caller makes two-part loss calls: nothing
+    # forks, nothing hangs, and the losses have their serial bits
+    rng = np.random.default_rng(41)
+    wide = MLPPotential(init_params(256, 256, rng))
+    X_wide = rng.standard_normal((64, 256))
+    pot = MLPPotential(init_params(3, 8, rng))
+    X = rng.standard_normal((64, 3))
+    cfg = IntegratorConfig(0.1, 2)
+    want = nll_loss(pot, X, cfg)
+    forked = len(forks_by_rule)
+    stop = threading.Event()
+
+    def one_part():
+        while not stop.is_set():
+            integrate(wide, FlowState(X_wide, np.zeros(64), 0.0), cfg)
+
+    other = threading.Thread(target=one_part, daemon=True)
+    other.start()
+    try:
+        got = [nll_loss(pot, X, cfg) for _ in range(3)]
+    finally:
+        stop.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert len(forks_by_rule) == forked
+    for g in got:
+        assert g.value == want.value and np.array_equal(g.grad.to_vector(), want.grad.to_vector())
+
+
+@pytest.mark.parametrize("how", ["fork-fails", "no-fork"])
+def test_without_a_child_the_two_parts_run_in_sequence_with_its_bits(monkeypatch, forks, how):
+    pot = MLPPotential(init_params(2, 8, np.random.default_rng(42)))
+    X = np.random.default_rng(42).standard_normal((64, 2))
+    cfg = IntegratorConfig(0.1, 3)
+
+    def losses():
+        return [nll_loss(pot, X, cfg),
+                variational_loss(pot, ZeroEnergy(), 64, cfg, np.random.default_rng(42))]
+
+    want = losses()
+    assert len(forks) == 2
+    fds = len(os.listdir("/proc/self/fd"))
+    if how == "fork-fails":
+        def refuse():
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
+    got = losses()
+    assert len(forks) == (4 if how == "fork-fails" else 2)
+    assert len(os.listdir("/proc/self/fd")) == fds      # no pipe left open
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for g, w in zip(got, want):
+        assert g.value == w.value and np.array_equal(g.per_sample, w.per_sample)
+        assert np.array_equal(g.grad.to_vector(), w.grad.to_vector())
 
 
 def test_dimension_mismatch():

@@ -1,6 +1,7 @@
 """Potential evaluation against finite-difference oracles and trivial cases."""
 
 import hashlib
+import os
 import sys
 import threading
 import tracemalloc
@@ -346,7 +347,6 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
             total = pg if total is None else total.add(pg)
         return total
 
-    total = fold_on(summed)
     ref = np.zeros(p.size)
     for pot, X, WG, WL in calls:
         if pot is eng:
@@ -355,10 +355,11 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
         k = len(sym.group)
         for m in range(k):
             ref += eng.vjp(sym.group.act(m, X), sym.group.act(m, WG), WL)[0].to_vector() / k
-    vec = fold_on(total.to_vector)
+    vec = fold_on(lambda: summed().to_vector())
     assert np.abs(vec - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.array_equal(vec, summed().to_vector())
-    assert total.to_vector() is vec
+    total = summed()
+    assert np.array_equal(vec, total.to_vector())
+    assert total.to_vector() is total.to_vector()
     X, WG, WL = calls[0][1:]
     with pytest.raises(ValueError, match="materialized"):
         total.add(eng.vjp(X, WG, WL)[0])
@@ -367,8 +368,28 @@ def test_sum_of_param_grads_matches_sum_of_single_vectors(fold_on):
         eng.vjp(X, WG, WL)[0].add(other)
 
 
+def test_a_sum_from_dense_is_bitwise_the_sum_added():
+    # add_dense of a sum's dense() is that sum's add, in either order, bit for bit
+    n, h = 6, 24
+    eng = MLPPotential(random_params(n, h, seed=26))
+    rng = np.random.default_rng(26)
+    parts = [[(rng.standard_normal((B, n)), rng.standard_normal((B, n)), rng.standard_normal(B))
+              for B in (3, 5)] for _ in range(2)]
+
+    def summed(part):
+        total = None
+        for X, WG, WL in part:
+            pg = eng.vjp(X, WG, WL)[0]
+            total = pg if total is None else total.add(pg)
+        return total
+
+    want = summed(parts[0]).add(summed(parts[1])).to_vector()
+    assert np.array_equal(summed(parts[0]).add_dense(*summed(parts[1]).dense()).to_vector(), want)
+    assert np.array_equal(summed(parts[1]).add_dense(*summed(parts[0]).dense()).to_vector(), want)
+
+
 def test_overflow_in_a_product_follows_the_callers_settings(fold_on):
-    # finite factors whose product L^T R overflows, folded on the caller or on the worker,
+    # finite factors whose product L^T R overflows, folded on the caller or in a forked child,
     # which runs under the caller's np.geterr()
     p = random_params(2, 3, seed=25)
     L, R = np.full((4, 3), 1e200), np.full((4, 2), 1e200)
@@ -449,6 +470,24 @@ def test_grad_lap_holds_one_hidden_sized_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * B * h * 8
+
+
+def test_vjp_keeps_s_prime_in_the_rows_that_later_hold_a_s():
+    # at a 32-row ising8 part, s' lives in rows B: of L until a s is written there; the parent
+    # tree, with s' in an array of its own, peaked at 769,528 bytes
+    B, n, h = 32, 64, 512
+    p = random_params(n, h, seed=29)
+    rng = np.random.default_rng(29)
+    X, WG, WL = rng.standard_normal((B, n)), rng.standard_normal((B, n)), rng.standard_normal(B)
+    eng = MLPPotential(p)
+    eng.vjp(X, WG, WL)      # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        eng.vjp(X, WG, WL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 769_528 - B * h * 8
 
 
 def test_engine_vjp_builds_no_weight_sized_temporary():
@@ -544,7 +583,7 @@ def test_fingerprint_is_cached_and_tracks_the_weights():
 
 
 # ---------------------------------------------------------------------------
-# a batch in two row parts, one on the worker thread, at the mnist-shape width
+# a batch in two row parts, rows :k in a forked child, at the mnist-shape width
 
 N_MNIST, H_MNIST = 784, 1024
 
@@ -554,40 +593,44 @@ def wide_engine():
     return MLPPotential(random_params(N_MNIST, H_MNIST, seed=30))
 
 
-def spy_on_worker(monkeypatch):
-    """Record the function of each task handed to the worker; the tasks still run."""
-    tasks, submit = [], flow._submit
+class FirstStageInto:
+    """Forwards to ``inner``; the first grad_lap of each row part writes its rows of G and lap
+    into ``G`` and ``lap``, float64 views of memory shared with the forked child."""
 
-    def spy(fn, *args):
-        tasks.append(fn)
-        return submit(fn, *args)
+    def __init__(self, inner, k, G, lap):
+        self.inner, self.k, self.G, self.lap = inner, k, G, lap
+        self.caller, self.done = os.getpid(), False
 
-    monkeypatch.setattr(flow, "_submit", spy)
-    return tasks
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def grad_lap(self, X, ctx=None):
+        G, lap = self.inner.grad_lap(X, ctx)
+        if not self.done:       # the child's copy of the flag is its own
+            rows = slice(self.k, None) if os.getpid() == self.caller else slice(0, self.k)
+            self.G[rows], self.lap[rows], self.done = G, lap, True
+        return G, lap
 
 
 @pytest.mark.parametrize("B", [31, 32, 33, 99, 100, 128])
-def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, B):
+def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, forks, shared_zeros, B):
     # B >= 32 rows run as two row parts, and grad_lap itself never splits; each part's first
     # stage, evaluated by its own trajectory, has the one-part rows' bits
     X = np.random.default_rng(B).standard_normal((B, N_MNIST))
     G, lap = wide_engine.grad_lap(X)
-    _, tapes = flow._integrate_parts(wide_engine, FlowState(X, np.zeros(B)),
-                                     IntegratorConfig(0.1, 1), None, record=True)
     k = 16 * (B // 32)
-    assert [rows for rows, _ in tapes] == ([slice(0, k), slice(k, None)] if k else [slice(0, None)])
-    for rows, traj in tapes:
-        rec = traj.steps[0]
-        assert np.array_equal(rec.stage_grad[0], G[rows])
-        assert np.array_equal(rec.stage_lap[0], lap[rows])
+    seen = FirstStageInto(wide_engine, k, shared_zeros(B, N_MNIST).view(np.float64),
+                          shared_zeros(B).view(np.float64))
+    log_prob(seen, X, IntegratorConfig(0.1, 1))
+    assert len(forks) == (1 if k else 0)
+    assert np.array_equal(seen.G, G) and np.array_equal(seen.lap, lap)
 
 
-def test_worker_gets_no_part_below_32_rows_or_from_integrate(monkeypatch):
+def test_worker_gets_no_part_below_32_rows_or_from_integrate(forks):
     # two parts start at 32 rows; integrate, and sample with a callback, which must see whole
     # states, run one part
     pot = MLPPotential(random_params(3, 8, seed=34))
     cfg = IntegratorConfig(0.1, 2)
-    tasks = spy_on_worker(monkeypatch)
     X = np.random.default_rng(34).standard_normal((64, 3))
 
     def one_part_log_prob(X):
@@ -597,9 +640,9 @@ def test_worker_gets_no_part_below_32_rows_or_from_integrate(monkeypatch):
     log_prob(pot, X[:31], cfg)
     one_part_log_prob(X)
     sample(pot, 64, cfg, np.random.default_rng(35), callback=lambda k, state: None)
-    assert tasks == []
+    assert forks == []
     split = log_prob(pot, X[:32], cfg)
-    assert len(tasks) == 1
+    assert len(forks) == 1
     assert np.array_equal(split, one_part_log_prob(X[:32]))
 
 
@@ -620,11 +663,14 @@ def in_thread(fn):
     return out[0]
 
 
-class FailingOnWorker:
-    """Forwards to ``inner``; ``hook`` raises once on the worker thread, then forwards."""
+class FailingInTheChild:
+    """Forwards to ``inner``; ``hook`` raises in the forked child while ``failures[0]`` is
+    1, then clears it, and counts each part's calls in ``calls``.  Both live in shared
+    memory."""
 
-    def __init__(self, inner, hook):
-        self.inner, self.hook, self.threads = inner, hook, []
+    def __init__(self, inner, hook, failures, calls):
+        self.inner, self.hook, self.failures, self.calls = inner, hook, failures, calls
+        self.caller = os.getpid()
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
@@ -632,56 +678,60 @@ class FailingOnWorker:
             return attr
 
         def failing(*args, **kwargs):
-            self.threads.append(threading.current_thread().name)
-            if self.threads[-1].startswith("maflow-part") and self.hook is not None:
-                self.hook = None
+            part = int(os.getpid() == self.caller)
+            self.calls[part] += 1
+            if part == 0 and self.failures[0]:
+                self.failures[0] = 0
                 raise RuntimeError(f"{name} failed")
             return attr(*args, **kwargs)
         return failing
 
 
 @pytest.mark.parametrize("hook", ["grad_lap", "vjp"])
-def test_exception_in_the_worker_part_comes_out_of_the_call(hook):
+def test_exception_in_the_worker_part_comes_out_of_the_call(forks, shared_zeros, hook):
     pot = MLPPotential(random_params(3, 8, seed=31))
     X = np.random.default_rng(31).standard_normal((64, 3))
     cfg = IntegratorConfig(0.1, 2)
     want = nll_loss(pot, X, cfg)
-    failing = FailingOnWorker(pot, hook)
+    failures, calls = shared_zeros(1), shared_zeros(2)
+    failures[0] = 1
+    failing = FailingInTheChild(pot, hook, failures, calls)
     err = in_thread(lambda: nll_loss(failing, X, cfg))
     assert isinstance(err, RuntimeError) and str(err) == f"{hook} failed"
-    assert any(t.startswith("maflow-part") for t in failing.threads)
-    assert any(not t.startswith("maflow-part") for t in failing.threads)
-    # the worker survives a failed task
+    assert failures[0] == 0 and (calls > 0).all()
+    # the next call forks a new child, with nothing left of the failed one
     got = in_thread(lambda: nll_loss(failing, X, cfg))
     assert got.value == want.value
     assert np.array_equal(got.grad.to_vector(), want.grad.to_vector())
 
 
 class ErrorSettings:
-    """Forwards to ``inner`` and records ``np.geterr()`` and the thread of each grad_lap."""
+    """Forwards to ``inner``; counts each part's grad_lap calls in ``seen[part, 0]`` and those
+    run under floating-point settings other than ``want`` in ``seen[part, 1]``, in shared
+    memory."""
 
-    def __init__(self, inner):
-        self.inner, self.seen = inner, []
+    def __init__(self, inner, want, seen):
+        self.inner, self.want, self.seen, self.caller = inner, want, seen, os.getpid()
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def grad_lap(self, X, ctx=None):
-        self.seen.append((threading.current_thread().name, np.geterr()))
+        part = int(os.getpid() == self.caller)
+        self.seen[part] += (1, np.geterr() != self.want)
         return self.inner.grad_lap(X, ctx)
 
 
 @pytest.mark.parametrize("row", [0, 99], ids=["worker-part", "caller-part"])
-def test_floating_point_errors_follow_the_callers_settings_in_either_part(wide_engine, row):
+def test_floating_point_errors_follow_the_callers_settings_in_either_part(forks, wide_engine,
+                                                                         shared_zeros, row):
     X = np.random.default_rng(32).standard_normal((100, N_MNIST))
-    rec = ErrorSettings(wide_engine)
-    with np.errstate(divide="raise", under="warn"):
-        log_prob(rec, X, IntegratorConfig(0.1, 1))
-    threads = {name.startswith("maflow-part") for name, _ in rec.seen}
-    assert threads == {True, False}
     # the integrator ignores overflow and invalid values, and reports them by row below
     want = {"divide": "raise", "under": "warn", "over": "ignore", "invalid": "ignore"}
-    assert all(err == want for _, err in rec.seen)
+    rec = ErrorSettings(wide_engine, want, shared_zeros(2, 2))
+    with np.errstate(divide="raise", under="warn"):
+        log_prob(rec, X, IntegratorConfig(0.1, 1))
+    assert rec.seen.tolist() == [[4, 0], [4, 0]]
     X[row] = np.inf         # inf - inf inside X W^T
     with np.errstate(invalid="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -690,13 +740,17 @@ def test_floating_point_errors_follow_the_callers_settings_in_either_part(wide_e
 
 
 def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monkeypatch,
+                                                                           forks_by_rule,
                                                                            wide_engine):
-    tasks = spy_on_worker(monkeypatch)
+    # serial calls with their rows :48 in a forked child; concurrent ones, in a process of
+    # more than one thread, fork nothing and run their two parts in sequence, with equal bits
     cfg = IntegratorConfig(0.1, 2)
     rng = np.random.default_rng(33)
     Xs = [rng.standard_normal((100, N_MNIST)) for _ in range(4)]
-    want = [log_prob(wide_engine, X, cfg) for X in Xs]
-    assert len(tasks) == len(Xs)        # every call ran its rows :48 on the worker
+    with monkeypatch.context() as m:
+        m.setattr(flow, "_one_thread", lambda: True)
+        want = [log_prob(wide_engine, X, cfg) for X in Xs]
+    assert len(forks_by_rule) == len(Xs)
     got = [None] * len(Xs)
 
     def run(j):
@@ -713,5 +767,6 @@ def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monk
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert len(forks_by_rule) == len(Xs)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)

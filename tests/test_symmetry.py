@@ -1,5 +1,7 @@
 """Group tables, their action and symmetrized potentials."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from maflow import (ConfigError, IntegratorConfig, IsingEnergy, MLPPotential,
                     backprop, build_potential, eval_potential, gaussian_base, init_params,
                     integrate, ising_energy, ising_group, ising_spec, log_prob, replay, sample,
                     symmetrized_eval, variational_loss, z2_group)
-from maflow import flow
 from maflow.gradcheck import REL_TOL, compare_gradient
 
 
@@ -303,18 +304,35 @@ def test_symmetrized_tape_replay_and_stage_contexts(mode, resample):
         assert len({c[0] for c in recorded}) > 1
 
 
+class ContextLog:
+    """Forwards to ``inner``; writes the context of each grad_lap call, -1 for None, into its
+    row part's row of ``log``, in memory shared with the forked child."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log, self.caller, self.calls = inner, log, os.getpid(), 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def grad_lap(self, X, ctx=None):
+        self.log[int(os.getpid() == self.caller), self.calls] = -1 if ctx is None else ctx
+        self.calls += 1         # the child counts in its own copy
+        return self.inner.grad_lap(X, ctx)
+
+
 @pytest.mark.parametrize("mode,resample", TAPE_CASES)
-def test_both_parts_use_the_stage_contexts_of_one_part(mode, resample):
+def test_both_parts_use_the_stage_contexts_of_one_part(forks, shared_zeros, mode, resample):
     # drawn once, after the base noise, in the order one part draws them
     pot = build_potential(random_params(4, 8, seed=9), ising_group(2), mode, resample)
     cfg = IntegratorConfig(0.1, 6)
     one_rng, two_rng = np.random.default_rng(12), np.random.default_rng(12)
     state = gaussian_base(4, 40, one_rng)
     final, traj = integrate(pot, state, cfg, rng=one_rng, record=True)
-    joined, tapes = flow._forward(pot, 40, cfg, two_rng, record=True)
-    assert [rows for rows, _ in tapes] == [slice(0, 16), slice(16, None)]
-    for _, part in tapes:
-        assert [rec.stage_ctx for rec in part.steps] == [rec.stage_ctx for rec in traj.steps]
+    log = ContextLog(pot, shared_zeros(2, 4 * cfg.steps))
+    joined = sample(log, 40, cfg, two_rng)
+    assert len(forks) == 1
+    want = [-1 if c is None else c for rec in traj.steps for c in rec.stage_ctx]
+    assert log.log.tolist() == [want, want]
     assert one_rng.bit_generator.state == two_rng.bit_generator.state
     assert np.array_equal(joined.X, final.X) and np.array_equal(joined.L, final.L)
 
