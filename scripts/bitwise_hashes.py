@@ -15,10 +15,11 @@ by ``log_prob`` with a sampled L=4 evaluator; the ``perms`` and
 decides which element every sampled index picks; and ``log_prob`` and the
 ``nll_loss`` gradient at n=784, h=1024, B=100.  The toy, IDX, L=4 and
 n=784 cases have batches of at least 32 rows, so they run as two row
-parts, one in a forked child.  OpenBLAS threads the n=784 case's products, so its hash
-depends on the BLAS thread count.  The script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is
-imported unless the environment already sets it, so two runs compare
-by default; a run with another explicit count prints another last line.
+parts, one in the standing worker process.  OpenBLAS threads the n=784
+case's products, so its hash depends on the BLAS thread count.  The
+script sets ``OPENBLAS_NUM_THREADS=1`` before numpy is imported unless the
+environment already sets it, so two runs compare by default; a run with
+another explicit count prints another last line.
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ MUTANTS = (
      "np.isfinite(X).all(axis=1) & np.isfinite(L)",
      "np.isfinite(X).all(axis=1)"),
     ("each part draws its own stage contexts", "flow.py",
-     "_child_part(pot, state, config, contexts, record, slice(0, k))",
-     "_child_part(pot, state, config, _stage_contexts(pot, rng, config.steps), record, "
-     "slice(0, k))"),
+     "_part_runner((pot, top, config, contexts, record, slice(0, k)))",
+     "_part_runner((pot, top, config, _stage_contexts(pot, rng, config.steps), record, "
+     "slice(0, k)))"),
     ("part 1's rows reported from row 0", "flow.py",
      "batch row {rows.start + bad}",
      "batch row {bad}"),
@@ -72,15 +72,31 @@ MUTANTS = (
     ("the child's rows and the caller's rows swapped in the concatenation", "flow.py",
      "np.concatenate([X, own.X])",
      "np.concatenate([own.X, X])"),
-    ("a child forked while the process runs more than one thread", "flow.py",
+    ("a worker forked while the process runs more than one thread", "flow.py",
      'return len(os.listdir("/proc/self/task")) == 1',
      "return True"),
     ("a failed fork not run in sequence", "flow.py",
-     "            pass            # no process to spare: the parts run in sequence",
-     "            raise"),
-    ("the child not reaped", "flow.py",
+     "                pass            # no process to spare: the parts run in sequence",
+     "                raise"),
+    ("the worker not reaped when stopped", "flow.py",
      "            os.kill(self.pid, signal.SIGKILL)\n            os.waitpid(self.pid, 0)\n",
      "            os.kill(self.pid, signal.SIGKILL)\n"),
+    ("the worker reusing the previous job's evaluator", "flow.py",
+     "            settings, args = _JobUnpickler(io.BytesIO(stream), buffers, groups).load()\n",
+     "            settings, args = _JobUnpickler(io.BytesIO(stream), buffers, groups).load()\n"
+     "            args = (groups.setdefault(\"first\", args[0]),) + args[1:]\n"),
+    ("a failed call keeping the worker", "flow.py",
+     "    except BaseException:\n        _stop_worker()\n        raise\n    finally:",
+     "    except BaseException:\n        raise\n    finally:"),
+    ("no reap at exit", "flow.py",
+     "atexit.register(_stop_worker)",
+     "atexit.register(lambda: None)"),
+    ("the worker's handle not forgotten after a fork", "flow.py",
+     "os.register_at_fork(after_in_child=_forget_worker)",
+     "os.register_at_fork(after_in_child=lambda: None)"),
+    ("the caller's floating-point settings not sent", "flow.py",
+     "pickler.dump((np.geterr(), args))",
+     "pickler.dump(({}, args))"),
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
      "coef = 2.0 * p.a * self.t2",
      "coef = p.a * self.t2"),

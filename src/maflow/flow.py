@@ -41,28 +41,42 @@ one dense dW, in reverse step order and stages 4..1 inside each step; the
 
 Every row follows its own trajectory, so ``sample``, ``log_prob`` and the
 losses run a batch of 32 rows or more as two row parts at once: rows :k in
-a child process forked for the call, rows k: on the caller.  The child is
-forked only while the process runs one thread, as a fork needs; otherwise,
-or if the fork fails, the two parts run in sequence on the caller, with
-the same bits.  The child inherits its inputs by fork, so nothing is
-pickled in.  It integrates its rows and sends back their final positions
-and log-densities; when the call records, it keeps its own tape, waits for
-its rows' cotangents, which the caller computes on the whole batch,
-reverses its tape and sends back its dense gradient sum.  Then it ends,
-and the caller reaps it, whichever way the call ends.  The parts share the
-stage contexts, drawn once before the fork, and the child's gradient sum
+the process's standing worker, rows k: on the caller.  The worker is a
+child process forked at the first two-part call, only while the process
+runs one thread, as a fork needs; it lives as long as the process and runs
+one call's part at a time.  Each call sends it a job: the evaluator (an
+``MLPPotential`` pickles as its parameter vector, and a symmetry group's
+tables cross once per worker), its rows of the state, the config, the
+stage contexts, whether to record, and the caller's ``np.geterr()``.  The
+worker integrates its rows and sends back their final positions and
+log-densities; when the call records, it keeps its own tape, waits for its
+rows' cotangents, which the caller computes on the whole batch, reverses
+its tape and sends back its dense gradient sum.  The parts share the stage
+contexts, drawn once before the job is sent, and the worker's gradient sum
 is added to the caller's, so no result depends on which process ran a
-part.  ``integrate`` and ``backprop`` run one part, and so does ``sample``
-with a callback.
+part.  Where there is no worker and none can be forked, where another
+thread's call holds it, or where the job does not pickle or does not load
+in the worker, the two parts run in sequence on the caller, with the same
+bits.  A call that fails or is interrupted stops the worker, and the next
+call forks another; an ``atexit`` hook stops it when the interpreter ends,
+and a process forked later never uses it.  OpenBLAS's own threads count
+against the one-thread rule, so a library user gets the worker by setting
+``OPENBLAS_NUM_THREADS=1`` before numpy is imported, as the ``maflow``
+command does unless the variable is set.  ``integrate`` and ``backprop``
+run one part, and so does ``sample`` with a callback.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import io
 import itertools
 import math
 import os
 import pickle
 import signal
+import threading
 import traceback
 from dataclasses import dataclass, field, replace
 
@@ -70,6 +84,7 @@ import numpy as np
 
 from .errors import NumericError, StaleTapeError
 from .potential import as_potential
+from .symmetry import SymmetryGroup
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -367,24 +382,30 @@ def _checked(grad):
     return grad
 
 
-class _Child:
-    """A process forked for one call, which runs ``program``, a generator, on the memory it
-    inherits: each value the program yields goes to the caller, and the caller's ``send``
-    resumes it.  Nothing is pickled in but the caller's replies.
+class _Worker:
+    """The standing worker: a process forked once, which runs one job at a time.  A job is the
+    arguments of ``_child_part`` and the caller's ``np.geterr()``; the worker runs that program
+    under those settings: each value the program yields goes to the caller, and the caller's
+    ``send`` resumes it, until the caller's reply None ends the job.
 
-    ``recv`` gives (error, value).  An exception of the program comes back pickled, or, if it
-    does not come back from pickle, as a RuntimeError that carries its formatted traceback; a
-    child that ends without a message gives an error naming its exit status.  The child ends
-    with ``os._exit``, so it never runs the caller's exit path.  Leaving the ``with`` block
-    kills the child if it still runs and reaps it, however the block is left."""
+    ``start`` pickles a job with its arrays out of band (``_JobPickler``), so a job that does
+    not pickle sends nothing.  ``recv`` gives (error, value); the first is ``_NotLoaded`` if
+    the worker could not load the job, and the worker then waits for the next, holding no
+    symmetry group.  An exception of the program comes back pickled, or, if it does not come
+    back from pickle, as a RuntimeError that carries its formatted traceback; a worker that
+    ends without a message gives an error naming its exit status.  The worker ignores SIGINT
+    and ends with ``os._exit`` at the end of its input, so it never runs the caller's exit
+    path; ``stop`` kills and reaps it."""
 
-    def __init__(self, program):
+    def __init__(self):
         fds = []
         try:
             down = os.pipe()
             fds += down
             up = os.pipe()
             fds += up
+            for fd in (down[1], up[1]):
+                _widen(fd)
             self.pid = os.fork()
         except OSError:
             for fd in fds:
@@ -393,37 +414,46 @@ class _Child:
         if not self.pid:
             status = 1
             try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(down[1])
                 os.close(up[0])
                 with open(down[0], "rb") as inbox, open(up[1], "wb") as outbox:
-                    _serve(program, inbox, outbox)
+                    _work(inbox, outbox)
                 status = 0
             finally:
                 os._exit(status)
         os.close(down[0])
         os.close(up[1])
-        self._inbox, self._outbox = open(up[0], "rb"), open(down[1], "wb")
+        # the file objects leave the descriptors open, so that a process forked later can close
+        # them without flushing anything (``_forget_worker``)
+        self.fds = down[1], up[0]
+        self._outbox = open(down[1], "wb", closefd=False)
+        self._inbox = open(up[0], "rb", closefd=False)
+        self._sent = set()      # keys of the symmetry groups whose tables the worker holds
 
-    def __enter__(self):
-        return self
+    def start(self, args):
+        """Send the job of ``_child_part(*args)``; False, with nothing sent, if it does not
+        pickle."""
+        stream, buffers = io.BytesIO(), []
+        pickler = _JobPickler(stream, self._sent, buffers.append)
+        try:
+            pickler.dump((np.geterr(), args))
+        except Exception:       # whatever the evaluator's pickling raises: the caller runs it
+            return False
+        self._sent = pickler.sent
+        views = [b.raw() for b in buffers]
+        self.send((stream.getvalue(), [v.nbytes for v in views]), *views)
+        return True
 
-    def __exit__(self, *exc_info):
-        for pipe in (self._outbox, self._inbox):
-            try:
-                pipe.close()
-            except OSError:
-                pass        # a reply that the ended child never read
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-
-    def send(self, reply):
+    def send(self, reply, *raw):
+        """``reply`` pickled, then the bytes of each of ``raw``."""
         try:
             pickle.dump(reply, self._outbox, pickle.HIGHEST_PROTOCOL)
+            for data in raw:
+                self._outbox.write(data)
             self._outbox.flush()
         except BrokenPipeError:
-            pass            # the child has ended: recv says how
+            pass            # the worker has ended: recv says how
 
     def recv(self):
         try:
@@ -434,21 +464,112 @@ class _Child:
             return RuntimeError(f"a row part's child process ended with exit status {status} "
                                 f"and sent no result"), None
 
+    def stop(self):
+        """Close the pipes, and kill and reap the worker if it has not ended."""
+        for pipe in (self._outbox, self._inbox):
+            try:
+                pipe.close()
+            except OSError:
+                pass        # a reply that the ended worker never read
+        for fd in self.fds:
+            os.close(fd)
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+def _widen(pipe):
+    """Let a pipe hold 1 MB where Linux allows it, the most an unprivileged process may ask by
+    default.  A job at n = 64, h = 512 (270 kB of parameters) and its gradient sum then cross
+    at once, where at 64 kB the writer waited for the reader to wake up, several times a call."""
+    try:
+        import fcntl
+        fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (ImportError, AttributeError, OSError):
+        pass            # the pipe keeps its size
+
+
+class _JobPickler(pickle.Pickler):
+    """The pickler of a job: arrays go out of band to ``buffer_callback``, and a symmetry group
+    goes as its key, with its tables only the first time; ``sent`` is the set of keys sent
+    before, and holds this job's too once it has pickled."""
+
+    def __init__(self, file, sent, buffer_callback):
+        super().__init__(file, 5, buffer_callback=buffer_callback)
+        self.sent = set(sent)
+
+    def persistent_id(self, obj):
+        if not isinstance(obj, SymmetryGroup):
+            return None
+        key = obj.key()
+        if key in self.sent:
+            return key, None
+        self.sent.add(key)
+        return key, obj.__reduce__()
+
+
+class _JobUnpickler(pickle.Unpickler):
+    """The worker's unpickler of a job; ``groups`` holds, by key, every group it has received."""
+
+    def __init__(self, file, buffers, groups):
+        super().__init__(file, buffers=buffers)
+        self.groups = groups
+
+    def persistent_load(self, pid):
+        key, reduced = pid
+        if reduced is not None:
+            make, args = reduced
+            self.groups[key] = make(*args)
+        return self.groups[key]
+
+
+class _NotLoaded(Exception):
+    """The worker could not load a job, as where its evaluator's class was defined after the
+    fork; the caller runs the part itself."""
+
+
+def _work(inbox, outbox):
+    """The worker's loop: each job loaded and its program served under the caller's
+    floating-point settings, until the end of the input."""
+    groups = {}
+    while True:
+        try:
+            stream, sizes = pickle.load(inbox)
+        except EOFError:
+            return
+        buffers = [bytearray(n) for n in sizes]
+        for buffer in buffers:
+            if inbox.readinto(buffer) < len(buffer):
+                return
+        try:
+            settings, args = _JobUnpickler(io.BytesIO(stream), buffers, groups).load()
+        except Exception as error:      # whatever loading the evaluator raises
+            groups.clear()
+            outbox.write(_pickled_error(_NotLoaded(repr(error))))
+            outbox.flush()
+            continue
+        with np.errstate(**settings):
+            _serve(_child_part(*args), inbox, outbox)
+
 
 def _serve(program, inbox, outbox):
-    """The child's side of ``_Child``: ``program``'s values out, the caller's replies in."""
+    """One job's program in the worker: its values out, the caller's replies in, until the reply
+    None or an exception of the program ends it."""
     reply = None
     while True:
         try:
             message = None, program.send(reply)
-        except StopIteration:
-            return
         except BaseException as error:
             outbox.write(_pickled_error(error))
+            outbox.flush()
             return
         pickle.dump(message, outbox, pickle.HIGHEST_PROTOCOL)
         outbox.flush()
         reply = pickle.load(inbox)
+        if reply is None:
+            program.close()
+            return
 
 
 def _pickled_error(error):
@@ -465,8 +586,8 @@ def _pickled_error(error):
 
 
 class _Inline:
-    """``_Child``'s stand-in where no child is forked: the program runs on the caller, to its
-    next value at each ``recv``, so the two parts run one after the other, with the same bits."""
+    """The worker's stand-in where it takes no job: the program runs on the caller, to its next
+    value at each ``recv``, so the two parts run one after the other, with the same bits."""
 
     def __init__(self, program):
         self._program, self._reply = program, None
@@ -498,15 +619,103 @@ def _one_thread():
         return False
 
 
-def _part_runner(program):
-    """A ``_Child`` forked to run ``program`` if the process runs one thread and a fork
-    succeeds, else an ``_Inline`` that runs it on the caller."""
-    if hasattr(os, "fork") and _one_thread():
-        try:
-            return _Child(program)
-        except OSError:
-            pass            # no process to spare: the parts run in sequence
-    return _Inline(program)
+_worker = None                      # this process's standing _Worker, once forked
+_worker_free = threading.Lock()     # held by the call whose job the worker runs
+
+
+def _stop_worker():
+    """Stop the standing worker, if there is one; the next two-part call forks another."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.stop()
+
+
+def _forget_worker():
+    """In a process forked from one with a worker: close the inherited pipes, so that the worker
+    sees the end of its input when its own caller ends, and never use them."""
+    global _worker, _worker_free
+    if _worker is not None:
+        for fd in _worker.fds:
+            os.close(fd)
+    _worker, _worker_free = None, threading.Lock()
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _take_worker(args):
+    """The standing worker, with the job of ``_child_part(*args)`` sent and ``_worker_free``
+    held; or None.  It is forked first if the process has none and runs one thread.  None if
+    another call holds it, if it cannot be forked, or if the job does not pickle."""
+    global _worker
+    if not _worker_free.acquire(blocking=False):
+        return None
+    try:
+        if _worker is None and hasattr(os, "fork") and _one_thread():
+            try:
+                _worker = _Worker()
+            except OSError:
+                pass            # no process to spare: the parts run in sequence
+        if _worker is not None and _worker.start(args):
+            return _worker
+    except BaseException:
+        _stop_worker()
+        _worker_free.release()
+        raise
+    _worker_free.release()
+    return None
+
+
+class _Job(_Inline):
+    """A call's job in the standing worker, which ``recv`` and ``send`` reach; if the worker
+    could not load it, the program runs on the caller from the first ``recv``, as in
+    ``_Inline``, and the next job sends its groups' tables again."""
+
+    def __init__(self, worker, program):
+        super().__init__(program)
+        self.worker = worker
+
+    def send(self, reply):
+        if self.worker is None:
+            super().send(reply)
+        else:
+            self.worker.send(reply)
+
+    def recv(self):
+        if self.worker is not None:
+            error, value = self.worker.recv()
+            if not isinstance(error, _NotLoaded):
+                return error, value
+            self.worker._sent.clear()
+            self.worker = None
+        return super().recv()
+
+
+@contextlib.contextmanager
+def _part_runner(args):
+    """The runner of ``_child_part(*args)`` for one call: a ``_Job`` in the standing worker
+    (``_take_worker``), or an ``_Inline``.  A call that leaves with an exception or an
+    interrupt stops the worker; one that ends well ends the job, and the worker waits for the
+    next."""
+    program = _child_part(*args)
+    worker = _take_worker(args)
+    if worker is None:
+        with _Inline(program) as inline:
+            yield inline
+        return
+    try:
+        with _Job(worker, program) as job:
+            yield job
+            if job.worker is not None:
+                worker.send(None)
+    except BaseException:
+        _stop_worker()
+        raise
+    finally:
+        _worker_free.release()
 
 
 def _in_parts(child, own):
@@ -528,7 +737,7 @@ def _in_parts(child, own):
 
 
 def _child_part(pot, state, config, contexts, record, rows):
-    """The program of the child's rows (see ``_Child``): their final (X, L); then, when the call
+    """The program of the child's rows (see ``_Worker``): their final (X, L); then, when the call
     records, given their cotangents, their gradient's ``dense()`` sum, or None."""
     final, traj = _integrate(pot, state, config, contexts, record, rows=rows)
     d_x, d_l = yield final.X, final.L
@@ -536,7 +745,7 @@ def _child_part(pot, state, config, contexts, record, rows):
     yield None if grad is None else grad.dense()
 
 
-# Rows :k of a batch of B run in a child forked for the call and rows k: on the caller,
+# Rows :k of a batch of B run in the standing worker and rows k: on the caller,
 # k = 16 floor(B / 32); one part holds every row if k = 0 or sample's callback must see whole
 # states.  OpenBLAS picks kernels by size, so a row's bits may depend on how many rows share
 # its products; this k keeps every forward result bitwise the one-part one at n = 784,
@@ -545,18 +754,22 @@ def _child_part(pot, state, config, contexts, record, rows):
 # microseconds, and two threads hand the interpreter lock back and forth at each one.  A
 # 32-row part there, forward and reverse, ran 0.99-1.49x faster than two in sequence on a
 # second thread, and 1.29-1.94x in a forked child (8 rounds, one BLAS thread, 2 vCPUs); at
-# n = 784, h = 1024 the calls are long and threads scaled too.  A fork is safe only while the
-# process runs one thread, so the child is forked only then, which also means one BLAS
-# thread; otherwise, or if the fork fails, the two parts run in sequence on the caller, with
-# the same bits.  At two BLAS threads on 2 vCPUs a child only added a second BLAS pool (an
-# n = 64, h = 512 loss took 0.90-4.65 s), and parts in sequence beat parts on two threads:
-# 0.24-0.28 s against 0.41-0.50 s there, 1.23-1.32 s against 2.75-2.77 s at n = 784,
-# h = 1024.  On a host whose second vCPU is busy, any split is a loss: the parts then take
-# turns on one core.
+# n = 784, h = 1024 the calls are long and threads scaled too.  One standing worker, not a
+# child forked per call: at n = 64, h = 512 a fork, its copy-on-write faults and the reap cost
+# a 64-row sample 3.7 ms of about 55, and the caller took about 2,800 faults per loss and
+# sample, and 15,900 per n = 784 nll_loss.  The job pickles the parameter vector, not the
+# evaluator's caches, with every array out of band, so the caller makes no copy of it.  A fork
+# is safe only while the process runs one thread, so the worker is forked only then, which
+# also means one BLAS thread; otherwise, or if the fork fails, the two parts run in sequence
+# on the caller, with the same bits.  At two BLAS threads on 2 vCPUs a second process only
+# added a second BLAS pool (an n = 64, h = 512 loss took 0.90-4.65 s), and parts in sequence
+# beat parts on two threads: 0.24-0.28 s against 0.41-0.50 s there, 1.23-1.32 s against
+# 2.75-2.77 s at n = 784, h = 1024.  On a host whose second vCPU is busy, any split is a loss:
+# the parts then take turns on one core.
 def _run_parts(pot, state, config, rng, callback=None, cotangents=None):
     """``integrate`` of the batch in its row parts, recorded and reversed if ``cotangents``,
     ``cotangents(final)`` giving the whole batch's (d_x, d_l): (final state, checked ParamGrad
-    or None).  The child's gradient sum is added to the caller's, as part 1's to part 0's."""
+    or None).  The worker's gradient sum is added to the caller's, as part 1's to part 0's."""
     k = 0 if callback is not None else 16 * (state.batch_size // 32)
     record = cotangents is not None
     contexts = _stage_contexts(pot, rng, config.steps)  # drawn once, as one part draws them
@@ -564,8 +777,8 @@ def _run_parts(pot, state, config, rng, callback=None, cotangents=None):
         final, traj = _integrate(pot, state, config, contexts, record, callback)
         grad = _reverse(traj, pot, *cotangents(final))[0] if record else None
         return final, _checked(grad)
-    program = _child_part(pot, state, config, contexts, record, slice(0, k))
-    with _part_runner(program) as child:
+    top = FlowState(state.X[:k], state.L[:k], state.t)
+    with _part_runner((pot, top, config, contexts, record, slice(0, k))) as child:
         (X, L), (own, traj) = _in_parts(child, lambda: _integrate(
             pot, state, config, contexts, record, rows=slice(k, None)))
         final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
@@ -647,11 +860,17 @@ def nll_loss(potential, X_data, config, rng=None, want_grad=True):
 def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
     """Sampled free-energy bound: mean of [model log-density + target energy].
 
-    Always at least -ln Z of the target.  ``sample``'s forward integration,
-    recorded when ``want_grad``; ``per_sample`` is ``sample(...).L`` plus the
-    energy, bit for bit, under the same ``rng``.  The gradient is the
-    pathwise (reparametrized) estimator: base noise is held fixed and the
-    sampling map is differentiated through the tape.
+    Its expectation is at least -ln Z of the target for the exact
+    log-density of the discrete RK4 map that draws the samples.  The
+    log-density here is the RK4 integral of -lap phi instead, so the bound
+    is not guaranteed: after training at L = 2 with one step of 1.0, it
+    read 0.14 nats below the bound of the exact density.
+
+    ``sample``'s forward integration, recorded when ``want_grad``;
+    ``per_sample`` is ``sample(...).L`` plus the energy, bit for bit, under
+    the same ``rng``.  The gradient is the pathwise (reparametrized)
+    estimator: base noise is held fixed and the sampling map is
+    differentiated through the tape.
     """
     pot = as_potential(potential)
     if energy.n_dim != pot.n_dim:

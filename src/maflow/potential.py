@@ -38,7 +38,9 @@ instead of building one per RK4 stage.
 
 Every kernel here runs whole on the thread that calls it.  The one place
 that uses a second core is ``flow``, which runs a batch's row parts as
-separate trajectories, one in a forked child process.
+separate trajectories, one in a standing worker process.  ``MLPPotential``
+and ``PotentialParams`` pickle as the parameter vector alone, so a job sent
+to the worker carries no cache.
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ class PotentialParams:
                     raise ValueError(f"non-finite entry in {name} at flat index {k}")
                 k -= part.size
         return self
+
+    def __reduce__(self):
+        # pickled as the vector alone, validated and made read-only again where it unpickles
+        return PotentialParams.wrap, (self._vec, self.n_dim, self.n_hidden)
 
     def copy(self):
         return PotentialParams.wrap(self._vec.copy(), self.n_dim, self.n_hidden)
@@ -270,6 +276,10 @@ class MLPPotential:
             self._half_aW_sum = self._half_aW.sum(axis=0)
             self._q = 0.25 * params.a * self._rowsq
             self._q_sum = self._q.sum()
+
+    def __reduce__(self):
+        # pickled as its parameters: the caches are built again where it unpickles
+        return MLPPotential, (self.params,)
 
     @property
     def n_dim(self):

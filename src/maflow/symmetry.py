@@ -56,13 +56,19 @@ class SymmetryGroup:
                               f"{signs[bad][0]}, not +1 or -1")
         if not ((perms == np.arange(n)).all(axis=1) & (signs == 1)).any():
             raise ConfigError("group does not contain the identity element")
-        self.perms = perms.astype(np.int64)
-        self.inv_perms = inv_perms
-        self.signs = signs.astype(np.int64)
+        self._adopt(perms.astype(np.int64), inv_perms, signs.astype(np.int64), None)
+
+    def _adopt(self, perms, inv_perms, signs, key):
+        self.perms, self.inv_perms, self.signs = perms, inv_perms, signs
         for arr in (self.perms, self.inv_perms, self.signs):
             arr.setflags(write=False)
-        self.n_dim = n
-        self._key = None
+        self.n_dim = perms.shape[1]
+        self._key = key
+        return self
+
+    def __reduce__(self):
+        # pickled as its tables and key, which are not validated or hashed again
+        return _unpickled_group, (self.perms, self.inv_perms, self.signs, self.key())
 
     def __len__(self):
         return self.perms.shape[0]
@@ -88,6 +94,10 @@ class SymmetryGroup:
             md.update(self.signs.tobytes())
             self._key = md.digest()
         return self._key
+
+
+def _unpickled_group(perms, inv_perms, signs, key):
+    return SymmetryGroup.__new__(SymmetryGroup)._adopt(perms, inv_perms, signs, key)
 
 
 def z2_group(n_dim):

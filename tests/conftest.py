@@ -1,7 +1,10 @@
 """Fixtures shared by the test modules."""
 
+import itertools
 import math
 import mmap
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -9,13 +12,35 @@ import pytest
 from maflow import flow
 
 
-def in_child(fn):
-    """fn() in a child forked as for a worker row part; its value or exception comes back."""
-    def program():
-        yield fn()
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Stop the standing row-part worker after each test that started one, so that no test
+    sees another's worker and the run leaves no child process."""
+    yield
+    flow._stop_worker()
 
-    with flow._Child(program()) as child:
-        error, value = child.recv()
+
+def in_child(fn):
+    """fn() in a forked child, as a worker row part runs; its value or exception comes back."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if not pid:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = None, fn()
+            except Exception as error:      # handed to the caller, which raises it
+                result = error, None
+            with open(write, "wb") as out:
+                pickle.dump(result, out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    with open(read, "rb") as inbox:
+        error, value = pickle.load(inbox)
+    os.waitpid(pid, 0)
     if error is not None:
         raise error
     return value
@@ -30,31 +55,60 @@ def fold_on(request):
 
 
 @pytest.fixture
-def forks_by_rule(monkeypatch):
-    """The program of each child forked for a worker row part, in order; the children run.
-    A child is forked only where ``flow`` finds the process running one thread."""
-    programs, child = [], flow._Child
+def jobs_by_rule(monkeypatch):
+    """The pid of the worker that took each job, in order; the jobs run.  A worker is forked
+    only where ``flow`` finds the process running one thread."""
+    pids, start = [], flow._Worker.start
 
-    def spy(program):
-        programs.append(program)
-        return child(program)
+    def spy(worker, job):
+        pids.append(worker.pid)
+        return start(worker, job)
 
-    monkeypatch.setattr(flow, "_Child", spy)
-    return programs
+    monkeypatch.setattr(flow._Worker, "start", spy)
+    return pids
 
 
 @pytest.fixture
-def forks(monkeypatch, forks_by_rule):
-    """``forks_by_rule``, with a child forked at every two-part call, as in a process of one
-    thread.  The tests that use it run no other thread that computes while a child is forked,
-    the case the rule guards against; OpenBLAS's pool may be there, idle."""
+def jobs(monkeypatch, jobs_by_rule):
+    """``jobs_by_rule``, with a worker forked at the first two-part call, as in a process of one
+    thread.  The tests that use it run no other thread that computes while the worker is
+    forked, the case the rule guards against; OpenBLAS's pool may be there, idle."""
     monkeypatch.setattr(flow, "_one_thread", lambda: True)
-    return forks_by_rule
+    return jobs_by_rule
+
+
+class Shared(np.ndarray):
+    """An array in a file mapped shared.  It pickles as its place in the file, and unpickles as
+    a new mapping of that place, so what the row-part worker writes shows in the caller's
+    array, wherever the worker was forked."""
+
+    def __array_finalize__(self, obj):
+        self.place = getattr(obj, "place", None)   # (path, address of the file's first byte)
+
+    def __reduce_ex__(self, protocol):
+        path, start = self.place
+        return shared_array, (path, self.ctypes.data - start, self.shape, self.strides,
+                              self.dtype)
+
+
+def shared_array(path, offset, shape, strides, dtype):
+    """The (shape, dtype, strides) array at ``offset`` in a new shared mapping of ``path``."""
+    with open(path, "r+b") as f:
+        whole = np.frombuffer(mmap.mmap(f.fileno(), 0), np.uint8)
+    out = np.ndarray(shape, dtype, whole, offset, strides).view(Shared)
+    out.place = path, whole.ctypes.data
+    return out
 
 
 @pytest.fixture
-def shared_zeros():
-    """A maker of int64 arrays of zeros in memory that forked children share with the caller,
-    so a child's writes show in the caller."""
-    return lambda *shape: np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
-                                        dtype=np.int64).reshape(shape)
+def shared_zeros(tmp_path):
+    """A maker of int64 arrays of zeros in memory that the row-part worker shares with the
+    caller, so a worker's writes show in the caller."""
+    count = itertools.count()
+
+    def make(*shape):
+        path = tmp_path / f"shared-{next(count)}"
+        path.write_bytes(bytes(8 * math.prod(shape)))
+        return shared_array(str(path), 0, shape, None, np.int64)
+
+    return make

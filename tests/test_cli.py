@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from maflow import (Checkpoint, PotentialParams, TrainConfig, init_params, load_
 from maflow import cli
 from maflow import data as data_mod
 from maflow.cli import _SCHEMA, load_run_config, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, cfg):
@@ -527,3 +532,44 @@ def test_sample_dump_every_writes_the_same_final_samples(tmp_path, capsys, confi
                  "--dump-every", "2"]) == 0
     assert (tmp_path / "dumped_step0004.csv").read_bytes() == outs[1].read_bytes()
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+CONSOLE_COMMAND = """
+import atexit, os, sys
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(None))
+atexit.register(lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"), len(forks), numpy_before,
+                              file=sys.stderr))
+sys.argv = ["maflow", *sys.argv[1:]]
+import maflow_entry
+numpy_before = "numpy" in sys.modules
+maflow_entry.main()
+"""
+
+
+@pytest.mark.parametrize("blas", [None, "1", "2"], ids=["unset", "user-1", "user-2"])
+def test_the_console_command_runs_one_blas_thread_unless_the_user_chose(tmp_path, blas):
+    # an ising run at B = 32 makes two-part calls: with the variable unset, the command sets one
+    # BLAS thread before numpy loads, so the worker forks, and the checkpoint's bytes are those
+    # of a run where the user set one thread, or two, where the parts run in sequence
+    def run(name, value):
+        cfg = {"task": "ising", "out_dir": str(tmp_path / name), "ising": {"L": 2},
+               "train": {"steps": 3, "hidden": 8, "batch_size": 32, "epochs": 1,
+                         "steps_per_epoch": 2}}
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = SRC + os.pathsep + os.environ.get("PYTHONPATH", "")
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        out = subprocess.run([sys.executable, "-c", CONSOLE_COMMAND, "train", "--config",
+                              write_config(tmp_path, cfg)], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        ckpt = next((tmp_path / name).glob("target_*/checkpoint_*.bin"))
+        return out.stderr.splitlines()[-1].split(), ckpt.read_bytes()
+
+    (threads, forks, numpy_before), got = run("run", blas)
+    assert threads == (blas or "1") and numpy_before == "False"
+    if blas != "2":
+        assert int(forks) >= 1
+    _, want = run("pinned", "1")
+    assert got == want

@@ -259,6 +259,8 @@ class InfBiasGradientOnce:
         self.inner, self.calls = MLPPotential(params), itertools.count()
 
     def __getattr__(self, name):
+        if name.startswith("__"):       # as pickle looks them up, before inner is set
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
     def vjp(self, X, w_grad, w_lap, ctx=None):
@@ -281,39 +283,67 @@ def test_non_finite_parameter_gradient_is_a_numeric_error_in_one_part_and_in_two
         backprop(traj, pot, np.ones_like(X), np.ones(64))
 
 
+def in_sequence(monkeypatch):
+    """Make every two-part call run its parts in sequence on the caller, as without a worker."""
+    monkeypatch.setattr(flow, "_take_worker", lambda args: None)
+
+
 @pytest.mark.parametrize("mode", [None, "sampled", "average"])
-def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, forks, mode):
-    # two row parts at once, rows :k in a forked child, are bitwise the same two parts run in
-    # sequence on the caller, for both losses
+def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, jobs, mode):
+    # two row parts at once, rows :k in the standing worker, are bitwise the same two parts run
+    # in sequence on the caller, for both losses
     p = random_params(4, 16, seed=21)
     energy = IsingEnergy(ising_spec(2))
     cfg = IntegratorConfig(0.1, 5)
     pot = build_potential(p, None if mode is None else ising_group(2), mode or "sampled")
     rng = np.random.default_rng(21)
     data = rng.standard_normal((100, 4))
-    forking = flow._Child
     for B in (32, 33, 64, 100):
         results = []
-        for child in (forking, flow._Inline):
-            monkeypatch.setattr(flow, "_Child", child)
-            results.append([nll_loss(pot, data[:B], cfg, rng=np.random.default_rng(B)),
-                            variational_loss(pot, energy, B, cfg, np.random.default_rng(B))])
+        for inline in (False, True):
+            with monkeypatch.context() as m:
+                if inline:
+                    in_sequence(m)
+                results.append([nll_loss(pot, data[:B], cfg, rng=np.random.default_rng(B)),
+                                variational_loss(pot, energy, B, cfg, np.random.default_rng(B))])
         for two, one in zip(*results):
             assert two.value == one.value and np.array_equal(two.per_sample, one.per_sample)
             assert np.array_equal(two.grad.to_vector(), one.grad.to_vector())
-    assert len(forks) == 4 * 2      # one child per loss call
+    assert len(jobs) == 4 * 2 and len(set(jobs)) == 1   # one worker takes every loss call
 
 
-def test_concurrent_reverse_passes_share_the_worker(forks_by_rule):
+def test_successive_jobs_use_their_own_parameters(monkeypatch, jobs):
+    # the worker keeps nothing of a job's evaluator: calls under other parameters, and back,
+    # are each bitwise the parts run in sequence
+    energy = IsingEnergy(ising_spec(2))
+    cfg = IntegratorConfig(0.1, 4)
+    group = ising_group(2)
+    data = np.random.default_rng(27).standard_normal((64, 4))
+    pots = [build_potential(random_params(4, 16, seed=s), group, "sampled") for s in (27, 28, 27)]
+
+    def losses(pot):
+        return [nll_loss(pot, data, cfg, rng=np.random.default_rng(27)),
+                variational_loss(pot, energy, 64, cfg, np.random.default_rng(27))]
+
+    got = [losses(pot) for pot in pots]
+    in_sequence(monkeypatch)
+    for pot, two in zip(pots, got):
+        for t, one in zip(two, losses(pot)):
+            assert t.value == one.value and np.array_equal(t.per_sample, one.per_sample)
+            assert np.array_equal(t.grad.to_vector(), one.grad.to_vector())
+    assert len(jobs) == 3 * 2 and len(set(jobs)) == 1
+
+
+def test_concurrent_reverse_passes_share_the_worker(jobs):
     # four nll_loss callers, under a 1 us switch interval, give the serial results bit for
-    # bit; while they run, the process runs more than one thread, so none of them forks, and
-    # each runs its two row parts in sequence
+    # bit; the worker that the serial calls forked takes one call at a time, no other worker is
+    # forked, and a caller that finds it busy runs its two row parts in sequence
     p = random_params(5, 32, seed=24)
     cfg = IntegratorConfig(0.1, 6)
     rng = np.random.default_rng(24)
     Xs = [rng.standard_normal((64, 5)) for _ in range(4)]
     want = [nll_loss(p, X, cfg) for X in Xs]
-    forked = len(forks_by_rule)
+    forked = set(jobs)
     got = [None] * len(Xs)
 
     def run(j):
@@ -330,7 +360,7 @@ def test_concurrent_reverse_passes_share_the_worker(forks_by_rule):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(forks_by_rule) == forked
+    assert len(forked) == 1 and set(jobs) == forked
     for w, g in zip(want, got):
         assert g.value == w.value and np.array_equal(g.grad.to_vector(), w.grad.to_vector())
 

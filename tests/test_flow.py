@@ -4,13 +4,16 @@ reversibility, and sample/log_prob consistency."""
 import errno
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from maflow import flow
 from maflow import (FlowState, GaussianFlowSolution, IntegratorConfig, MLPPotential,
                     NumericError, PotentialParams, QuadraticPotential, gaussian_base,
                     gaussian_log_density, init_params, integrate, log_prob, nll_loss, sample,
@@ -232,7 +235,7 @@ def test_both_paths_name_the_lowest_row_with_a_bad_position_or_log_density(run):
 class NanCotangentAt(QuadraticPotential):
     """A quadratic field whose vjp gives a NaN cotangent at one reverse step of each row part,
     told apart by the sign of the part's rows; ``calls``, in shared memory, counts each part's
-    vjp calls, part 0's in the forked child too."""
+    vjp calls, part 0's in the worker too."""
 
     def __init__(self, steps, bad_step, calls):
         super().__init__(0.2, 2)
@@ -246,18 +249,19 @@ class NanCotangentAt(QuadraticPotential):
         return pg, xcot * np.nan if step == self.bad_step[part] else xcot
 
 
-def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first(forks, shared_zeros):
+def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first(jobs, shared_zeros):
     X = np.ones((64, 2))
     X[32:] = -1.0           # part 1, on the caller, fails at step 3, which the pass reaches first
     pot = NanCotangentAt(5, (1, 3), shared_zeros(2))
     with pytest.raises(NumericError, match=r"reverse pass at step 3$"):
         nll_loss(pot, X, IntegratorConfig(0.1, 5))
     assert pot.calls.tolist() == [4 * 4, 2 * 4]     # both parts ran to their own failure
+    assert len(jobs) == 1
 
 
 class InPart(QuadraticPotential):
     """A still field whose ``hook``, grad_lap or vjp, runs ``act()`` first in row part ``part``:
-    0 in the child forked for rows :k, 1 on the caller."""
+    0 in the worker, which runs rows :k, 1 on the caller."""
 
     def __init__(self, hook, part, act):
         super().__init__(0.0, 2)
@@ -322,7 +326,7 @@ def blow_up(row):
     return X
 
 
-# (call, the error it must raise, or None) at B = 64: every call forks a child for rows :32
+# (call, the error it must raise, or None) at B = 64: every call sends rows :32 to the worker
 CFG = IntegratorConfig(0.1, 3)
 NO_CHILD_LEFT_CASES = {
     "sample": (lambda: sample(QuadraticPotential(0.1, 2), 64, CFG, np.random.default_rng(0)),
@@ -355,26 +359,35 @@ NO_CHILD_LEFT_CASES = {
 
 
 @pytest.mark.parametrize("case", NO_CHILD_LEFT_CASES)
-def test_no_process_outlives_a_call(forks, case):
+def test_no_process_outlives_a_call(jobs, case):
+    # a call that fails leaves no child process; one that succeeds leaves only the worker,
+    # which the next call uses
     call, error = NO_CHILD_LEFT_CASES[case]
     if error is None:
         call()
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+        NO_CHILD_LEFT_CASES["log_prob"][0]()
+        assert len(jobs) == 2 and len(set(jobs)) == 1
+        flow._stop_worker()
     else:
         with pytest.raises(error[0], match=error[1]):
             call()
-    assert len(forks) == 1
+        assert len(jobs) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def one_blas_thread_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            "OPENBLAS_NUM_THREADS": "1"}
+
+
 def run_one_blas_thread(code):
     """The stdout of ``code`` in a new interpreter with one BLAS thread, so that the process
-    runs one thread and a two-part call forks."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-           "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120)
+    runs one thread and a two-part call forks the worker."""
+    out = subprocess.run([sys.executable, "-c", code], env=one_blas_thread_env(),
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
 
@@ -382,13 +395,14 @@ def run_one_blas_thread(code):
 COUNT_FORKS = """
 import numpy as np
 from maflow import flow
-forks, child = [], flow._Child
-flow._Child = lambda program: forks.append(program) or child(program)
+forks, worker = [], flow._Worker
+flow._Worker = lambda: forks.append(None) or worker()
 """
 
 
 def test_the_child_never_runs_the_callers_exit_path():
-    # a buffered print and an atexit handler, made before a call that forks, each show once
+    # a buffered print and an atexit handler, made before a call that forks the worker, each
+    # show once
     code = COUNT_FORKS + """
 import atexit
 from maflow import IntegratorConfig, init_params, nll_loss
@@ -401,13 +415,15 @@ print(len(forks), "fork")
 
 
 def test_a_child_is_forked_only_while_the_process_runs_one_thread():
-    # the same loss alone and beside an idle second thread: a fork only alone, equal bits
+    # the same loss alone and, with that worker stopped, beside an idle second thread: a fork
+    # only alone, equal bits
     code = COUNT_FORKS + """
 import threading
 from maflow import IntegratorConfig, init_params, nll_loss
 rng = np.random.default_rng(0)
 p, X, cfg = init_params(3, 8, rng), rng.standard_normal((64, 3)), IntegratorConfig(0.1, 2)
 alone = flow._one_thread(), nll_loss(p, X, cfg), len(forks)
+flow._stop_worker()
 stop = threading.Event()
 other = threading.Thread(target=stop.wait)
 other.start()
@@ -420,7 +436,7 @@ print(alone[0], alone[2], beside[0], beside[2], alone[1].value == beside[1].valu
     assert run_one_blas_thread(code) == "True 1 False 1 True\n"
 
 
-def test_a_one_part_caller_on_another_thread_makes_two_part_calls_fork_nothing(forks_by_rule):
+def test_a_one_part_caller_on_another_thread_makes_two_part_calls_fork_nothing(jobs_by_rule):
     # at the default BLAS thread count, a thread integrates a batch as one part, with products
     # large enough for OpenBLAS's pool, while the caller makes two-part loss calls: nothing
     # forks, nothing hangs, and the losses have their serial bits
@@ -431,7 +447,7 @@ def test_a_one_part_caller_on_another_thread_makes_two_part_calls_fork_nothing(f
     X = rng.standard_normal((64, 3))
     cfg = IntegratorConfig(0.1, 2)
     want = nll_loss(pot, X, cfg)
-    forked = len(forks_by_rule)
+    forked = set(jobs_by_rule)
     stop = threading.Event()
 
     def one_part():
@@ -446,13 +462,13 @@ def test_a_one_part_caller_on_another_thread_makes_two_part_calls_fork_nothing(f
         stop.set()
         other.join(60)
     assert not other.is_alive()
-    assert len(forks_by_rule) == forked
+    assert set(jobs_by_rule) == forked
     for g in got:
         assert g.value == want.value and np.array_equal(g.grad.to_vector(), want.grad.to_vector())
 
 
 @pytest.mark.parametrize("how", ["fork-fails", "no-fork"])
-def test_without_a_child_the_two_parts_run_in_sequence_with_its_bits(monkeypatch, forks, how):
+def test_without_a_child_the_two_parts_run_in_sequence_with_its_bits(monkeypatch, jobs, how):
     pot = MLPPotential(init_params(2, 8, np.random.default_rng(42)))
     X = np.random.default_rng(42).standard_normal((64, 2))
     cfg = IntegratorConfig(0.1, 3)
@@ -462,7 +478,8 @@ def test_without_a_child_the_two_parts_run_in_sequence_with_its_bits(monkeypatch
                 variational_loss(pot, ZeroEnergy(), 64, cfg, np.random.default_rng(42))]
 
     want = losses()
-    assert len(forks) == 2
+    assert len(jobs) == 2
+    flow._stop_worker()
     fds = len(os.listdir("/proc/self/fd"))
     if how == "fork-fails":
         def refuse():
@@ -471,13 +488,81 @@ def test_without_a_child_the_two_parts_run_in_sequence_with_its_bits(monkeypatch
     else:
         monkeypatch.delattr(os, "fork")
     got = losses()
-    assert len(forks) == (4 if how == "fork-fails" else 2)
+    assert len(jobs) == 2
     assert len(os.listdir("/proc/self/fd")) == fds      # no pipe left open
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     for g, w in zip(got, want):
         assert g.value == w.value and np.array_equal(g.per_sample, w.per_sample)
         assert np.array_equal(g.grad.to_vector(), w.grad.to_vector())
+
+
+def wait_for(pid, timeout=60.0):
+    """The exit code of child ``pid``, killed if it runs past ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"child {pid} ran past {timeout} s")
+
+
+def test_a_process_forked_after_a_two_part_call_uses_a_worker_of_its_own(jobs):
+    # the forked process never writes to its parent's worker: it forks its own, gets the same
+    # bits, and stopping it leaves the parent's worker running
+    pot = MLPPotential(init_params(3, 8, np.random.default_rng(43)))
+    X = np.random.default_rng(43).standard_normal((64, 3))
+    cfg = IntegratorConfig(0.1, 3)
+    want = nll_loss(pot, X, cfg)
+
+    def same(got):
+        return got.value == want.value and np.array_equal(got.grad.to_vector(),
+                                                          want.grad.to_vector())
+
+    pid = os.fork()
+    if not pid:
+        status = 1
+        try:
+            status = 0 if same(nll_loss(pot, X, cfg)) and len(set(jobs)) == 2 else 2
+            flow._stop_worker()
+        finally:
+            os._exit(status)
+    assert wait_for(pid) == 0
+    assert same(nll_loss(pot, X, cfg))
+    assert len(jobs) == 2 and len(set(jobs)) == 1
+
+
+def test_an_interpreter_ends_with_its_worker_reaped():
+    # stdout is piped, as the benchmark reads it, and the worker holds that pipe while it runs;
+    # an exit handler registered before maflow's, so run after it, finds no child left
+    code = """
+import atexit, os
+def children():
+    try:
+        return os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return "none"
+atexit.register(lambda: print("children at exit:", children()))
+import numpy as np
+from maflow import IntegratorConfig, flow, init_params, nll_loss
+nll_loss(init_params(3, 8, np.random.default_rng(0)), np.ones((64, 3)), IntegratorConfig(0.1, 2))
+print(flow._worker.pid)
+"""
+    proc = subprocess.Popen([sys.executable, "-c", code], env=one_blas_thread_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 0, err
+    pid, last = out.splitlines()
+    assert last == "children at exit: none"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
 
 
 def test_dimension_mismatch():

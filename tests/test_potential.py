@@ -390,7 +390,7 @@ def test_a_sum_from_dense_is_bitwise_the_sum_added():
 
 def test_overflow_in_a_product_follows_the_callers_settings(fold_on):
     # finite factors whose product L^T R overflows, folded on the caller or in a forked child,
-    # which runs under the caller's np.geterr()
+    # under the caller's np.geterr()
     p = random_params(2, 3, seed=25)
     L, R = np.full((4, 3), 1e200), np.full((4, 2), 1e200)
 
@@ -583,7 +583,7 @@ def test_fingerprint_is_cached_and_tracks_the_weights():
 
 
 # ---------------------------------------------------------------------------
-# a batch in two row parts, rows :k in a forked child, at the mnist-shape width
+# a batch in two row parts, rows :k in the standing worker, at the mnist-shape width
 
 N_MNIST, H_MNIST = 784, 1024
 
@@ -593,27 +593,33 @@ def wide_engine():
     return MLPPotential(random_params(N_MNIST, H_MNIST, seed=30))
 
 
-class FirstStageInto:
+class Forwarding:
+    """Forwards every other attribute to ``inner``; it pickles for the row-part worker."""
+
+    def __getattr__(self, name):
+        if name.startswith("__"):       # as pickle looks them up, before inner is set
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+class FirstStageInto(Forwarding):
     """Forwards to ``inner``; the first grad_lap of each row part writes its rows of G and lap
-    into ``G`` and ``lap``, float64 views of memory shared with the forked child."""
+    into ``G`` and ``lap``, float64 views of memory shared with the worker."""
 
     def __init__(self, inner, k, G, lap):
         self.inner, self.k, self.G, self.lap = inner, k, G, lap
         self.caller, self.done = os.getpid(), False
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
     def grad_lap(self, X, ctx=None):
         G, lap = self.inner.grad_lap(X, ctx)
-        if not self.done:       # the child's copy of the flag is its own
+        if not self.done:       # the worker's copy of the flag is its own
             rows = slice(self.k, None) if os.getpid() == self.caller else slice(0, self.k)
             self.G[rows], self.lap[rows], self.done = G, lap, True
         return G, lap
 
 
 @pytest.mark.parametrize("B", [31, 32, 33, 99, 100, 128])
-def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, forks, shared_zeros, B):
+def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, jobs, shared_zeros, B):
     # B >= 32 rows run as two row parts, and grad_lap itself never splits; each part's first
     # stage, evaluated by its own trajectory, has the one-part rows' bits
     X = np.random.default_rng(B).standard_normal((B, N_MNIST))
@@ -622,11 +628,11 @@ def test_split_grad_lap_is_bitwise_the_one_part_rows(wide_engine, forks, shared_
     seen = FirstStageInto(wide_engine, k, shared_zeros(B, N_MNIST).view(np.float64),
                           shared_zeros(B).view(np.float64))
     log_prob(seen, X, IntegratorConfig(0.1, 1))
-    assert len(forks) == (1 if k else 0)
+    assert len(jobs) == (1 if k else 0)
     assert np.array_equal(seen.G, G) and np.array_equal(seen.lap, lap)
 
 
-def test_worker_gets_no_part_below_32_rows_or_from_integrate(forks):
+def test_worker_gets_no_part_below_32_rows_or_from_integrate(jobs):
     # two parts start at 32 rows; integrate, and sample with a callback, which must see whole
     # states, run one part
     pot = MLPPotential(random_params(3, 8, seed=34))
@@ -640,9 +646,9 @@ def test_worker_gets_no_part_below_32_rows_or_from_integrate(forks):
     log_prob(pot, X[:31], cfg)
     one_part_log_prob(X)
     sample(pot, 64, cfg, np.random.default_rng(35), callback=lambda k, state: None)
-    assert forks == []
+    assert jobs == []
     split = log_prob(pot, X[:32], cfg)
-    assert len(forks) == 1
+    assert len(jobs) == 1
     assert np.array_equal(split, one_part_log_prob(X[:32]))
 
 
@@ -663,17 +669,16 @@ def in_thread(fn):
     return out[0]
 
 
-class FailingInTheChild:
-    """Forwards to ``inner``; ``hook`` raises in the forked child while ``failures[0]`` is
-    1, then clears it, and counts each part's calls in ``calls``.  Both live in shared
-    memory."""
+class FailingInTheChild(Forwarding):
+    """Forwards to ``inner``; ``hook`` raises in the worker while ``failures[0]`` is 1, then
+    clears it, and counts each part's calls in ``calls``.  Both live in shared memory."""
 
     def __init__(self, inner, hook, failures, calls):
         self.inner, self.hook, self.failures, self.calls = inner, hook, failures, calls
         self.caller = os.getpid()
 
     def __getattr__(self, name):
-        attr = getattr(self.inner, name)
+        attr = super().__getattr__(name)
         if name != self.hook:
             return attr
 
@@ -688,7 +693,7 @@ class FailingInTheChild:
 
 
 @pytest.mark.parametrize("hook", ["grad_lap", "vjp"])
-def test_exception_in_the_worker_part_comes_out_of_the_call(forks, shared_zeros, hook):
+def test_exception_in_the_worker_part_comes_out_of_the_call(jobs, shared_zeros, hook):
     pot = MLPPotential(random_params(3, 8, seed=31))
     X = np.random.default_rng(31).standard_normal((64, 3))
     cfg = IntegratorConfig(0.1, 2)
@@ -699,22 +704,20 @@ def test_exception_in_the_worker_part_comes_out_of_the_call(forks, shared_zeros,
     err = in_thread(lambda: nll_loss(failing, X, cfg))
     assert isinstance(err, RuntimeError) and str(err) == f"{hook} failed"
     assert failures[0] == 0 and (calls > 0).all()
-    # the next call forks a new child, with nothing left of the failed one
+    # the failed call stopped the worker, and the next call forks a new one
     got = in_thread(lambda: nll_loss(failing, X, cfg))
     assert got.value == want.value
     assert np.array_equal(got.grad.to_vector(), want.grad.to_vector())
+    assert len(jobs) == 3 and jobs[0] == jobs[1] != jobs[2]
 
 
-class ErrorSettings:
+class ErrorSettings(Forwarding):
     """Forwards to ``inner``; counts each part's grad_lap calls in ``seen[part, 0]`` and those
     run under floating-point settings other than ``want`` in ``seen[part, 1]``, in shared
     memory."""
 
     def __init__(self, inner, want, seen):
         self.inner, self.want, self.seen, self.caller = inner, want, seen, os.getpid()
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
 
     def grad_lap(self, X, ctx=None):
         part = int(os.getpid() == self.caller)
@@ -723,7 +726,7 @@ class ErrorSettings:
 
 
 @pytest.mark.parametrize("row", [0, 99], ids=["worker-part", "caller-part"])
-def test_floating_point_errors_follow_the_callers_settings_in_either_part(forks, wide_engine,
+def test_floating_point_errors_follow_the_callers_settings_in_either_part(jobs, wide_engine,
                                                                          shared_zeros, row):
     X = np.random.default_rng(32).standard_normal((100, N_MNIST))
     # the integrator ignores overflow and invalid values, and reports them by row below
@@ -739,18 +742,36 @@ def test_floating_point_errors_follow_the_callers_settings_in_either_part(forks,
             log_prob(wide_engine, X, IntegratorConfig(0.1, 1))
 
 
+def test_each_job_runs_under_the_settings_of_its_own_call(jobs, shared_zeros):
+    # the worker is forked under the default settings, then takes calls made under others, and
+    # under the default again
+    pot = MLPPotential(random_params(3, 8, seed=35))
+    X = np.random.default_rng(35).standard_normal((64, 3))
+    settings = [{}, {"divide": "raise", "under": "warn"}, {"divide": "ignore", "under": "raise"},
+                {}]
+    seen = shared_zeros(len(settings), 2, 2)
+    for s, seen_here in zip(settings, seen):
+        # the integrator ignores overflow and invalid values, and reports them by row itself
+        want = {**np.geterr(), **s, "over": "ignore", "invalid": "ignore"}
+        with np.errstate(**s):
+            log_prob(ErrorSettings(pot, want, seen_here), X, IntegratorConfig(0.1, 1))
+    assert seen.tolist() == [[[4, 0], [4, 0]]] * len(settings)
+    assert len(jobs) == len(settings) and len(set(jobs)) == 1
+
+
 def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monkeypatch,
-                                                                           forks_by_rule,
+                                                                           jobs_by_rule,
                                                                            wide_engine):
-    # serial calls with their rows :48 in a forked child; concurrent ones, in a process of
-    # more than one thread, fork nothing and run their two parts in sequence, with equal bits
+    # serial calls with their rows :48 in the standing worker; concurrent ones, in a process of
+    # more than one thread, fork no other worker: one at a time uses it, and a call that finds
+    # it busy runs its two parts in sequence, with equal bits
     cfg = IntegratorConfig(0.1, 2)
     rng = np.random.default_rng(33)
     Xs = [rng.standard_normal((100, N_MNIST)) for _ in range(4)]
     with monkeypatch.context() as m:
         m.setattr(flow, "_one_thread", lambda: True)
         want = [log_prob(wide_engine, X, cfg) for X in Xs]
-    assert len(forks_by_rule) == len(Xs)
+    assert len(jobs_by_rule) == len(Xs) and len(set(jobs_by_rule)) == 1
     got = [None] * len(Xs)
 
     def run(j):
@@ -767,6 +788,6 @@ def test_concurrent_log_prob_at_a_splitting_shape_is_bitwise_the_serial_one(monk
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(forks_by_rule) == len(Xs)
+    assert set(jobs_by_rule) == set(jobs_by_rule[:1])
     for w, g in zip(want, got):
         assert np.array_equal(w, g)

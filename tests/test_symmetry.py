@@ -1,6 +1,7 @@
 """Group tables, their action and symmetrized potentials."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -306,22 +307,24 @@ def test_symmetrized_tape_replay_and_stage_contexts(mode, resample):
 
 class ContextLog:
     """Forwards to ``inner``; writes the context of each grad_lap call, -1 for None, into its
-    row part's row of ``log``, in memory shared with the forked child."""
+    row part's row of ``log``, in memory shared with the worker."""
 
     def __init__(self, inner, log):
         self.inner, self.log, self.caller, self.calls = inner, log, os.getpid(), 0
 
     def __getattr__(self, name):
+        if name.startswith("__"):       # as pickle looks them up, before inner is set
+            raise AttributeError(name)
         return getattr(self.inner, name)
 
     def grad_lap(self, X, ctx=None):
         self.log[int(os.getpid() == self.caller), self.calls] = -1 if ctx is None else ctx
-        self.calls += 1         # the child counts in its own copy
+        self.calls += 1         # the worker counts in its own copy
         return self.inner.grad_lap(X, ctx)
 
 
 @pytest.mark.parametrize("mode,resample", TAPE_CASES)
-def test_both_parts_use_the_stage_contexts_of_one_part(forks, shared_zeros, mode, resample):
+def test_both_parts_use_the_stage_contexts_of_one_part(jobs, shared_zeros, mode, resample):
     # drawn once, after the base noise, in the order one part draws them
     pot = build_potential(random_params(4, 8, seed=9), ising_group(2), mode, resample)
     cfg = IntegratorConfig(0.1, 6)
@@ -330,11 +333,31 @@ def test_both_parts_use_the_stage_contexts_of_one_part(forks, shared_zeros, mode
     final, traj = integrate(pot, state, cfg, rng=one_rng, record=True)
     log = ContextLog(pot, shared_zeros(2, 4 * cfg.steps))
     joined = sample(log, 40, cfg, two_rng)
-    assert len(forks) == 1
+    assert len(jobs) == 1
     want = [-1 if c is None else c for rec in traj.steps for c in rec.stage_ctx]
     assert log.log.tolist() == [want, want]
     assert one_rng.bit_generator.state == two_rng.bit_generator.state
     assert np.array_equal(joined.X, final.X) and np.array_equal(joined.L, final.L)
+
+
+def test_an_evaluator_pickles_as_its_parameters_and_a_group_as_its_tables():
+    # what a job sends the row-part worker: no cache of the evaluator, a group neither
+    # validated nor hashed again, and the same bits where it is loaded
+    p = random_params(16, 32, seed=13)
+    base = MLPPotential(p)
+    assert len(pickle.dumps(base, 5)) < p.size * 8 + 1000
+    group = ising_group(4)
+    key = group.key()
+    pot = SymmetrizedPotential(base, group, mode="sampled")
+    back = pickle.loads(pickle.dumps(pot, 5))
+    assert back.group._key == key and back.fingerprint() == pot.fingerprint()
+    for arr in (back.base.params.to_vector(), back.group.perms, back.group.inv_perms,
+                back.group.signs):
+        assert not arr.flags.writeable
+    X = np.random.default_rng(13).standard_normal((5, 16))
+    for ctx in (0, 7):
+        for got, want in zip(back.grad_lap(X, ctx), pot.grad_lap(X, ctx)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("mode,resample", TAPE_CASES)
