@@ -60,16 +60,16 @@ MUTANTS = (
     ("variational_loss's d_x not divided by n_samples", "flow.py",
      "return energy.grad(final.X) / n_samples,",
      "return energy.grad(final.X),"),
-    ("the child's gradient not added", "flow.py",
+    ("the worker's gradient not added", "flow.py",
      "grad.add_dense(*dense)",
      "pass"),
-    ("the child part's error wins", "flow.py",
+    ("the worker part's error wins", "flow.py",
      'if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):',
      "if early is None:"),
     ("the caller's NumericError always wins", "flow.py",
      'getattr(late, "order", math.inf) < getattr(early, "order", -math.inf)',
      "isinstance(late, NumericError)"),
-    ("the child's rows and the caller's rows swapped in the concatenation", "flow.py",
+    ("the worker's rows and the caller's rows swapped in the concatenation", "flow.py",
      "np.concatenate([X, own.X])",
      "np.concatenate([own.X, X])"),
     ("a worker forked while the process runs more than one thread", "flow.py",
@@ -86,8 +86,8 @@ MUTANTS = (
      "            settings, args = _JobUnpickler(io.BytesIO(stream), buffers, groups).load()\n"
      "            args = (groups.setdefault(\"first\", args[0]),) + args[1:]\n"),
     ("a failed call keeping the worker", "flow.py",
-     "    except BaseException:\n        _stop_worker()\n        raise\n    finally:",
-     "    except BaseException:\n        raise\n    finally:"),
+     "    except BaseException:\n        if worker is not None:\n            _stop_worker()\n",
+     "    except BaseException:\n"),
     ("no reap at exit", "flow.py",
      "atexit.register(_stop_worker)",
      "atexit.register(lambda: None)"),
@@ -97,6 +97,22 @@ MUTANTS = (
     ("the caller's floating-point settings not sent", "flow.py",
      "pickler.dump((np.geterr(), args))",
      "pickler.dump(({}, args))"),
+    ("a job that does not pickle raised, not run in sequence", "flow.py",
+     "the caller runs it\n            return False",
+     "the caller runs it\n            raise"),
+    ("a job the worker cannot load raised, not run on the caller", "flow.py",
+     "if not isinstance(error, _NotLoaded):",
+     "if True:"),
+    ("a subclass of MLPPotential sent as its base", "flow.py",
+     "    dispatch_table = collections.ChainMap(\n"
+     "        {MLPPotential: lambda pot: (MLPPotential, (pot.params,))}, copyreg.dispatch_table)\n",
+     "    def reducer_override(self, obj):\n"
+     "        if isinstance(obj, MLPPotential):\n"
+     "            return MLPPotential, (obj.params,)\n"
+     "        return NotImplemented\n"),
+    ("groups kept after a job the worker could not load", "flow.py",
+     "            self.worker._sent.clear()\n",
+     ""),
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
      "coef = 2.0 * p.a * self.t2",
      "coef = p.a * self.t2"),

@@ -44,23 +44,26 @@ losses run a batch of 32 rows or more as two row parts at once: rows :k in
 the process's standing worker, rows k: on the caller.  The worker is a
 child process forked at the first two-part call, only while the process
 runs one thread, as a fork needs; it lives as long as the process and runs
-one call's part at a time.  Each call sends it a job: the evaluator (an
-``MLPPotential`` pickles as its parameter vector, and a symmetry group's
-tables cross once per worker), its rows of the state, the config, the
-stage contexts, whether to record, and the caller's ``np.geterr()``.  The
-worker integrates its rows and sends back their final positions and
-log-densities; when the call records, it keeps its own tape, waits for its
-rows' cotangents, which the caller computes on the whole batch, reverses
-its tape and sends back its dense gradient sum.  The parts share the stage
-contexts, drawn once before the job is sent, and the worker's gradient sum
-is added to the caller's, so no result depends on which process ran a
-part.  Where there is no worker and none can be forked, where another
-thread's call holds it, or where the job does not pickle or does not load
-in the worker, the two parts run in sequence on the caller, with the same
-bits.  A call that fails or is interrupted stops the worker, and the next
-call forks another; an ``atexit`` hook stops it when the interpreter ends,
-and a process forked later never uses it.  OpenBLAS's own threads count
-against the one-thread rule, so a library user gets the worker by setting
+one call's part at a time.  Each call sends it a job: the evaluator, its
+rows of the state, the config, the stage contexts, whether to record, and
+the caller's ``np.geterr()``.  ``_JobPickler`` alone knows the job's
+compact forms: an ``MLPPotential`` crosses as its parameter vector and a
+symmetry group's tables once per worker; the evaluators know nothing of the
+worker.  The worker integrates its rows and sends back their final
+positions and log-densities; when the call records, it keeps its own tape,
+waits for its rows' cotangents, which the caller computes on the whole
+batch, reverses its tape and sends back its dense gradient sum.  The parts
+share the stage contexts, drawn once before the job is sent, and the
+worker's gradient sum is added to the caller's, so at a fixed BLAS thread
+count no result depends on which process ran a part (a gradient's bits may
+depend on that count, as at n = 64, h = 512, B = 64).  Where there is no
+worker and none can be forked, where another thread's call holds it, or
+where the job does not pickle or does not load in the worker, the two parts
+run in sequence on the caller, with the same bits.  A call that fails or is
+interrupted stops the worker, and the next call forks another; an
+``atexit`` hook stops it when the interpreter ends, and a process forked
+later never uses it.  OpenBLAS's own threads count against the one-thread
+rule, so a library user gets the worker by setting
 ``OPENBLAS_NUM_THREADS=1`` before numpy is imported, as the ``maflow``
 command does unless the variable is set.  ``integrate`` and ``backprop``
 run one part, and so does ``sample`` with a callback.
@@ -69,7 +72,9 @@ run one part, and so does ``sample`` with a callback.
 from __future__ import annotations
 
 import atexit
+import collections
 import contextlib
+import copyreg
 import io
 import itertools
 import math
@@ -83,7 +88,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericError, StaleTapeError
-from .potential import as_potential
+from .potential import MLPPotential, as_potential
 from .symmetry import SymmetryGroup
 
 FORWARD = "forward"
@@ -383,19 +388,16 @@ def _checked(grad):
 
 
 class _Worker:
-    """The standing worker: a process forked once, which runs one job at a time.  A job is the
-    arguments of ``_child_part`` and the caller's ``np.geterr()``; the worker runs that program
-    under those settings: each value the program yields goes to the caller, and the caller's
-    ``send`` resumes it, until the caller's reply None ends the job.
-
-    ``start`` pickles a job with its arrays out of band (``_JobPickler``), so a job that does
-    not pickle sends nothing.  ``recv`` gives (error, value); the first is ``_NotLoaded`` if
-    the worker could not load the job, and the worker then waits for the next, holding no
-    symmetry group.  An exception of the program comes back pickled, or, if it does not come
-    back from pickle, as a RuntimeError that carries its formatted traceback; a worker that
-    ends without a message gives an error naming its exit status.  The worker ignores SIGINT
-    and ends with ``os._exit`` at the end of its input, so it never runs the caller's exit
-    path; ``stop`` kills and reaps it."""
+    """The standing worker: a process forked once, which runs one job at a time, the program
+    ``_worker_part(*args)`` under the caller's ``np.geterr()``.  Each value the program yields
+    goes to the caller, and the caller's ``send`` resumes it, until the reply None ends the job.
+    ``start`` pickles a job through ``_JobPickler``, so a job that does not pickle sends
+    nothing.  ``recv`` gives (error, value).  The error is ``_NotLoaded`` if the worker could
+    not load the job; it then waits for the next, holding no symmetry group.  An exception of
+    the program comes back pickled, or, if it does not come back from pickle, as a RuntimeError
+    that carries its formatted traceback; a worker that ends without a message gives an error
+    naming its exit status.  The worker ignores SIGINT and ends with ``os._exit`` at the end of
+    its input, so it never runs the caller's exit path; ``stop`` kills and reaps it."""
 
     def __init__(self):
         fds = []
@@ -432,7 +434,7 @@ class _Worker:
         self._sent = set()      # keys of the symmetry groups whose tables the worker holds
 
     def start(self, args):
-        """Send the job of ``_child_part(*args)``; False, with nothing sent, if it does not
+        """Send the job of ``_worker_part(*args)``; False, with nothing sent, if it does not
         pickle."""
         stream, buffers = io.BytesIO(), []
         pickler = _JobPickler(stream, self._sent, buffers.append)
@@ -461,8 +463,8 @@ class _Worker:
         except (EOFError, pickle.UnpicklingError):
             status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
             self.pid = 0
-            return RuntimeError(f"a row part's child process ended with exit status {status} "
-                                f"and sent no result"), None
+            return RuntimeError(f"the row-part worker ended with exit status {status} and sent "
+                                f"no result"), None
 
     def stop(self):
         """Close the pipes, and kill and reap the worker if it has not ended."""
@@ -491,36 +493,42 @@ def _widen(pipe):
 
 
 class _JobPickler(pickle.Pickler):
-    """The pickler of a job: arrays go out of band to ``buffer_callback``, and a symmetry group
-    goes as its key, with its tables only the first time; ``sent`` is the set of keys sent
-    before, and holds this job's too once it has pickled."""
+    """The pickler of a job, and the one owner of its compact forms.  Arrays go out of band to
+    ``buffer_callback``, so the caller copies none.  An ``MLPPotential`` goes as its parameters,
+    not its caches, which the worker builds again with the same code, so with the same bits; the
+    table, looked up by exact type before copyreg's, lets a subclass cross whole.  A
+    ``SymmetryGroup`` goes as its key, with its tables only the first time; ``sent`` holds the
+    keys sent before, and this job's too once it has pickled."""
+
+    dispatch_table = collections.ChainMap(
+        {MLPPotential: lambda pot: (MLPPotential, (pot.params,))}, copyreg.dispatch_table)
 
     def __init__(self, file, sent, buffer_callback):
         super().__init__(file, 5, buffer_callback=buffer_callback)
         self.sent = set(sent)
 
     def persistent_id(self, obj):
-        if not isinstance(obj, SymmetryGroup):
+        if type(obj) is not SymmetryGroup:
             return None
         key = obj.key()
         if key in self.sent:
             return key, None
         self.sent.add(key)
-        return key, obj.__reduce__()
+        return key, (obj.perms, obj.signs)
 
 
 class _JobUnpickler(pickle.Unpickler):
-    """The worker's unpickler of a job; ``groups`` holds, by key, every group it has received."""
+    """The worker's unpickler of a job; ``groups`` holds, by key, every group it has received,
+    validated where its tables arrive, so once per worker (about 2 ms for 1,024 rows at L = 8)."""
 
     def __init__(self, file, buffers, groups):
         super().__init__(file, buffers=buffers)
         self.groups = groups
 
     def persistent_load(self, pid):
-        key, reduced = pid
-        if reduced is not None:
-            make, args = reduced
-            self.groups[key] = make(*args)
+        key, tables = pid
+        if tables is not None:
+            self.groups[key] = SymmetryGroup(*tables)
         return self.groups[key]
 
 
@@ -550,7 +558,7 @@ def _work(inbox, outbox):
             outbox.flush()
             continue
         with np.errstate(**settings):
-            _serve(_child_part(*args), inbox, outbox)
+            _serve(_worker_part(*args), inbox, outbox)
 
 
 def _serve(program, inbox, outbox):
@@ -581,31 +589,8 @@ def _pickled_error(error):
         return data
     except Exception:
         text = "".join(traceback.format_exception(error))
-        return pickle.dumps((RuntimeError(f"a row part's child process raised an error that "
-                                          f"cannot be pickled:\n{text}"), None))
-
-
-class _Inline:
-    """The worker's stand-in where it takes no job: the program runs on the caller, to its next
-    value at each ``recv``, so the two parts run one after the other, with the same bits."""
-
-    def __init__(self, program):
-        self._program, self._reply = program, None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._program.close()
-
-    def send(self, reply):
-        self._reply = reply
-
-    def recv(self):
-        try:
-            return None, self._program.send(self._reply)
-        except Exception as error:
-            return error, None
+        return pickle.dumps((RuntimeError(f"the row-part worker raised an error that cannot be "
+                                          f"pickled:\n{text}"), None))
 
 
 def _one_thread():
@@ -647,7 +632,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _take_worker(args):
-    """The standing worker, with the job of ``_child_part(*args)`` sent and ``_worker_free``
+    """The standing worker, with the job of ``_worker_part(*args)`` sent and ``_worker_free``
     held; or None.  It is forked first if the process has none and runs one thread.  None if
     another call holds it, if it cannot be forked, or if the job does not pickle."""
     global _worker
@@ -669,18 +654,18 @@ def _take_worker(args):
     return None
 
 
-class _Job(_Inline):
-    """A call's job in the standing worker, which ``recv`` and ``send`` reach; if the worker
-    could not load it, the program runs on the caller from the first ``recv``, as in
-    ``_Inline``, and the next job sends its groups' tables again."""
+class _Part:
+    """One call's program of the worker's rows, ``_worker_part``: in the standing worker, which
+    ``send`` and ``recv`` reach, or on the caller whenever ``worker`` is None, to its next value
+    at each ``recv``, so the two parts run in sequence with the same bits.  A ``_NotLoaded``
+    reply sets ``worker`` to None, and the next job sends its groups' tables again."""
 
-    def __init__(self, worker, program):
-        super().__init__(program)
-        self.worker = worker
+    def __init__(self, program, worker):
+        self.program, self.worker, self._reply = program, worker, None
 
     def send(self, reply):
         if self.worker is None:
-            super().send(reply)
+            self._reply = reply
         else:
             self.worker.send(reply)
 
@@ -691,53 +676,53 @@ class _Job(_Inline):
                 return error, value
             self.worker._sent.clear()
             self.worker = None
-        return super().recv()
+        try:
+            return None, self.program.send(self._reply)
+        except Exception as error:
+            return error, None
 
 
 @contextlib.contextmanager
 def _part_runner(args):
-    """The runner of ``_child_part(*args)`` for one call: a ``_Job`` in the standing worker
-    (``_take_worker``), or an ``_Inline``.  A call that leaves with an exception or an
-    interrupt stops the worker; one that ends well ends the job, and the worker waits for the
-    next."""
-    program = _child_part(*args)
-    worker = _take_worker(args)
-    if worker is None:
-        with _Inline(program) as inline:
-            yield inline
-        return
+    """The ``_Part`` of ``_worker_part(*args)`` for one call, in the standing worker if
+    ``_take_worker`` gives it.  A call that leaves with an exception or an interrupt stops the
+    worker; one that ends well ends the job, and the worker waits for the next."""
+    part = _Part(_worker_part(*args), _take_worker(args))
+    worker = part.worker        # held to the call's end, even if the worker did not load the job
     try:
-        with _Job(worker, program) as job:
-            yield job
-            if job.worker is not None:
-                worker.send(None)
+        yield part
+        if part.worker is not None:
+            part.worker.send(None)
     except BaseException:
-        _stop_worker()
+        if worker is not None:
+            _stop_worker()
         raise
     finally:
-        _worker_free.release()
+        part.program.close()
+        if worker is not None:
+            _worker_free.release()
 
 
-def _in_parts(child, own):
-    """(the child's next value, ``own()``), with ``own`` run on the caller meanwhile.  An
-    exception comes out once both are done; of two, the child's, unless the caller's is a
+def _in_parts(part, own):
+    """(``part``'s next value, ``own()``), with ``own`` run on the caller meanwhile.  An
+    exception comes out once both are done; of two, ``part``'s, unless the caller's is a
     NumericError earlier in the pass, as one part would report it.  An interrupt of the caller
     comes out at once."""
     try:
         mine = own()
     except Exception as late:
-        early = child.recv()[0]
+        early = part.recv()[0]
         if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):
             raise
         raise early
-    early, theirs = child.recv()
+    early, theirs = part.recv()
     if early is not None:
         raise early
     return theirs, mine
 
 
-def _child_part(pot, state, config, contexts, record, rows):
-    """The program of the child's rows (see ``_Worker``): their final (X, L); then, when the call
+def _worker_part(pot, state, config, contexts, record, rows):
+    """The program of the worker's rows (see ``_Worker``): their final (X, L); then, when the call
     records, given their cotangents, their gradient's ``dense()`` sum, or None."""
     final, traj = _integrate(pot, state, config, contexts, record, rows=rows)
     d_x, d_l = yield final.X, final.L
@@ -757,15 +742,13 @@ def _child_part(pot, state, config, contexts, record, rows):
 # n = 784, h = 1024 the calls are long and threads scaled too.  One standing worker, not a
 # child forked per call: at n = 64, h = 512 a fork, its copy-on-write faults and the reap cost
 # a 64-row sample 3.7 ms of about 55, and the caller took about 2,800 faults per loss and
-# sample, and 15,900 per n = 784 nll_loss.  The job pickles the parameter vector, not the
-# evaluator's caches, with every array out of band, so the caller makes no copy of it.  A fork
-# is safe only while the process runs one thread, so the worker is forked only then, which
-# also means one BLAS thread; otherwise, or if the fork fails, the two parts run in sequence
-# on the caller, with the same bits.  At two BLAS threads on 2 vCPUs a second process only
-# added a second BLAS pool (an n = 64, h = 512 loss took 0.90-4.65 s), and parts in sequence
-# beat parts on two threads: 0.24-0.28 s against 0.41-0.50 s there, 1.23-1.32 s against
-# 2.75-2.77 s at n = 784, h = 1024.  On a host whose second vCPU is busy, any split is a loss:
-# the parts then take turns on one core.
+# sample, and 15,900 per n = 784 nll_loss.  A fork is safe only while the process runs one
+# thread, so the worker is forked only then, which also means one BLAS thread; otherwise, or if
+# the fork fails, the two parts run in sequence on the caller, with the same bits.  At two
+# BLAS threads on 2 vCPUs a second process only added a second BLAS pool (an n = 64, h = 512
+# loss took 0.90-4.65 s), and parts in sequence beat parts on two threads: 0.24-0.28 s against
+# 0.41-0.50 s there, 1.23-1.32 s against 2.75-2.77 s at n = 784, h = 1024.  On a host whose
+# second vCPU is busy, any split is a loss: the parts then take turns on one core.
 def _run_parts(pot, state, config, rng, callback=None, cotangents=None):
     """``integrate`` of the batch in its row parts, recorded and reversed if ``cotangents``,
     ``cotangents(final)`` giving the whole batch's (d_x, d_l): (final state, checked ParamGrad
@@ -778,15 +761,15 @@ def _run_parts(pot, state, config, rng, callback=None, cotangents=None):
         grad = _reverse(traj, pot, *cotangents(final))[0] if record else None
         return final, _checked(grad)
     top = FlowState(state.X[:k], state.L[:k], state.t)
-    with _part_runner((pot, top, config, contexts, record, slice(0, k))) as child:
-        (X, L), (own, traj) = _in_parts(child, lambda: _integrate(
+    with _part_runner((pot, top, config, contexts, record, slice(0, k))) as part:
+        (X, L), (own, traj) = _in_parts(part, lambda: _integrate(
             pot, state, config, contexts, record, rows=slice(k, None)))
         final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
         if not record:
             return final, None
         d_x, d_l = cotangents(final)
-        child.send((d_x[:k], d_l[:k]))
-        dense, (grad, _) = _in_parts(child, lambda: _reverse(traj, pot, d_x[k:], d_l[k:]))
+        part.send((d_x[:k], d_l[:k]))
+        dense, (grad, _) = _in_parts(part, lambda: _reverse(traj, pot, d_x[k:], d_l[k:]))
         if grad is not None:
             grad.add_dense(*dense)
         return final, _checked(grad)

@@ -38,9 +38,9 @@ instead of building one per RK4 stage.
 
 Every kernel here runs whole on the thread that calls it.  The one place
 that uses a second core is ``flow``, which runs a batch's row parts as
-separate trajectories, one in a standing worker process.  ``MLPPotential``
-and ``PotentialParams`` pickle as the parameter vector alone, so a job sent
-to the worker carries no cache.
+separate trajectories, one in a standing worker process; ``flow`` alone
+decides how an evaluator crosses to it.  ``PotentialParams`` pickle as
+their vector alone, validated and read-only where they unpickle.
 """
 
 from __future__ import annotations
@@ -276,10 +276,6 @@ class MLPPotential:
             self._half_aW_sum = self._half_aW.sum(axis=0)
             self._q = 0.25 * params.a * self._rowsq
             self._q_sum = self._q.sum()
-
-    def __reduce__(self):
-        # pickled as its parameters: the caches are built again where it unpickles
-        return MLPPotential, (self.params,)
 
     @property
     def n_dim(self):

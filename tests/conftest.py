@@ -56,13 +56,16 @@ def fold_on(request):
 
 @pytest.fixture
 def jobs_by_rule(monkeypatch):
-    """The pid of the worker that took each job, in order; the jobs run.  A worker is forked
-    only where ``flow`` finds the process running one thread."""
+    """The pid of the worker that took each job, in order; the jobs run, and a job that does not
+    pickle is not sent.  A worker is forked only where ``flow`` finds the process running one
+    thread."""
     pids, start = [], flow._Worker.start
 
     def spy(worker, job):
-        pids.append(worker.pid)
-        return start(worker, job)
+        sent = start(worker, job)
+        if sent:
+            pids.append(worker.pid)
+        return sent
 
     monkeypatch.setattr(flow._Worker, "start", spy)
     return pids

@@ -16,8 +16,9 @@ import pytest
 from maflow import flow
 from maflow import (FlowState, IntegratorConfig, MLPPotential, NumericError, ParamGrad,
                     PotentialParams, StaleTapeError, SymmetrizedPotential, backprop,
-                    build_potential, gaussian_log_density, group_by_name, init_params, integrate,
-                    ising_group, nll_loss, replay, variational_loss)
+                    build_potential, gaussian_base, gaussian_log_density, group_by_name,
+                    init_params, integrate, ising_group, log_prob, nll_loss, replay, sample,
+                    variational_loss)
 from maflow.flow import StepRecord
 from maflow.gradcheck import central_difference, run_gradcheck
 from maflow.targets import IsingEnergy, ising_spec
@@ -332,6 +333,139 @@ def test_successive_jobs_use_their_own_parameters(monkeypatch, jobs):
             assert t.value == one.value and np.array_equal(t.per_sample, one.per_sample)
             assert np.array_equal(t.grad.to_vector(), one.grad.to_vector())
     assert len(jobs) == 3 * 2 and len(set(jobs)) == 1
+
+
+class Forward:
+    """Forwards every attribute to ``inner``; it pickles for the row-part worker."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        if name.startswith("__"):       # as pickle looks them up, before inner is set
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+class Locked(Forward):
+    """A forwarding evaluator that holds a lock, so it does not pickle."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.lock = threading.Lock()
+
+
+class CountsWorkerCalls(Forward):
+    """Forwards to ``inner``; counts in ``calls[0]``, in memory shared with the worker, the
+    grad_lap calls made in another process than the caller's."""
+
+    def __init__(self, inner, calls):
+        super().__init__(inner)
+        self.calls, self.caller = calls, os.getpid()
+
+    def grad_lap(self, X, ctx=None):
+        if os.getpid() != self.caller:
+            self.calls[0] += 1
+        return self.inner.grad_lap(X, ctx)
+
+
+def assert_same_calls(got, want):
+    """Equal bits of ``sample`` states and of loss values, rows and gradients."""
+    for g, w in zip(got, want):
+        if isinstance(w, FlowState):
+            assert np.array_equal(g.X, w.X) and np.array_equal(g.L, w.L)
+        else:
+            assert g.value == w.value and np.array_equal(g.per_sample, w.per_sample)
+            assert np.array_equal(g.grad.to_vector(), w.grad.to_vector())
+
+
+def test_a_job_that_does_not_pickle_runs_in_sequence_and_the_worker_stays(monkeypatch, jobs):
+    # the calls of an evaluator that does not pickle send no job and have the bits of the parts
+    # run in sequence; the worker takes the next call that pickles
+    pot = MLPPotential(random_params(4, 16, seed=31))
+    cfg = IntegratorConfig(0.1, 4)
+    X = np.random.default_rng(31).standard_normal((64, 4))
+
+    def calls(p):
+        return [sample(p, 64, cfg, np.random.default_rng(32)), nll_loss(p, X, cfg)]
+
+    log_prob(pot, X, cfg)
+    assert len(jobs) == 1
+    got = calls(Locked(pot))
+    assert len(jobs) == 1
+    log_prob(pot, X, cfg)
+    assert len(jobs) == 2 and len(set(jobs)) == 1
+    in_sequence(monkeypatch)
+    assert_same_calls(got, calls(pot))
+
+
+def test_a_job_the_worker_cannot_load_runs_on_the_caller_and_the_worker_stays(monkeypatch, jobs,
+                                                                              shared_zeros):
+    # a class bound only after the fork is pickled by name, and the worker cannot find it: its
+    # calls have the bits of the parts run in sequence, the worker stays, and takes the next
+    # call, whose group's tables are sent again
+    tables = []         # for each job's group: whether its tables went with the job
+    persistent_id = flow._JobPickler.persistent_id
+
+    def spy(pickler, obj):
+        pid = persistent_id(pickler, obj)
+        if pid is not None:
+            tables.append(pid[1] is not None)
+        return pid
+
+    monkeypatch.setattr(flow._JobPickler, "persistent_id", spy)
+    sym = build_potential(random_params(16, 16, seed=33), group_by_name("ising-full", 16),
+                          "sampled")
+    pot = CountsWorkerCalls(sym, shared_zeros(1))
+    cfg = IntegratorConfig(0.1, 3)
+    X = np.random.default_rng(33).standard_normal((64, 16))
+
+    def calls(p):
+        return [sample(p, 64, cfg, np.random.default_rng(34)),
+                nll_loss(p, X, cfg, rng=np.random.default_rng(35))]
+
+    want = calls(pot)
+    assert tables == [True, False] and pot.calls[0] == 2 * 4 * cfg.steps
+    late = type("LateForward", (Forward,), {"__module__": __name__})
+    monkeypatch.setattr(sys.modules[__name__], "LateForward", late, raising=False)
+    assert_same_calls(calls(late(pot)), want)
+    assert tables[2:] == [False, True] and pot.calls[0] == 2 * 4 * cfg.steps
+    assert_same_calls(calls(pot), want)
+    assert tables[4:] == [True, False] and pot.calls[0] == 4 * 4 * cfg.steps
+    assert len(jobs) == 6 and len(set(jobs)) == 1
+    in_sequence(monkeypatch)
+    assert_same_calls(calls(sym), want)
+
+
+class DoubledField(MLPPotential):
+    """The potential 2 phi: a subclass with kernels of its own."""
+
+    def grad_lap(self, X, ctx=None):
+        G, lap = super().grad_lap(X, ctx)
+        return 2.0 * G, 2.0 * lap
+
+    def vjp(self, X, w_grad, w_lap, ctx=None):
+        return super().vjp(X, 2.0 * w_grad, 2.0 * w_lap, ctx)
+
+
+def test_the_worker_runs_a_subclass_with_its_own_kernels(jobs):
+    # a subclass of MLPPotential crosses to the worker whole: two-part calls equal the one-part
+    # run in every row
+    pot = DoubledField(random_params(4, 16, seed=36))
+    cfg = IntegratorConfig(0.1, 4)
+    X = np.random.default_rng(36).standard_normal((64, 4))
+    two = sample(pot, 64, cfg, np.random.default_rng(37))
+    rng = np.random.default_rng(37)
+    one, _ = integrate(pot, gaussian_base(4, 64, rng), cfg, rng)
+    assert np.array_equal(two.X, one.X) and np.array_equal(two.L, one.L)
+    loss = nll_loss(pot, X, cfg)
+    final, traj = integrate(pot, FlowState(X, np.zeros(64), cfg.total_time), cfg.reversed(),
+                            record=True)
+    logp = gaussian_log_density(final.X) - final.L
+    assert np.array_equal(loss.per_sample, -logp) and loss.value == -float(logp.mean())
+    grad = backprop(traj, pot, final.X / 64, np.full(64, 1.0 / 64)).param_grad.to_vector()
+    assert np.allclose(loss.grad.to_vector(), grad, rtol=1e-12, atol=1e-14)
+    assert len(jobs) == 2
 
 
 def test_concurrent_reverse_passes_share_the_worker(jobs):

@@ -309,7 +309,7 @@ class NotPicklable(Exception):
 
 
 def raise_not_picklable():
-    raise NotPicklable("in the child", "detail")
+    raise NotPicklable("in the worker", "detail")
 
 
 def child_exit_7():
@@ -347,11 +347,12 @@ NO_CHILD_LEFT_CASES = {
         MLPPotential(init_params(2, 8, np.random.default_rng(0))), EnergyWithFailingGrad(), 64,
         CFG, np.random.default_rng(0)), (KeyError, "energy.grad")),
     "child-exits-7": (lambda: nll_loss(InPart("vjp", 0, child_exit_7), np.ones((64, 2)), CFG),
-                      (RuntimeError, "child process ended with exit status 7 ")),
+                      (RuntimeError, "row-part worker ended with exit status 7 ")),
     "child-error-not-picklable": (lambda: log_prob(InPart("grad_lap", 0, raise_not_picklable),
                                                    np.ones((64, 2)), CFG),
-                                  (RuntimeError, r"cannot be pickled:\n(.|\n)*"
-                                                 r"raise_not_picklable(.|\n)*in the child")),
+                                  (RuntimeError, r"row-part worker raised an error that "
+                                                 r"cannot be pickled:\n(.|\n)*"
+                                                 r"raise_not_picklable(.|\n)*in the worker")),
     "keyboard-interrupt-on-the-caller": (
         lambda: nll_loss(InPart("vjp", 1, raise_interrupt), np.ones((64, 2)), CFG),
         (KeyboardInterrupt, None)),

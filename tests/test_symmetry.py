@@ -1,11 +1,13 @@
 """Group tables, their action and symmetrized potentials."""
 
+import io
 import os
 import pickle
 
 import numpy as np
 import pytest
 
+from maflow import flow
 from maflow import (ConfigError, IntegratorConfig, IsingEnergy, MLPPotential,
                     PotentialParams, StaleTapeError, SymmetrizedPotential, SymmetryGroup,
                     backprop, build_potential, eval_potential, gaussian_base, init_params,
@@ -340,24 +342,55 @@ def test_both_parts_use_the_stage_contexts_of_one_part(jobs, shared_zeros, mode,
     assert np.array_equal(joined.X, final.X) and np.array_equal(joined.L, final.L)
 
 
+def job_round_trip(job, sent, groups):
+    """``job`` through the row-part worker's pickler and unpickler, with the keys of the groups
+    ``sent`` before and the worker's ``groups``: (the job as loaded, the keys sent now, the
+    byte size of the pickle and of each out-of-band buffer)."""
+    stream, buffers = io.BytesIO(), []
+    pickler = flow._JobPickler(stream, sent, buffers.append)
+    pickler.dump(job)
+    raw = [bytearray(b.raw()) for b in buffers]
+    back = flow._JobUnpickler(io.BytesIO(stream.getvalue()), raw, groups).load()
+    return back, pickler.sent, len(stream.getvalue()), sorted(len(r) for r in raw)
+
+
 def test_an_evaluator_pickles_as_its_parameters_and_a_group_as_its_tables():
-    # what a job sends the row-part worker: no cache of the evaluator, a group neither
-    # validated nor hashed again, and the same bits where it is loaded
+    # what a job sends the row-part worker: an MLPPotential as its parameter vector, no cache;
+    # a group's tables with the first job only, validated where they arrive; the same bits
     p = random_params(16, 32, seed=13)
     base = MLPPotential(p)
-    assert len(pickle.dumps(base, 5)) < p.size * 8 + 1000
+    back, sent, size, buffers = job_round_trip(base, set(), {})
+    assert type(back) is MLPPotential and sent == set()
+    assert size < 1000 and buffers == [p.size * 8]
     group = ising_group(4)
-    key = group.key()
     pot = SymmetrizedPotential(base, group, mode="sampled")
-    back = pickle.loads(pickle.dumps(pot, 5))
-    assert back.group._key == key and back.fingerprint() == pot.fingerprint()
-    for arr in (back.base.params.to_vector(), back.group.perms, back.group.inv_perms,
-                back.group.signs):
-        assert not arr.flags.writeable
+    groups = {}
+    first, sent, _, buffers = job_round_trip(pot, set(), groups)
+    assert sent == {group.key()}
+    assert buffers == sorted([p.size * 8, group.perms.nbytes, group.signs.nbytes])
+    second, again, _, buffers = job_round_trip(pot, sent, groups)
+    assert again == sent and buffers == [p.size * 8] and second.group is first.group
+    assert first.group.key() == group.key() and first.fingerprint() == pot.fingerprint()
+    for name in ("perms", "inv_perms", "signs"):
+        got, want = getattr(first.group, name), getattr(group, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert not first.base.params.to_vector().flags.writeable
     X = np.random.default_rng(13).standard_normal((5, 16))
     for ctx in (0, 7):
-        for got, want in zip(back.grad_lap(X, ctx), pot.grad_lap(X, ctx)):
+        for got, want in zip(first.grad_lap(X, ctx), pot.grad_lap(X, ctx)):
             assert np.array_equal(got, want)
+    bad = group.perms.copy()
+    bad[1, :2] = 0
+    with pytest.raises(ConfigError, match="not a bijection"):
+        flow._JobUnpickler(io.BytesIO(), [], {}).persistent_load((b"key", (bad, group.signs)))
+    # a plain pickle round trip of a group or of parameters is equal, validated and read-only
+    copy = pickle.loads(pickle.dumps(group, 5))
+    assert copy.key() == group.key()
+    for got, want in ((copy.perms, group.perms), (copy.inv_perms, group.inv_perms),
+                      (copy.signs, group.signs), (pickle.loads(pickle.dumps(p, 5)).to_vector(),
+                                                  p.to_vector())):
+        assert np.array_equal(got, want) and not got.flags.writeable
 
 
 @pytest.mark.parametrize("mode,resample", TAPE_CASES)
