@@ -48,26 +48,36 @@ MUTANTS = (
      "np.isfinite(X).all(axis=1) & np.isfinite(L)",
      "np.isfinite(X).all(axis=1)"),
     ("each part draws its own stage contexts", "flow.py",
-     "_part_runner((pot, top, config, contexts, record, slice(0, k)))",
-     "_part_runner((pot, top, config, _stage_contexts(pot, rng, config.steps), record, "
-     "slice(0, k)))"),
+     "(pot, top, config, contexts, end, slice(0, k)),",
+     "(pot, top, config, _stage_contexts(pot, rng, config.steps), end, slice(0, k)),"),
     ("part 1's rows reported from row 0", "flow.py",
      "batch row {rows.start + bad}",
      "batch row {bad}"),
     ("nll_loss reversed without the base-point cotangent", "flow.py",
-     "return final.X / n,",
-     "return 0.0 * final.X,"),
+     "grad = staticmethod(lambda X: X)",
+     "grad = staticmethod(lambda X: 0.0 * X)"),
     ("variational_loss's d_x not divided by n_samples", "flow.py",
-     "return energy.grad(final.X) / n_samples,",
-     "return energy.grad(final.X),"),
+     "return energy.grad(X) / n,",
+     "return energy.grad(X),"),
+    ("each part's cotangents divided by its own row count", "flow.py",
+     "return energy.grad(X) / n, np.full(len(X), 1.0 / n)",
+     "return energy.grad(X) / len(X), np.full(len(X), 1.0 / len(X))"),
+    ("the parameters hashed inside a loss", "flow.py",
+     "traj = Trajectory() if record else None",
+     "traj = Trajectory(fingerprint=pot.fingerprint()) if record else None"),
+    ("reverse steps ranked by -k", "flow.py",
+     "2 * len(traj.steps) - 1 - k)",
+     "-k)"),
     ("the worker's gradient not added", "flow.py",
      "grad.add_dense(*dense)",
      "pass"),
     ("the worker part's error wins", "flow.py",
-     'if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):',
+     'if early is None or (getattr(late, "order", math.inf)\n'
+     '                                 < getattr(early, "order", -math.inf)):',
      "if early is None:"),
     ("the caller's NumericError always wins", "flow.py",
-     'getattr(late, "order", math.inf) < getattr(early, "order", -math.inf)',
+     '(getattr(late, "order", math.inf)\n'
+     '                                 < getattr(early, "order", -math.inf))',
      "isinstance(late, NumericError)"),
     ("the worker's rows and the caller's rows swapped in the concatenation", "flow.py",
      "np.concatenate([X, own.X])",
@@ -111,7 +121,7 @@ MUTANTS = (
      "            return MLPPotential, (obj.params,)\n"
      "        return NotImplemented\n"),
     ("groups kept after a job the worker could not load", "flow.py",
-     "            self.worker._sent.clear()\n",
+     "            worker._sent.clear()\n",
      ""),
     ("the 2 a t2 W term of ParamGrad.to_vector", "potential.py",
      "coef = 2.0 * p.a * self.t2",

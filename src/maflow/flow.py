@@ -44,26 +44,26 @@ losses run a batch of 32 rows or more as two row parts at once: rows :k in
 the process's standing worker, rows k: on the caller.  The worker is a
 child process forked at the first two-part call, only while the process
 runs one thread, as a fork needs; it lives as long as the process and runs
-one call's part at a time.  Each call sends it a job: the evaluator, its
-rows of the state, the config, the stage contexts, whether to record, and
-the caller's ``np.geterr()``.  ``_JobPickler`` alone knows the job's
-compact forms: an ``MLPPotential`` crosses as its parameter vector and a
-symmetry group's tables once per worker; the evaluators know nothing of the
-worker.  The worker integrates its rows and sends back their final
-positions and log-densities; when the call records, it keeps its own tape,
-waits for its rows' cotangents, which the caller computes on the whole
-batch, reverses its tape and sends back its dense gradient sum.  The parts
-share the stage contexts, drawn once before the job is sent, and the
-worker's gradient sum is added to the caller's, so at a fixed BLAS thread
-count no result depends on which process ran a part (a gradient's bits may
-depend on that count, as at n = 64, h = 512, B = 64).  Where there is no
-worker and none can be forked, where another thread's call holds it, or
-where the job does not pickle or does not load in the worker, the two parts
-run in sequence on the caller, with the same bits.  A call that fails or is
-interrupted stops the worker, and the next call forks another; an
-``atexit`` hook stops it when the interpreter ends, and a process forked
-later never uses it.  OpenBLAS's own threads count against the one-thread
-rule, so a library user gets the worker by setting
+one call's part at a time.  A call sends it one job (the evaluator, its
+rows of the state, the config, the stage contexts, the loss's end rule and
+the caller's ``np.geterr()``) and reads one reply: those rows' final
+positions and log-densities and, when the call records, their dense
+gradient sum, added to the caller's.  ``_JobPickler`` alone knows the job's
+compact forms.  The end rule is None or the loss's (energy, n): both losses
+are means over independent rows, so a row's terminal cotangents,
+energy.grad(x) / n and 1 / n, are its own, and each part reverses its tape
+from its own rows' (for ``nll_loss`` the energy is the base's |z|^2 / 2).
+The parts share the stage contexts, drawn once before the job is sent, so
+at a fixed BLAS thread count no result depends on which process ran a part
+(a gradient's bits may depend on that count, as at n = 64, h = 512,
+B = 64), and of two parts' errors the call raises the one a single part
+would.  Where there is no worker and none can be forked, where another
+thread's call holds it, or where the job does not pickle or does not load
+in the worker, the two parts run in sequence on the caller, with the same
+bits.  A call that fails or is interrupted stops the worker, and the next
+call forks another; an ``atexit`` hook stops it when the interpreter ends,
+and a process forked later never uses it.  OpenBLAS's own threads count
+against the one-thread rule, so a library user gets the worker by setting
 ``OPENBLAS_NUM_THREADS=1`` before numpy is imported, as the ``maflow``
 command does unless the variable is set.  ``integrate`` and ``backprop``
 run one part, and so does ``sample`` with a callback.
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import atexit
 import collections
-import contextlib
 import copyreg
 import io
 import itertools
@@ -244,11 +243,15 @@ def integrate(potential, state, config, rng=None, record=False):
     A non-finite position or log-density raises NumericError naming the step
     and the lowest batch row where either is not finite, as two row parts
     name it.  With ``record=True`` the returned Trajectory holds every step's
-    ``StepRecord`` (see the module docstring).  The batch runs as one part.
+    ``StepRecord`` (see the module docstring) and the potential's fingerprint,
+    which ``backprop`` checks.  The batch runs as one part.
     """
     pot = as_potential(potential)
     contexts = _stage_contexts(pot, rng, config.steps)
-    return _integrate(pot, state, config, contexts, record)
+    final, traj = _integrate(pot, state, config, contexts, record)
+    if record:
+        traj.fingerprint = pot.fingerprint()
+    return final, traj
 
 
 def _stage_contexts(pot, rng, steps):
@@ -259,12 +262,12 @@ def _stage_contexts(pot, rng, steps):
 
 
 def _integrate(pot, state, config, contexts, record=False, callback=None, rows=slice(0, None)):
-    """``integrate`` of the state's ``rows``, with the ``_stage_contexts`` given;
-    ``callback(step_index, state)`` fires after every step."""
+    """``integrate`` of the state's ``rows``, with the ``_stage_contexts`` given and a tape that
+    holds no fingerprint; ``callback(step_index, state)`` fires after every step."""
     if state.n_dim != pot.n_dim:
         raise ValueError(f"state dimension {state.n_dim} does not match potential {pot.n_dim}")
     eta = config.epsilon if config.direction == FORWARD else -config.epsilon
-    traj = Trajectory(fingerprint=pot.fingerprint()) if record else None
+    traj = Trajectory() if record else None
     x0, l0, t = state.X[rows], state.L[rows], state.t
     for k in range(config.steps):
         ctx = contexts[k]
@@ -330,14 +333,15 @@ def backprop(traj, potential, d_x_final, d_l_final):
     are reproducible bit for bit.  A non-finite position cotangent or
     parameter gradient raises NumericError.
     """
-    grad, d_x0 = _reverse(traj, as_potential(potential), d_x_final, d_l_final)
+    pot = as_potential(potential)
+    if traj.fingerprint != pot.fingerprint():
+        raise StaleTapeError("trajectory was recorded under different potential parameters")
+    grad, d_x0 = _reverse(traj, pot, d_x_final, d_l_final)
     return BackpropResult(_checked(grad), d_x0)
 
 
 def _reverse(traj, pot, d_x_final, d_l_final):
-    """``backprop`` of one tape, its ParamGrad (or None) left unmaterialized: (ParamGrad, d_x0)."""
-    if traj.fingerprint != pot.fingerprint():
-        raise StaleTapeError("trajectory was recorded under different potential parameters")
+    """``backprop`` of one tape, not checked against ``pot``: (unmaterialized ParamGrad, d_x0)."""
     if not traj.steps:
         raise ValueError("empty trajectory")
 
@@ -373,8 +377,9 @@ def _reverse(traj, pot, d_x_final, d_l_final):
                     kbar[i - 1] = kbar[i - 1] + (_STAGE_OFFSETS[i - 1] * eta) * xcot
             d_x = d_x_new
             if not np.isfinite(d_x).all():
+                # ranked after every forward step, in the order the pass reaches them
                 raise NumericError(f"non-finite position cotangent in the reverse pass "
-                                   f"at step {k}", -k)     # the pass runs k downward
+                                   f"at step {k}", 2 * len(traj.steps) - 1 - k)
     return grad, d_x
 
 
@@ -388,16 +393,15 @@ def _checked(grad):
 
 
 class _Worker:
-    """The standing worker: a process forked once, which runs one job at a time, the program
-    ``_worker_part(*args)`` under the caller's ``np.geterr()``.  Each value the program yields
-    goes to the caller, and the caller's ``send`` resumes it, until the reply None ends the job.
-    ``start`` pickles a job through ``_JobPickler``, so a job that does not pickle sends
-    nothing.  ``recv`` gives (error, value).  The error is ``_NotLoaded`` if the worker could
+    """The standing worker: a process forked once, which runs one job at a time,
+    ``_worker_part(*args)`` under the caller's ``np.geterr()``, and replies once.  ``start``
+    pickles a job through ``_JobPickler``, so a job that does not pickle sends nothing.
+    ``recv`` gives the reply, (error, value).  The error is ``_NotLoaded`` if the worker could
     not load the job; it then waits for the next, holding no symmetry group.  An exception of
-    the program comes back pickled, or, if it does not come back from pickle, as a RuntimeError
-    that carries its formatted traceback; a worker that ends without a message gives an error
-    naming its exit status.  The worker ignores SIGINT and ends with ``os._exit`` at the end of
-    its input, so it never runs the caller's exit path; ``stop`` kills and reaps it."""
+    the job comes back pickled, or, if it does not come back from pickle, as a RuntimeError that
+    carries its formatted traceback; a worker that ends without a message gives an error naming
+    its exit status.  The worker ignores SIGINT and ends with ``os._exit`` at the end of its
+    input, so it never runs the caller's exit path; ``stop`` kills and reaps it."""
 
     def __init__(self):
         fds = []
@@ -444,18 +448,15 @@ class _Worker:
             return False
         self._sent = pickler.sent
         views = [b.raw() for b in buffers]
-        self.send((stream.getvalue(), [v.nbytes for v in views]), *views)
-        return True
-
-    def send(self, reply, *raw):
-        """``reply`` pickled, then the bytes of each of ``raw``."""
         try:
-            pickle.dump(reply, self._outbox, pickle.HIGHEST_PROTOCOL)
-            for data in raw:
+            pickle.dump((stream.getvalue(), [v.nbytes for v in views]), self._outbox,
+                        pickle.HIGHEST_PROTOCOL)
+            for data in views:
                 self._outbox.write(data)
             self._outbox.flush()
         except BrokenPipeError:
             pass            # the worker has ended: recv says how
+        return True
 
     def recv(self):
         try:
@@ -538,8 +539,8 @@ class _NotLoaded(Exception):
 
 
 def _work(inbox, outbox):
-    """The worker's loop: each job loaded and its program served under the caller's
-    floating-point settings, until the end of the input."""
+    """The worker's loop: each job loaded, run under the caller's floating-point settings and
+    answered, until the end of the input."""
     groups = {}
     while True:
         try:
@@ -557,27 +558,15 @@ def _work(inbox, outbox):
             outbox.write(_pickled_error(_NotLoaded(repr(error))))
             outbox.flush()
             continue
-        with np.errstate(**settings):
-            _serve(_worker_part(*args), inbox, outbox)
-
-
-def _serve(program, inbox, outbox):
-    """One job's program in the worker: its values out, the caller's replies in, until the reply
-    None or an exception of the program ends it."""
-    reply = None
-    while True:
         try:
-            message = None, program.send(reply)
+            with np.errstate(**settings):
+                message = None, _worker_part(*args)
         except BaseException as error:
             outbox.write(_pickled_error(error))
-            outbox.flush()
-            return
-        pickle.dump(message, outbox, pickle.HIGHEST_PROTOCOL)
+        else:
+            pickle.dump(message, outbox, pickle.HIGHEST_PROTOCOL)
+            del message         # the gradient sum, not held between jobs
         outbox.flush()
-        reply = pickle.load(inbox)
-        if reply is None:
-            program.close()
-            return
 
 
 def _pickled_error(error):
@@ -654,87 +643,73 @@ def _take_worker(args):
     return None
 
 
-class _Part:
-    """One call's program of the worker's rows, ``_worker_part``: in the standing worker, which
-    ``send`` and ``recv`` reach, or on the caller whenever ``worker`` is None, to its next value
-    at each ``recv``, so the two parts run in sequence with the same bits.  A ``_NotLoaded``
-    reply sets ``worker`` to None, and the next job sends its groups' tables again."""
+def _in_parts(args, own):
+    """(``_worker_part(*args)``, ``own()``): the first in the worker that ``_take_worker`` gives
+    while the caller runs ``own``, else on the caller after it.  An exception comes out once both
+    are done; of two, the worker part's, unless the caller's is a NumericError of lower
+    ``order``, as one part would report it.  An interrupt of the caller comes out at once.  A
+    call that leaves with either stops the worker; one that ends well leaves it waiting."""
+    worker = _take_worker(args)     # held to the call's end, even if it did not load the job
 
-    def __init__(self, program, worker):
-        self.program, self.worker, self._reply = program, worker, None
-
-    def send(self, reply):
-        if self.worker is None:
-            self._reply = reply
-        else:
-            self.worker.send(reply)
-
-    def recv(self):
-        if self.worker is not None:
-            error, value = self.worker.recv()
+    def theirs():
+        if worker is not None:
+            error, value = worker.recv()
             if not isinstance(error, _NotLoaded):
                 return error, value
-            self.worker._sent.clear()
-            self.worker = None
+            worker._sent.clear()
         try:
-            return None, self.program.send(self._reply)
+            return None, _worker_part(*args)
         except Exception as error:
             return error, None
 
-
-@contextlib.contextmanager
-def _part_runner(args):
-    """The ``_Part`` of ``_worker_part(*args)`` for one call, in the standing worker if
-    ``_take_worker`` gives it.  A call that leaves with an exception or an interrupt stops the
-    worker; one that ends well ends the job, and the worker waits for the next."""
-    part = _Part(_worker_part(*args), _take_worker(args))
-    worker = part.worker        # held to the call's end, even if the worker did not load the job
     try:
-        yield part
-        if part.worker is not None:
-            part.worker.send(None)
+        try:
+            mine = own()
+        except Exception as late:
+            early = theirs()[0]
+            if early is None or (getattr(late, "order", math.inf)
+                                 < getattr(early, "order", -math.inf)):
+                raise
+            raise early
+        early, value = theirs()
+        if early is not None:
+            raise early
+        return value, mine
     except BaseException:
         if worker is not None:
             _stop_worker()
         raise
     finally:
-        part.program.close()
         if worker is not None:
             _worker_free.release()
 
 
-def _in_parts(part, own):
-    """(``part``'s next value, ``own()``), with ``own`` run on the caller meanwhile.  An
-    exception comes out once both are done; of two, ``part``'s, unless the caller's is a
-    NumericError earlier in the pass, as one part would report it.  An interrupt of the caller
-    comes out at once."""
-    try:
-        mine = own()
-    except Exception as late:
-        early = part.recv()[0]
-        if early is None or getattr(late, "order", math.inf) < getattr(early, "order", -math.inf):
-            raise
-        raise early
-    early, theirs = part.recv()
-    if early is not None:
-        raise early
-    return theirs, mine
+def _cotangents(X, energy, n):
+    """A loss's terminal cotangents of its rows X, of n in all: (energy.grad(X) / n, 1 / n)."""
+    return energy.grad(X) / n, np.full(len(X), 1.0 / n)
 
 
-def _worker_part(pot, state, config, contexts, record, rows):
-    """The program of the worker's rows (see ``_Worker``): their final (X, L); then, when the call
-    records, given their cotangents, their gradient's ``dense()`` sum, or None."""
-    final, traj = _integrate(pot, state, config, contexts, record, rows=rows)
-    d_x, d_l = yield final.X, final.L
-    grad, _ = _reverse(traj, pot, d_x, d_l)
-    yield None if grad is None else grad.dense()
+def _part(pot, state, config, contexts, end, rows, callback=None):
+    """``_integrate`` of the state's ``rows`` and, if ``end`` is a loss's (energy, n), the
+    reverse pass of their tape from their ``_cotangents``: (final state, ParamGrad or None)."""
+    final, traj = _integrate(pot, state, config, contexts, end is not None, callback, rows)
+    grad = None if end is None else _reverse(traj, pot, *_cotangents(final.X, *end))[0]
+    return final, grad
+
+
+def _worker_part(*args):
+    """The worker's rows, ``_part(*args)``: their final X and L, and their gradient's
+    ``dense()`` sum or None."""
+    final, grad = _part(*args)
+    return final.X, final.L, None if grad is None else grad.dense()
 
 
 # Rows :k of a batch of B run in the standing worker and rows k: on the caller,
 # k = 16 floor(B / 32); one part holds every row if k = 0 or sample's callback must see whole
 # states.  OpenBLAS picks kernels by size, so a row's bits may depend on how many rows share
 # its products; this k keeps every forward result bitwise the one-part one at n = 784,
-# h = 1024, B = 100 and n = 64, h = 512, B = 64, where a 50/50 split at B = 100 is not.
+# h = 1024, B = 100 and n = 64, h = 512, B = 64, where a 50/50 split at B = 100 is not, and a
+# part's rows of the Ising energy's gradient, X K^-1, bitwise those of the whole batch.
 # A process, not a thread: at n = 64, h = 512 a stage makes dozens of numpy calls of a few
 # microseconds, and two threads hand the interpreter lock back and forth at each one.  A
 # 32-row part there, forward and reverse, ran 0.99-1.49x faster than two in sequence on a
@@ -749,49 +724,42 @@ def _worker_part(pot, state, config, contexts, record, rows):
 # loss took 0.90-4.65 s), and parts in sequence beat parts on two threads: 0.24-0.28 s against
 # 0.41-0.50 s there, 1.23-1.32 s against 2.75-2.77 s at n = 784, h = 1024.  On a host whose
 # second vCPU is busy, any split is a loss: the parts then take turns on one core.
-def _run_parts(pot, state, config, rng, callback=None, cotangents=None):
-    """``integrate`` of the batch in its row parts, recorded and reversed if ``cotangents``,
-    ``cotangents(final)`` giving the whole batch's (d_x, d_l): (final state, checked ParamGrad
-    or None).  The worker's gradient sum is added to the caller's, as part 1's to part 0's."""
+def _run_parts(pot, state, config, rng, callback=None, end=None):
+    """``integrate`` of the batch in its row parts, each recorded and reversed if ``end`` is a
+    loss's (energy, n), as ``_part`` does: (final state, checked ParamGrad or None).  The
+    worker's gradient sum is added to the caller's, as part 1's to part 0's."""
     k = 0 if callback is not None else 16 * (state.batch_size // 32)
-    record = cotangents is not None
     contexts = _stage_contexts(pot, rng, config.steps)  # drawn once, as one part draws them
     if not k:
-        final, traj = _integrate(pot, state, config, contexts, record, callback)
-        grad = _reverse(traj, pot, *cotangents(final))[0] if record else None
+        final, grad = _part(pot, state, config, contexts, end, slice(0, None), callback)
         return final, _checked(grad)
     top = FlowState(state.X[:k], state.L[:k], state.t)
-    with _part_runner((pot, top, config, contexts, record, slice(0, k))) as part:
-        (X, L), (own, traj) = _in_parts(part, lambda: _integrate(
-            pot, state, config, contexts, record, rows=slice(k, None)))
-        final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
-        if not record:
-            return final, None
-        d_x, d_l = cotangents(final)
-        part.send((d_x[:k], d_l[:k]))
-        dense, (grad, _) = _in_parts(part, lambda: _reverse(traj, pot, d_x[k:], d_l[k:]))
-        if grad is not None:
-            grad.add_dense(*dense)
-        return final, _checked(grad)
+    (X, L, dense), (own, grad) = _in_parts(
+        (pot, top, config, contexts, end, slice(0, k)),
+        lambda: _part(pot, state, config, contexts, end, slice(k, None)))
+    if grad is not None:
+        grad.add_dense(*dense)
+    final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
+    return final, _checked(grad)
 
 
-def _forward(pot, n_samples, config, rng, callback=None, cotangents=None):
+def _forward(pot, n_samples, config, rng, callback=None, end=None):
     """The base Gaussian pushed forward: ``_run_parts``'s (final state, ParamGrad or None)."""
     if config.direction != FORWARD:
         raise ValueError("sampling integrates forward; got a backward config")
     state = gaussian_base(pot.n_dim, n_samples, rng)
-    return _run_parts(pot, state, config, rng, callback, cotangents)
+    return _run_parts(pot, state, config, rng, callback, end)
 
 
-def _backward(pot, X, config, rng=None, cotangents=None):
-    """Rows of X integrated back to the base: (log-densities, ParamGrad or None); ``cotangents``
-    as in ``_run_parts``, of the base points and their accumulated Laplacian integrals."""
+def _backward(pot, X, config, rng=None, end=None):
+    """Rows of X integrated back to the base: (log-densities, ParamGrad or None); ``end`` as in
+    ``_run_parts``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != pot.n_dim:
         raise ValueError(f"data shape {X.shape} does not match potential dimension {pot.n_dim}")
     cfg = config if config.direction == BACKWARD else config.reversed()
     state = FlowState(X, np.zeros(X.shape[0]), cfg.total_time)
-    final, grad = _run_parts(pot, state, cfg, rng, cotangents=cotangents)
+    final, grad = _run_parts(pot, state, cfg, rng, end=end)
     # backward accumulation leaves +integral(lap) in L
     return gaussian_log_density(final.X) - final.L, grad
 
@@ -830,14 +798,15 @@ def nll_loss(potential, X_data, config, rng=None, want_grad=True):
     gradient comes from the tape, together with the chain through the
     reached base points.  ``per_sample`` is ``-log_prob`` bit for bit.
     """
-    n = len(X_data)
-
-    def cotangents(final):
-        return final.X / n, np.full(n, 1.0 / n)
-
-    logp, grad = _backward(as_potential(potential), X_data, config, rng,
-                           cotangents if want_grad else None)
+    end = (_BaseEnergy, len(X_data)) if want_grad else None
+    logp, grad = _backward(as_potential(potential), X_data, config, rng, end)
     return LossResult(-float(logp.mean()), grad, -logp)
+
+
+class _BaseEnergy:
+    """|z|^2 / 2, the base Gaussian's energy up to a constant, whose gradient is z."""
+
+    grad = staticmethod(lambda X: X)
 
 
 def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
@@ -853,15 +822,15 @@ def variational_loss(potential, energy, n_samples, config, rng, want_grad=True):
     ``per_sample`` is ``sample(...).L`` plus the energy, bit for bit, under
     the same ``rng``.  The gradient is the pathwise (reparametrized)
     estimator: base noise is held fixed and the sampling map is
-    differentiated through the tape.
+    differentiated through the tape.  ``energy.grad`` must work row by row,
+    as each row part takes it of its own rows, and the energy must pickle,
+    as the evaluator must, for a part to run in the worker.
     """
     pot = as_potential(potential)
     if energy.n_dim != pot.n_dim:
         raise ValueError(f"energy dimension {energy.n_dim} does not match potential {pot.n_dim}")
 
-    def cotangents(final):
-        return energy.grad(final.X) / n_samples, np.full(n_samples, 1.0 / n_samples)
-
-    final, grad = _forward(pot, n_samples, config, rng, cotangents=cotangents if want_grad else None)
+    end = (energy, n_samples) if want_grad else None
+    final, grad = _forward(pot, n_samples, config, rng, end=end)
     per = final.L + energy.energy(final.X)
     return LossResult(float(per.mean()), grad, per)

@@ -307,6 +307,10 @@ def train(config, target, out_dir=None, resume=None, stop_fn=None):
     each step and before an epoch draws its batches, so a stop at an epoch boundary saves the
     state an ``epochs`` stop there saves.
 
+    A variational target's ``grad`` must work row by row, and the target must
+    pickle, as the potential must, for the row-part worker to take a part (see
+    ``variational_loss``).
+
     Between steps the loop keeps the parameters, the Adam moments, the epoch's batches and
     the metric rows.  The last step's loss result, gradient, clipped gradient and update are
     gone before the next loss runs.

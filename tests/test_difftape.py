@@ -189,6 +189,30 @@ def test_stale_tape_rejected():
         backprop(traj, other, np.zeros((4, 3)), np.zeros(4))
 
 
+class Unhashable(MLPPotential):
+    """An MLPPotential whose fingerprint raises."""
+
+    def fingerprint(self):
+        raise AssertionError("the parameters were hashed")
+
+
+@pytest.mark.parametrize("B", [31, 64], ids=["one-part", "two-parts"])
+def test_the_losses_never_hash_the_parameters(jobs, B):
+    # only integrate(record=True) and backprop check a tape against its potential; a loss
+    # records and reverses its own tape, in one part or two, and hashes nothing
+    p = random_params(4, 16, seed=38)
+    energy = IsingEnergy(ising_spec(2))
+    cfg = IntegratorConfig(0.1, 3)
+    X = np.random.default_rng(38).standard_normal((B, 4))
+
+    def losses(pot):
+        return [nll_loss(pot, X, cfg),
+                variational_loss(pot, energy, B, cfg, np.random.default_rng(38))]
+
+    assert_same_calls(losses(Unhashable(p)), losses(MLPPotential(p)))
+    assert len(jobs) == (4 if B == 64 else 0)
+
+
 def test_backward_direction_tape():
     p = random_params(3, 8, seed=17)
     X = np.random.default_rng(17).standard_normal((5, 3))
@@ -313,6 +337,42 @@ def test_worker_gradient_is_bitwise_the_inline_one(monkeypatch, jobs, mode):
     assert len(jobs) == 4 * 2 and len(set(jobs)) == 1   # one worker takes every loss call
 
 
+class CountsFlushes:
+    """A file that forwards to ``inner`` and counts its flushes, one per message, in
+    ``counts["sent"]``."""
+
+    def __init__(self, inner, counts):
+        self.inner, self.counts = inner, counts
+
+    def flush(self):
+        self.counts["sent"] += 1
+        self.inner.flush()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_a_two_part_recording_call_makes_one_round_trip_to_the_worker(monkeypatch, jobs):
+    # the job holds the loss's end rule, so the worker reverses its rows from their own
+    # cotangents: each loss sends one message and reads one reply
+    pot = MLPPotential(random_params(4, 16, seed=39))
+    cfg = IntegratorConfig(0.1, 3)
+    X = np.random.default_rng(39).standard_normal((64, 4))
+    log_prob(pot, X, cfg)       # forks the worker
+    counts, recv = collections.Counter(), flow._Worker.recv
+
+    def counting_recv(worker):
+        counts["read"] += 1
+        return recv(worker)
+
+    monkeypatch.setattr(flow._Worker, "recv", counting_recv)
+    monkeypatch.setattr(flow._worker, "_outbox", CountsFlushes(flow._worker._outbox, counts))
+    nll_loss(pot, X, cfg)
+    variational_loss(pot, IsingEnergy(ising_spec(2)), 64, cfg, np.random.default_rng(39))
+    assert counts == {"sent": 2, "read": 2}
+    assert len(jobs) == 3 and len(set(jobs)) == 1
+
+
 def test_successive_jobs_use_their_own_parameters(monkeypatch, jobs):
     # the worker keeps nothing of a job's evaluator: calls under other parameters, and back,
     # are each bitwise the parts run in sequence
@@ -355,6 +415,14 @@ class Locked(Forward):
         self.lock = threading.Lock()
 
 
+class HoldsALambda(Forward):
+    """A forwarding energy that holds a lambda, so it does not pickle."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.held = lambda X: X
+
+
 class CountsWorkerCalls(Forward):
     """Forwards to ``inner``; counts in ``calls[0]``, in memory shared with the worker, the
     grad_lap calls made in another process than the caller's."""
@@ -380,23 +448,28 @@ def assert_same_calls(got, want):
 
 
 def test_a_job_that_does_not_pickle_runs_in_sequence_and_the_worker_stays(monkeypatch, jobs):
-    # the calls of an evaluator that does not pickle send no job and have the bits of the parts
-    # run in sequence; the worker takes the next call that pickles
+    # the calls of an evaluator that does not pickle, and the variational loss of a target that
+    # does not pickle, send no job and have the bits of the parts run in sequence; the worker
+    # takes the next call that pickles
     pot = MLPPotential(random_params(4, 16, seed=31))
+    energy = IsingEnergy(ising_spec(2))
     cfg = IntegratorConfig(0.1, 4)
     X = np.random.default_rng(31).standard_normal((64, 4))
 
-    def calls(p):
-        return [sample(p, 64, cfg, np.random.default_rng(32)), nll_loss(p, X, cfg)]
+    def calls(p, e):
+        return [sample(p, 64, cfg, np.random.default_rng(32)), nll_loss(p, X, cfg),
+                variational_loss(p, e, 64, cfg, np.random.default_rng(33))]
 
     log_prob(pot, X, cfg)
     assert len(jobs) == 1
-    got = calls(Locked(pot))
+    got = calls(Locked(pot), energy)
+    got.append(variational_loss(pot, HoldsALambda(energy), 64, cfg, np.random.default_rng(33)))
     assert len(jobs) == 1
     log_prob(pot, X, cfg)
     assert len(jobs) == 2 and len(set(jobs)) == 1
     in_sequence(monkeypatch)
-    assert_same_calls(got, calls(pot))
+    want = calls(pot, energy)
+    assert_same_calls(got, want + want[-1:])
 
 
 def test_a_job_the_worker_cannot_load_runs_on_the_caller_and_the_worker_stays(monkeypatch, jobs,
@@ -650,8 +723,8 @@ def test_the_two_parts_sum_allocates_no_third_weight_array(monkeypatch):
         end = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    assert len(marks) == 2      # the forward parts, then the reverse parts
-    reversed_at, reversed_snapshot = marks[1]
+    assert len(marks) == 1      # both parts, each run forward and reversed
+    reversed_at, reversed_snapshot = marks[0]
     assert peak - reversed_at < big
     assert sum(large(reversed_snapshot).values()) == 2
     assert res.grad.to_vector().nbytes > big

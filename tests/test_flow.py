@@ -259,6 +259,54 @@ def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first(jobs, 
     assert len(jobs) == 1
 
 
+class FailsInPhase(QuadraticPotential):
+    """A still field whose rows are marked by their first coordinate, 0 to 63: the gradient is
+    NaN in row ``rows[0]`` at forward step ``steps[0]``, and the position cotangent in row
+    ``rows[1]`` at reverse step ``steps[1]`` of ``n_steps``.  ``calls[part]``, in shared memory,
+    counts each row part's grad_lap and vjp calls, part 0 holding rows :32."""
+
+    def __init__(self, rows, steps, n_steps, calls):
+        super().__init__(0.0, 2)
+        self.rows, self.steps, self.n_steps, self.calls = rows, steps, n_steps, calls
+
+    def grad_lap(self, X, ctx=None):
+        part = int(X[0, 0] >= 32)
+        step = self.calls[part, 0] // 4
+        self.calls[part, 0] += 1
+        G, lap = super().grad_lap(X, ctx)
+        G[(X[:, 0] == self.rows[0]) & (step == self.steps[0])] = np.nan
+        return G, lap
+
+    def vjp(self, X, w_grad, w_lap, ctx=None):
+        part = int(X[0, 0] >= 32)
+        step = self.n_steps - 1 - self.calls[part, 1] // 4     # the reverse pass runs downward
+        self.calls[part, 1] += 1
+        pg, xcot = super().vjp(X, w_grad, w_lap, ctx)
+        xcot[(X[:, 0] == self.rows[1]) & (step == self.steps[1])] = np.nan
+        return pg, xcot
+
+
+@pytest.mark.parametrize("rows", [(5, 40), (40, 5)],
+                         ids=["forward-in-the-worker", "forward-on-the-caller"])
+def test_a_forward_error_outranks_the_other_parts_reverse_error(jobs, shared_zeros, rows):
+    # one row part fails at forward step 3; the other runs its forward pass clean and fails at
+    # reverse step 4, the first its reverse pass reaches.  The call raises the forward error,
+    # with the step and row that one part names
+    X = np.stack([np.arange(64.0), np.zeros(64)], axis=1)
+    cfg = IntegratorConfig(0.1, 5)
+    message = rf"^non-finite value during step 3, batch row {rows[0]}$"
+    pot = FailsInPhase(rows, (3, 4), 5, shared_zeros(2, 2))
+    with pytest.raises(NumericError, match=message):
+        nll_loss(pot, X, cfg)
+    forward, reverse = int(rows[0] >= 32), int(rows[1] >= 32)
+    assert pot.calls[forward].tolist() == [4 * 4, 0]
+    assert pot.calls[reverse].tolist() == [4 * 5, 4]
+    assert len(jobs) == 1
+    one = FailsInPhase(rows, (3, 4), 5, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(NumericError, match=message):
+        integrate(one, FlowState(X, np.zeros(64), cfg.total_time), cfg.reversed(), record=True)
+
+
 class InPart(QuadraticPotential):
     """A still field whose ``hook``, grad_lap or vjp, runs ``act()`` first in row part ``part``:
     0 in the worker, which runs rows :k, 1 on the caller."""
