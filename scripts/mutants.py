@@ -13,7 +13,8 @@ control fails or any mutant survives.
 
 The tests stop at their first failure (``-x``), so a caught mutant costs
 less than a full run.  ``tests/test_scripts.py`` checks that each old text
-occurs exactly once in today's source, so that the list cannot rot.
+occurs exactly once in today's source, so that the list cannot rot; the
+runs leave that one test out.
 """
 
 from __future__ import annotations
@@ -65,20 +66,12 @@ MUTANTS = (
     ("the parameters hashed inside a loss", "flow.py",
      "traj = Trajectory() if record else None",
      "traj = Trajectory(fingerprint=pot.fingerprint()) if record else None"),
-    ("reverse steps ranked by -k", "flow.py",
-     "2 * len(traj.steps) - 1 - k)",
-     "-k)"),
     ("the worker's gradient not added", "flow.py",
      "grad.add_dense(*dense)",
      "pass"),
-    ("the worker part's error wins", "flow.py",
-     'if early is None or (getattr(late, "order", math.inf)\n'
-     '                                 < getattr(early, "order", -math.inf)):',
-     "if early is None:"),
-    ("the caller's NumericError always wins", "flow.py",
-     '(getattr(late, "order", math.inf)\n'
-     '                                 < getattr(early, "order", -math.inf))',
-     "isinstance(late, NumericError)"),
+    ("a failed two-part call raised without the one-part rerun", "flow.py",
+     "    _part(pot, state, config, contexts, end, slice(0, None))\n    raise failed",
+     "    raise failed"),
     ("the worker's rows and the caller's rows swapped in the concatenation", "flow.py",
      "np.concatenate([X, own.X])",
      "np.concatenate([own.X, X])"),
@@ -174,6 +167,10 @@ def occurrences(mutant, root=ROOT):
 
 CONTROL = ("control: no edit", "flow.py", "", "")
 
+# the test that finds each old text once in the unedited source: an edited copy always fails it,
+# so the runs leave it out, or it would count every mutant as caught
+SELF_CHECK = "tests/test_scripts.py::test_every_mutant_edits_text_that_occurs_once"
+
 
 def run(mutant):
     """Apply one mutant in a copy of the tree and run tier-1 there; True if the tests fail."""
@@ -194,7 +191,7 @@ def run(mutant):
             f.write(text.replace(old, new))
         env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src")}
         out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                              "--continue-on-collection-errors"],
+                              "--continue-on-collection-errors", "--deselect", SELF_CHECK],
                              cwd=tmp, env=env, capture_output=True, text=True)
     return out.returncode != 0
 

@@ -45,7 +45,7 @@ _SCHEMA = {
     "symmetry": {"group": "symmetry", "mode": "symmetry_mode", "resample": "resample"},
     "dataset": {
         "name": ((str,), None), "path": ((str, type(None)), None), "lambda": "logit_lambda",
-        "size": ((int,), "[0, inf)"),
+        "size": ((int,), "[1, inf)"),
     },
     "ising": {"L": ((int,), None), "beta": ((float,), "(-inf, inf)")},
 }
@@ -110,15 +110,13 @@ def _build_target(run):
     rng = np.random.default_rng(run["config"].seed + 1)  # data stream separate from training
     if ds["name"] in data_mod.TOY_NAMES:
         size = ds.get("size", 10000)     # a data file keeps every row unless "size" is set
-        if size < 1:
-            raise ConfigError(f"'dataset.size' must be >= 1 for toy sets, got {size}")
         return data_mod.toy_density(ds["name"], size, rng)
     if ds["name"] in ("idx", "csv"):
         if not ds["path"]:
             raise ConfigError(f"dataset.name '{ds['name']}' needs dataset.path")
         loaded = (data_mod.load_idx(ds["path"]) if ds["name"] == "idx"
                   else data_mod.Dataset(data_mod.load_csv(ds["path"])))
-        if ds.get("size") and ds["size"] < len(loaded):
+        if ds.get("size", len(loaded)) < len(loaded):
             loaded = data_mod.Dataset(loaded.X[: ds["size"]].copy(), loaded.space)
         return loaded
     raise ConfigError(f"unknown dataset name '{ds['name']}'")

@@ -14,19 +14,7 @@ class ConfigError(MaflowError):
 
 
 class NumericError(MaflowError):
-    """A computation produced non-finite values and was aborted.
-
-    ``order`` ranks an integration's error by where it arose: forward step k
-    is k, and reverse step k of ``steps`` is 2 * steps - 1 - k, so every
-    forward step ranks before any reverse step and the reverse pass ranks
-    its steps in the order it reaches them.  Of two row parts' errors, a
-    call raises the one of lower order, part 0's on a tie, as one part would
-    raise it.
-    """
-
-    def __init__(self, message, order=0):
-        super().__init__(message)
-        self.order = order
+    """A computation produced non-finite values and was aborted."""
 
 
 class FormatError(MaflowError):

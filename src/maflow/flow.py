@@ -56,11 +56,13 @@ from its own rows' (for ``nll_loss`` the energy is the base's |z|^2 / 2).
 The parts share the stage contexts, drawn once before the job is sent, so
 at a fixed BLAS thread count no result depends on which process ran a part
 (a gradient's bits may depend on that count, as at n = 64, h = 512,
-B = 64), and of two parts' errors the call raises the one a single part
-would.  Where there is no worker and none can be forked, where another
-thread's call holds it, or where the job does not pickle or does not load
-in the worker, the two parts run in sequence on the caller, with the same
-bits.  A call that fails or is interrupted stops the worker, and the next
+B = 64).  A two-part call that fails runs the batch again as one part on
+the caller and raises that part's error, so two parts raise what one part
+would: evaluators and targets are pure functions of (X, context).  Where
+there is no worker and none can be forked, where another thread's call
+holds it, or where the job does not pickle or does not load in the
+worker, the two parts run in sequence on the caller, with the same bits.
+A call that fails or is interrupted stops the worker, and the next
 call forks another; an ``atexit`` hook stops it when the interpreter ends,
 and a process forked later never uses it.  OpenBLAS's own threads count
 against the one-thread rule, so a library user gets the worker by setting
@@ -285,7 +287,7 @@ def _integrate(pot, state, config, contexts, record=False, callback=None, rows=s
         # a non-finite stage gradient makes x1 non-finite in the same row
         bad = _first_bad_row(x1, l1)
         if bad is not None:
-            raise NumericError(f"non-finite value during step {k}, batch row {rows.start + bad}", k)
+            raise NumericError(f"non-finite value during step {k}, batch row {rows.start + bad}")
         if record:
             traj.steps.append(StepRecord(x0, l0, eta, tuple(grads), tuple(laps), ctx))
         x0, l0, t = x1, l1, t + eta
@@ -377,9 +379,8 @@ def _reverse(traj, pot, d_x_final, d_l_final):
                     kbar[i - 1] = kbar[i - 1] + (_STAGE_OFFSETS[i - 1] * eta) * xcot
             d_x = d_x_new
             if not np.isfinite(d_x).all():
-                # ranked after every forward step, in the order the pass reaches them
                 raise NumericError(f"non-finite position cotangent in the reverse pass "
-                                   f"at step {k}", 2 * len(traj.steps) - 1 - k)
+                                   f"at step {k}")
     return grad, d_x
 
 
@@ -645,36 +646,20 @@ def _take_worker(args):
 
 def _in_parts(args, own):
     """(``_worker_part(*args)``, ``own()``): the first in the worker that ``_take_worker`` gives
-    while the caller runs ``own``, else on the caller after it.  An exception comes out once both
-    are done; of two, the worker part's, unless the caller's is a NumericError of lower
-    ``order``, as one part would report it.  An interrupt of the caller comes out at once.  A
-    call that leaves with either stops the worker; one that ends well leaves it waiting."""
+    while the caller runs ``own``, else on the caller after it.  An exception of either comes
+    out as soon as the caller meets it, without waiting for the other part.  A call that leaves
+    with one stops the worker; one that ends well leaves it waiting."""
     worker = _take_worker(args)     # held to the call's end, even if it did not load the job
-
-    def theirs():
+    try:
+        mine = own()
         if worker is not None:
             error, value = worker.recv()
+            if error is None:
+                return value, mine
             if not isinstance(error, _NotLoaded):
-                return error, value
+                raise error
             worker._sent.clear()
-        try:
-            return None, _worker_part(*args)
-        except Exception as error:
-            return error, None
-
-    try:
-        try:
-            mine = own()
-        except Exception as late:
-            early = theirs()[0]
-            if early is None or (getattr(late, "order", math.inf)
-                                 < getattr(early, "order", -math.inf)):
-                raise
-            raise early
-        early, value = theirs()
-        if early is not None:
-            raise early
-        return value, mine
+        return _worker_part(*args), mine
     except BaseException:
         if worker is not None:
             _stop_worker()
@@ -727,20 +712,31 @@ def _worker_part(*args):
 def _run_parts(pot, state, config, rng, callback=None, end=None):
     """``integrate`` of the batch in its row parts, each recorded and reversed if ``end`` is a
     loss's (energy, n), as ``_part`` does: (final state, checked ParamGrad or None).  The
-    worker's gradient sum is added to the caller's, as part 1's to part 0's."""
+    worker's gradient sum is added to the caller's, as part 1's to part 0's.  A two-part call
+    that fails raises what the batch run again as one part raises, or the parts' error if that
+    run ends well."""
     k = 0 if callback is not None else 16 * (state.batch_size // 32)
     contexts = _stage_contexts(pot, rng, config.steps)  # drawn once, as one part draws them
     if not k:
         final, grad = _part(pot, state, config, contexts, end, slice(0, None), callback)
         return final, _checked(grad)
     top = FlowState(state.X[:k], state.L[:k], state.t)
-    (X, L, dense), (own, grad) = _in_parts(
-        (pot, top, config, contexts, end, slice(0, k)),
-        lambda: _part(pot, state, config, contexts, end, slice(k, None)))
-    if grad is not None:
-        grad.add_dense(*dense)
-    final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
-    return final, _checked(grad)
+    try:
+        (X, L, dense), (own, grad) = _in_parts(
+            (pot, top, config, contexts, end, slice(0, k)),
+            lambda: _part(pot, state, config, contexts, end, slice(k, None)))
+    except Exception as error:
+        failed = error
+    else:
+        if grad is not None:
+            grad.add_dense(*dense)
+        final = FlowState(np.concatenate([X, own.X]), np.concatenate([L, own.L]), own.t)
+        return final, _checked(grad)
+    # evaluators and targets are pure, so the batch run again as one part meets the same failure
+    # and names its step and row as one part does; where that run ends well, as after a worker
+    # that died, the parts' error stands
+    _part(pot, state, config, contexts, end, slice(0, None))
+    raise failed
 
 
 def _forward(pot, n_samples, config, rng, callback=None, end=None):

@@ -64,8 +64,18 @@ def test_ising_full_symmetry_on_a_non_square_density_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "square lattice" in err
 
 
-def test_toy_dataset_without_rows_is_a_config_error(tmp_path, capsys):
-    cfg = {"task": "density", "out_dir": str(tmp_path / "out"), "dataset": {"size": 0}}
+@pytest.mark.parametrize("name", ["ring", "idx", "csv"])
+def test_a_dataset_without_rows_is_a_config_error(tmp_path, capsys, name):
+    # one rule for toy sets and data files: "size" is at least 1, or absent to keep every row
+    dataset, rng = {"name": name, "size": 0}, np.random.default_rng(2)
+    if name != "ring":
+        dataset["path"] = path = str(tmp_path / f"x.{name}")
+        if name == "idx":
+            data_mod.write_idx(path, rng.integers(0, 256, size=(60, 1, 1)))
+        else:
+            data_mod.save_csv(path, rng.standard_normal((60, 2)))
+    cfg = {"task": "density", "out_dir": str(tmp_path / "out"), "dataset": dataset,
+           "train": {"epochs": 1, "batch_size": 30, "hidden": 2, "steps": 1}}
     assert main(["train", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "'dataset.size'" in err

@@ -2,6 +2,7 @@
 reversibility, and sample/log_prob consistency."""
 
 import errno
+import itertools
 import math
 import os
 import signal
@@ -15,7 +16,7 @@ import pytest
 
 from maflow import flow
 from maflow import (FlowState, GaussianFlowSolution, IntegratorConfig, MLPPotential,
-                    NumericError, PotentialParams, QuadraticPotential, gaussian_base,
+                    NumericError, PotentialParams, QuadraticPotential, backprop, gaussian_base,
                     gaussian_log_density, init_params, integrate, log_prob, nll_loss, sample,
                     variational_loss)
 
@@ -232,81 +233,6 @@ def test_both_paths_name_the_lowest_row_with_a_bad_position_or_log_density(run):
         run(NanLaplacianAndGradient(), X, IntegratorConfig(0.1, 3))
 
 
-class NanCotangentAt(QuadraticPotential):
-    """A quadratic field whose vjp gives a NaN cotangent at one reverse step of each row part,
-    told apart by the sign of the part's rows; ``calls``, in shared memory, counts each part's
-    vjp calls, part 0's in the worker too."""
-
-    def __init__(self, steps, bad_step, calls):
-        super().__init__(0.2, 2)
-        self.steps, self.bad_step, self.calls = steps, bad_step, calls
-
-    def vjp(self, X, w_grad, w_lap, ctx=None):
-        part = int(X[0, 0] < 0)
-        step = self.steps - 1 - self.calls[part] // 4     # the reverse pass runs steps downward
-        self.calls[part] += 1
-        pg, xcot = super().vjp(X, w_grad, w_lap, ctx)
-        return pg, xcot * np.nan if step == self.bad_step[part] else xcot
-
-
-def test_two_reverse_parts_report_the_step_the_reverse_pass_reaches_first(jobs, shared_zeros):
-    X = np.ones((64, 2))
-    X[32:] = -1.0           # part 1, on the caller, fails at step 3, which the pass reaches first
-    pot = NanCotangentAt(5, (1, 3), shared_zeros(2))
-    with pytest.raises(NumericError, match=r"reverse pass at step 3$"):
-        nll_loss(pot, X, IntegratorConfig(0.1, 5))
-    assert pot.calls.tolist() == [4 * 4, 2 * 4]     # both parts ran to their own failure
-    assert len(jobs) == 1
-
-
-class FailsInPhase(QuadraticPotential):
-    """A still field whose rows are marked by their first coordinate, 0 to 63: the gradient is
-    NaN in row ``rows[0]`` at forward step ``steps[0]``, and the position cotangent in row
-    ``rows[1]`` at reverse step ``steps[1]`` of ``n_steps``.  ``calls[part]``, in shared memory,
-    counts each row part's grad_lap and vjp calls, part 0 holding rows :32."""
-
-    def __init__(self, rows, steps, n_steps, calls):
-        super().__init__(0.0, 2)
-        self.rows, self.steps, self.n_steps, self.calls = rows, steps, n_steps, calls
-
-    def grad_lap(self, X, ctx=None):
-        part = int(X[0, 0] >= 32)
-        step = self.calls[part, 0] // 4
-        self.calls[part, 0] += 1
-        G, lap = super().grad_lap(X, ctx)
-        G[(X[:, 0] == self.rows[0]) & (step == self.steps[0])] = np.nan
-        return G, lap
-
-    def vjp(self, X, w_grad, w_lap, ctx=None):
-        part = int(X[0, 0] >= 32)
-        step = self.n_steps - 1 - self.calls[part, 1] // 4     # the reverse pass runs downward
-        self.calls[part, 1] += 1
-        pg, xcot = super().vjp(X, w_grad, w_lap, ctx)
-        xcot[(X[:, 0] == self.rows[1]) & (step == self.steps[1])] = np.nan
-        return pg, xcot
-
-
-@pytest.mark.parametrize("rows", [(5, 40), (40, 5)],
-                         ids=["forward-in-the-worker", "forward-on-the-caller"])
-def test_a_forward_error_outranks_the_other_parts_reverse_error(jobs, shared_zeros, rows):
-    # one row part fails at forward step 3; the other runs its forward pass clean and fails at
-    # reverse step 4, the first its reverse pass reaches.  The call raises the forward error,
-    # with the step and row that one part names
-    X = np.stack([np.arange(64.0), np.zeros(64)], axis=1)
-    cfg = IntegratorConfig(0.1, 5)
-    message = rf"^non-finite value during step 3, batch row {rows[0]}$"
-    pot = FailsInPhase(rows, (3, 4), 5, shared_zeros(2, 2))
-    with pytest.raises(NumericError, match=message):
-        nll_loss(pot, X, cfg)
-    forward, reverse = int(rows[0] >= 32), int(rows[1] >= 32)
-    assert pot.calls[forward].tolist() == [4 * 4, 0]
-    assert pot.calls[reverse].tolist() == [4 * 5, 4]
-    assert len(jobs) == 1
-    one = FailsInPhase(rows, (3, 4), 5, np.zeros((2, 2), dtype=np.int64))
-    with pytest.raises(NumericError, match=message):
-        integrate(one, FlowState(X, np.zeros(64), cfg.total_time), cfg.reversed(), record=True)
-
-
 class InPart(QuadraticPotential):
     """A still field whose ``hook``, grad_lap or vjp, runs ``act()`` first in row part ``part``:
     0 in the worker, which runs rows :k, 1 on the caller."""
@@ -349,6 +275,89 @@ class EnergyWithFailingGrad(ZeroEnergy):
         raise KeyError("energy.grad")
 
 
+class FailsWhere(QuadraticPotential):
+    """A still field with no state.  Its stage contexts count up from 0, so context c is a stage
+    of step c // 4.  For each (mark, step) pair of ``forward`` its gradient is NaN in the rows
+    whose first coordinate is ``mark`` at that forward step, and for each pair of ``reverse`` its
+    position cotangent likewise at that reverse step."""
+
+    def __init__(self, forward, reverse):
+        super().__init__(0.0, 2)
+        self.forward, self.reverse = forward, reverse
+
+    def begin_trajectory(self, rng):
+        return itertools.count()
+
+    def grad_lap(self, X, ctx=None):
+        G, lap = super().grad_lap(X, ctx)
+        G[marked(X, self.forward, ctx)] = np.nan
+        return G, lap
+
+    def vjp(self, X, w_grad, w_lap, ctx=None):
+        pg, xcot = super().vjp(X, w_grad, w_lap, ctx)
+        xcot[marked(X, self.reverse, ctx)] = np.nan
+        return pg, xcot
+
+
+def marked(X, failures, ctx):
+    return np.isin(X[:, 0], [mark for mark, step in failures if step == ctx // 4])
+
+
+# 64 rows marked 0 to 63 by their first coordinate
+MARKED = np.stack([np.arange(64.0), np.zeros(64)], axis=1)
+
+# where a 64-row loss of 5 steps meets a NaN, as (row, step) pairs of its forward pass and of
+# its reverse pass, the variational target, and what one part raises; the worker runs rows :32
+PLACEMENTS = {
+    "forward-in-the-worker": (((5, 3),), (), ZeroEnergy(),
+                              "non-finite value during step 3, batch row 5"),
+    "forward-on-the-caller": (((40, 3),), (), ZeroEnergy(),
+                              "non-finite value during step 3, batch row 40"),
+    "tie-goes-to-row-0": (((40, 2), (0, 2)), (), ZeroEnergy(),
+                          "non-finite value during step 2, batch row 0"),
+    "reverse-in-the-worker": ((), ((5, 1),), ZeroEnergy(),
+                              "non-finite position cotangent in the reverse pass at step 1"),
+    "reverse-on-the-caller": ((), ((40, 1),), ZeroEnergy(),
+                              "non-finite position cotangent in the reverse pass at step 1"),
+    # the reverse pass reaches step 3 first
+    "reverse-in-both-parts": ((), ((5, 3), (40, 1)), ZeroEnergy(),
+                              "non-finite position cotangent in the reverse pass at step 3"),
+    "forward-in-the-worker-reverse-on-the-caller": (
+        ((5, 3),), ((40, 4),), ZeroEnergy(), "non-finite value during step 3, batch row 5"),
+    "forward-on-the-caller-reverse-in-the-worker": (
+        ((40, 3),), ((5, 4),), ZeroEnergy(), "non-finite value during step 3, batch row 40"),
+    # the worker's part gets past its forward pass and its target's grad raises; nll_loss, which
+    # has no target, runs the forward NaN alone
+    "forward-on-the-caller-target-grad-in-the-worker": (
+        ((40, 0),), (), EnergyWithFailingGrad(), "non-finite value during step 0, batch row 40"),
+}
+
+
+@pytest.mark.parametrize("loss", ["nll_loss", "variational_loss"])
+@pytest.mark.parametrize("case", PLACEMENTS)
+def test_two_parts_raise_what_one_part_raises(jobs, case, loss):
+    # the loss as two parts with the worker, and as one part through integrate and backprop
+    forward, reverse, target, message = PLACEMENTS[case]
+    cfg = IntegratorConfig(0.1, 5)
+    if loss == "nll_loss":
+        target, one_cfg = None, cfg.reversed()
+        state = FlowState(MARKED, np.zeros(64), cfg.total_time)
+    else:
+        state, one_cfg = gaussian_base(2, 64, np.random.default_rng(0)), cfg
+    marks = state.X[:, 0]
+    pot = FailsWhere([(marks[r], k) for r, k in forward], [(marks[r], k) for r, k in reverse])
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        if target is None:
+            nll_loss(pot, MARKED, cfg)
+        else:
+            variational_loss(pot, target, 64, cfg, np.random.default_rng(0))
+    assert len(jobs) == 1
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        final, traj = integrate(pot, state, one_cfg, record=True)
+        d_x = final.X if target is None else target.grad(final.X)   # nll_loss's base energy
+        backprop(traj, pot, d_x / 64, np.full(64, 1 / 64))
+
+
 class NotPicklable(Exception):
     """An exception that pickles but does not unpickle: its constructor needs two arguments."""
 
@@ -366,6 +375,21 @@ def child_exit_7():
 
 def raise_interrupt():
     raise KeyboardInterrupt
+
+
+class FailsInTheCallersPart(QuadraticPotential):
+    """A still field whose gradient is NaN in the row marked 40 (its first coordinate) of a batch
+    whose first row is marked 32, as in the caller's part of ``MARKED`` and not in one part: a
+    failure that the batch run again as one part does not meet."""
+
+    def __init__(self):
+        super().__init__(0.0, 2)
+
+    def grad_lap(self, X, ctx=None):
+        G, lap = super().grad_lap(X, ctx)
+        if X[0, 0] == 32.0:
+            G[X[:, 0] == 40.0] = np.nan
+        return G, lap
 
 
 def blow_up(row):
@@ -394,6 +418,9 @@ NO_CHILD_LEFT_CASES = {
     "energy-grad-raises": (lambda: variational_loss(
         MLPPotential(init_params(2, 8, np.random.default_rng(0))), EnergyWithFailingGrad(), 64,
         CFG, np.random.default_rng(0)), (KeyError, "energy.grad")),
+    "numeric-error-one-part-does-not-meet": (
+        lambda: log_prob(FailsInTheCallersPart(), MARKED, CFG),
+        (NumericError, r"^non-finite value during step 0, batch row 40$")),
     "child-exits-7": (lambda: nll_loss(InPart("vjp", 0, child_exit_7), np.ones((64, 2)), CFG),
                       (RuntimeError, "row-part worker ended with exit status 7 ")),
     "child-error-not-picklable": (lambda: log_prob(InPart("grad_lap", 0, raise_not_picklable),

@@ -140,6 +140,14 @@ class NanEnergyFrom:
         return self.inner.grad(X)
 
 
+def test_adams_first_step_moves_each_weight_by_the_learning_rate():
+    # bias correction makes the first step's moments g and g^2 themselves, whatever the betas
+    g = np.array([3.0, -0.5, 1e-3])
+    delta, state = trainer.adam_update(AdamState.zeros(3), g, 0.01, beta1=0.8, beta2=0.9)
+    assert np.allclose(delta, -0.01 * g / (np.abs(g) + 1e-8), rtol=1e-12, atol=0)
+    assert state.count == 1
+
+
 def test_numeric_abort_leaves_the_checkpoint_of_the_last_completed_epoch(tmp_path):
     energy = IsingEnergy(ising_spec(2))
     config = TrainConfig.for_ising(epochs=3, steps_per_epoch=3, hidden=8, steps=5, batch_size=8,
